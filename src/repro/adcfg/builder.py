@@ -10,15 +10,33 @@ edges with their predecessor-edge histogram.  Warp entry and exit are
 bracketed with the virtual :data:`~repro.adcfg.graph.START_LABEL` /
 :data:`~repro.adcfg.graph.END_LABEL` blocks (the paper treats the first
 ``src`` and last ``dst`` as a special basic-block type).
+
+:func:`fold_lane_grid` builds the same graphs without any events: it reads
+a fused replica launch's cohort records (one lane grid holding every
+member's warps) and folds them once for all members.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.adcfg.graph import ADCFG, END_LABEL, START_LABEL, AddressKey
+from repro.gpusim.cohort import (
+    REC_BB,
+    REC_BB_U,
+    REC_MEM,
+    REC_MEM_U,
+)
 from repro.gpusim.events import (
     BasicBlockEvent,
     MemoryAccessEvent,
@@ -333,3 +351,461 @@ class ADCFGBuilder:
             self.graph.edge(prev, END_LABEL).record(prev_src=prev_prev)
         self._warp_state = {}
         return self.graph
+
+
+# ----------------------------------------------------------------------
+# fused replica launches: one fold from the lane grid
+# ----------------------------------------------------------------------
+
+#: a normalised key packs as ``label id << _OFFSET_BITS | offset``, the
+#: packing :meth:`repro.host.tracer.HostTracer.normalize_key_ids` uses
+_OFFSET_BITS = 40
+_OFFSET_MASK = (1 << _OFFSET_BITS) - 1
+
+#: memory records are counted in chunks of about this many addresses: big
+#: enough to amortise the per-pass overhead over small records, small
+#: enough to keep the temporaries to a few MiB
+_CHUNK_ADDRESSES = 1 << 16
+
+
+class ReplicaLayout(NamedTuple):
+    """One replica's allocation table, as :func:`fold_lane_grid` reads it."""
+
+    #: the replica's own ``DeviceMemory.resolve_batch``
+    resolve: Callable[[np.ndarray], Tuple[list, np.ndarray, np.ndarray]]
+    #: base-sorted allocation bases and ends (``DeviceMemory.lookup_table``)
+    bases: np.ndarray
+    ends: np.ndarray
+    #: session label id of each allocation (``HostTracer.label_ids``)
+    label_ids: np.ndarray
+    #: label of each session label id (``HostTracer.labels``)
+    labels: Sequence[str]
+
+
+class _NotFoldable(Exception):
+    """The launch is outside what :func:`fold_lane_grid` reproduces."""
+
+
+def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
+                   attempts: Sequence, layouts: Sequence[ReplicaLayout]
+                   ) -> Optional[List[ADCFG]]:
+    """Fold one fused replica launch into every member's A-DCFG at once.
+
+    *attempts* are the launch's completed cohort attempts
+    (:class:`~repro.gpusim.cohort.CohortContext`: records, labels and the
+    replica slot of each row); together their rows cover every warp of
+    every member once.  *layouts* holds each member's allocation table, in
+    replica-slot order.  The result equals, graph for graph and down to
+    the order of each memory record's keys, what each member's monitor
+    folds from the per-warp event streams that
+    :meth:`~repro.gpusim.cohort.CohortContext.replay_events` re-expands —
+    without expanding anything per warp:
+
+    * basic-block records give each member's node entries and its
+      ``(previous edge, edge)`` counts, from per-row control-flow state;
+    * memory records are counted in bounded chunks of whole records into
+      unique ``(slot, member, address)`` triples (a bincount over a small
+      packed range, else a sort), whose addresses resolve against the
+      member's own allocation table; aliased addresses (shared memory of
+      different blocks) re-aggregate by normalised key;
+    * every distinct ``(label, offset)`` key tuple is built once for the
+      whole group, not once per member.
+
+    Wild addresses raise :class:`~repro.gpusim.memory.AllocationError`.
+    Returns None for a launch this fold does not reproduce exactly — the
+    members' session label ids disagree, one ``(block, visit, instr)``
+    slot mixes memory spaces or loads with stores, or keys or a chunk's
+    address range would not pack into 64 bits; the caller then replays
+    the per-warp streams instead.
+    """
+    try:
+        fold = _LaneGridFold(layouts)
+        for ctx in attempts:
+            fold.add_attempt(ctx)
+        fold.flush()
+        return fold.graphs(kernel_name, total_threads, num_warps)
+    except _NotFoldable:
+        return None
+
+
+class _LaneGridFold:
+    """State of one :func:`fold_lane_grid` call."""
+
+    def __init__(self, layouts: Sequence[ReplicaLayout]) -> None:
+        self._layouts = layouts
+        members = self._members = len(layouts)
+        self._low = np.fromiter(
+            (int(lay.bases[0]) if lay.bases.size else 0 for lay in layouts),
+            dtype=np.int64, count=members)
+        # members whose tables match up to a slide (ASLR) share one
+        # resolver: their addresses relative to the lowest base agree
+        classes: Dict[Tuple[bytes, ...], int] = {}
+        member_class = []
+        self._reps: List[int] = []
+        names: List[str] = []
+        for member, lay in enumerate(layouts):
+            if lay.bases.size and (int((lay.ends - lay.bases).max())
+                                   > _OFFSET_MASK):
+                raise _NotFoldable("allocation too large to pack")
+            low = self._low[member]
+            signature = ((lay.bases - low).tobytes(),
+                         (lay.ends - low).tobytes(), lay.label_ids.tobytes())
+            cls = classes.get(signature)
+            if cls is None:
+                cls = classes[signature] = len(self._reps)
+                self._reps.append(member)
+            member_class.append(cls)
+            labels = list(lay.labels)
+            shared = min(len(names), len(labels))
+            if labels[:shared] != names[:shared]:
+                raise _NotFoldable("members disagree on label ids")
+            if len(labels) > len(names):
+                names = labels
+        self._member_class = np.asarray(member_class, dtype=np.int64)
+        self._names = names
+        if len(names) >= 1 << (63 - _OFFSET_BITS):
+            raise _NotFoldable("too many labels to pack")
+        # label ids ascending along the base-sorted table: no label repeats
+        # (so no aliasing) and key order equals address order
+        self._monotone = all(
+            bool(np.all(np.diff(layouts[rep].label_ids) > 0))
+            for rep in self._reps)
+        self._label_index: Dict[str, int] = {}
+        self._label_names: List[str] = []
+        self._slot_index: Dict[Tuple[int, int, int], int] = {}
+        #: slot id -> (label id, visit, instr, space, is_store)
+        self._slots: List[Tuple[int, int, int, int, bool]] = []
+        self._slot_sources: List[int] = []
+        #: memory records awaiting their chunk: (row members, addresses,
+        #: addresses per row, slot) — see :meth:`_stage`
+        self._pending: List[tuple] = []
+        self._pending_addresses = 0
+        #: memory entries per chunk: (slot ids, members, keys, counts),
+        #: each sorted by (slot, member, key) and unique
+        self._entries: List[Tuple[np.ndarray, ...]] = []
+        #: control-flow transitions: (member, label, prev, prev_prev, count)
+        self._flow: List[Tuple[np.ndarray, ...]] = []
+        #: every packed key met so far (sorted) and its key tuple, built
+        #: once for the whole group
+        self._known_keys = np.empty(0, dtype=np.int64)
+        self._key_objects = np.empty(0, dtype=object)
+
+    # -- interning ------------------------------------------------------
+
+    def _label(self, label: str) -> int:
+        lid = self._label_index.get(label)
+        if lid is None:
+            lid = self._label_index[label] = len(self._label_names)
+            self._label_names.append(label)
+        return lid
+
+    def _slot(self, label: int, visit: int, instr: int, space: int,
+              is_store: bool) -> int:
+        key = (label, visit, instr)
+        sid = self._slot_index.get(key)
+        if sid is None:
+            sid = self._slot_index[key] = len(self._slots)
+            self._slots.append((label, visit, instr, space, is_store))
+            self._slot_sources.append(0)
+        elif self._slots[sid][3:] != (space, is_store):
+            raise _NotFoldable("one slot mixes spaces or loads and stores")
+        self._slot_sources[sid] += 1
+        return sid
+
+    # -- one attempt ----------------------------------------------------
+
+    def add_attempt(self, ctx) -> None:
+        labels = np.asarray([self._label(label) for label in ctx.labels],
+                            dtype=np.int64)
+        row_members = ctx.replica_slots
+        # control flow shifts label ids by one: 0 is the virtual START
+        self._add_flow(ctx.records, labels + 1, row_members)
+        for record in ctx.records:
+            tag = record[0]
+            if tag == REC_MEM_U:
+                _, lid, visit, instr, space, is_store, addrs = record
+                self._stage(row_members, addrs, None, self._slot(
+                    int(labels[lid]), visit, instr, space, bool(is_store)))
+            elif tag == REC_MEM:
+                _, part, lids, visits, instrs, space, is_store, addrs = record
+                lane_counts = None
+                if not isinstance(addrs, np.ndarray):
+                    lane_counts = np.fromiter(
+                        (row.shape[0] for row in addrs), dtype=np.int64,
+                        count=len(addrs))
+                    addrs = np.concatenate(addrs)
+                self._stage(row_members[part], addrs, lane_counts,
+                            (labels[lids], visits, instrs, space,
+                             bool(is_store)))
+
+    def _add_flow(self, records, lmap: np.ndarray,
+                  row_members: np.ndarray) -> None:
+        """Warp transitions of one attempt, as ``_flow`` arrays.
+
+        While the attempt is flat every row shares one control-flow state,
+        so a transition counts once per member row; after the first
+        per-row record the state is one array per row.
+        """
+        rows = row_members.shape[0]
+        per_member = np.bincount(row_members, minlength=self._members)
+        present = np.flatnonzero(per_member)
+        weights = per_member[present]
+        ones = np.ones(rows, dtype=np.int64)
+        prev_prev = prev = 0
+        rows_prev_prev = rows_prev = None
+        flow = self._flow
+
+        def uniform(label: int) -> None:
+            flow.append((present, np.full(present.shape[0], label),
+                         np.full(present.shape[0], prev),
+                         np.full(present.shape[0], prev_prev), weights))
+
+        for record in records:
+            tag = record[0]
+            if tag == REC_BB_U:
+                label = int(lmap[record[1]])
+                uniform(label)
+                prev_prev, prev = prev, label
+            elif tag == REC_BB:
+                if rows_prev is None:
+                    rows_prev_prev = np.full(rows, prev_prev, dtype=np.int64)
+                    rows_prev = np.full(rows, prev, dtype=np.int64)
+                part = record[1]
+                label = int(lmap[record[2]])
+                moved = rows_prev[part]
+                flow.append((row_members[part],
+                             np.full(part.shape[0], label), moved,
+                             rows_prev_prev[part], ones[:part.shape[0]]))
+                rows_prev_prev[part] = moved
+                rows_prev[part] = label
+        # warp exit: -1 stands for the virtual END until labels are final
+        if rows_prev is None:
+            if prev != 0:
+                uniform(-1)
+        else:
+            done = np.flatnonzero(rows_prev)
+            flow.append((row_members[done], np.full(done.shape[0], -1),
+                         rows_prev[done], rows_prev_prev[done],
+                         ones[:done.shape[0]]))
+
+    def _stage(self, members: np.ndarray, addresses: np.ndarray,
+               lane_counts: Optional[np.ndarray], slot) -> None:
+        """Queue one memory record for the current chunk.
+
+        Row *i* of the record is a warp of member ``members[i]``;
+        *addresses* is a ``(rows, lanes)`` grid, or flat with *lane_counts*
+        per row.  *slot* is the record's slot id, or — when its rows may sit
+        in different slots — per-row ``(labels, visits, instrs)`` plus the
+        record's space and store flag, interned at :meth:`flush`.
+        """
+        if lane_counts is None:
+            lane_counts = np.full(members.shape[0], addresses.shape[1])
+            addresses = addresses.ravel()
+        self._pending.append((members, addresses, lane_counts, slot))
+        self._pending_addresses += addresses.shape[0]
+        if self._pending_addresses >= _CHUNK_ADDRESSES:
+            self.flush()
+
+    def _row_slots(self, slots: Sequence, rows: List[int]) -> np.ndarray:
+        """Slot id of every queued row, in queue order.
+
+        Records with per-row slots are interned together: one unique pass
+        over ``(record, label, visit, instr)`` finds the distinct slots of
+        every record, so each record still counts once per slot it fills.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        record_slots = np.fromiter(
+            (slot if isinstance(slot, int) else -1 for slot in slots),
+            dtype=np.int64, count=len(slots))
+        row_slots = np.repeat(record_slots, rows)
+        per_row = np.flatnonzero(record_slots < 0).tolist()
+        if not per_row:
+            return row_slots
+        labels, visits, instrs = (np.concatenate([slots[i][k]
+                                                  for i in per_row])
+                                  for k in range(3))
+        record = np.repeat(np.arange(len(per_row)), rows[per_row])
+        label_span = int(labels.max()) + 1
+        visit_span = int(visits.max()) + 1
+        instr_span = int(instrs.max()) + 1
+        combos, inverse = np.unique(
+            ((record * label_span + labels) * visit_span + visits)
+            * instr_span + instrs, return_inverse=True)
+        ids = []
+        for combo in combos.tolist():
+            combo, instr = divmod(combo, instr_span)
+            combo, visit = divmod(combo, visit_span)
+            index, label = divmod(combo, label_span)
+            _, _, _, space, is_store = slots[per_row[index]]
+            ids.append(self._slot(label, visit, instr, space, is_store))
+        row_slots[row_slots < 0] = np.asarray(ids, dtype=np.int64)[inverse]
+        return row_slots
+
+    def flush(self) -> None:
+        """Count the queued records into unique, keyed entries."""
+        if not self._pending:
+            return
+        member_parts, address_parts, lane_parts, slots = zip(*self._pending)
+        self._pending, self._pending_addresses = [], 0
+        members = self._members
+        row_slots = self._row_slots(slots,
+                                    [part.shape[0] for part in member_parts])
+        row_members = np.concatenate(member_parts)
+        lane_counts = np.concatenate(lane_parts)
+        owner = np.repeat(row_slots * members + row_members, lane_counts)
+        rel = (np.concatenate(address_parts)
+               - np.repeat(self._low[row_members], lane_counts))
+        first = int(owner.min())
+        low = int(rel.min())
+        span = int(rel.max()) - low + 1
+        codes = (int(owner.max()) - first + 1) * span
+        if codes >= 2 ** 62:
+            raise _NotFoldable("addresses too far apart to pack")
+        code = (owner - first) * span + (rel - low)
+        if codes <= 2 * code.shape[0]:
+            hist = np.bincount(code)
+            unique = np.flatnonzero(hist)
+            counts = hist[unique]
+        else:
+            code.sort()
+            starts = np.flatnonzero(np.concatenate(
+                ([True], code[1:] != code[:-1])))
+            unique = code[starts]
+            counts = np.diff(starts, append=code.shape[0])
+        addr = unique % span + low
+        owner = unique // span + first
+        member = owner % members
+        slot = owner // members
+        keys = self._keys(member, addr)
+        if not self._monotone:
+            # aliased or reordered keys: re-aggregate by (slot, member, key)
+            key_values, dense = np.unique(keys, return_inverse=True)
+            regroup = (owner - first) * key_values.shape[0] + dense
+            order = np.argsort(regroup, kind="stable")
+            regroup = regroup[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], regroup[1:] != regroup[:-1])))
+            counts = np.add.reduceat(counts[order], starts)
+            member = member[order][starts]
+            slot = slot[order][starts]
+            keys = keys[order][starts]
+        self._entries.append((slot, member, keys, counts))
+
+    def _keys(self, member: np.ndarray, addr: np.ndarray) -> np.ndarray:
+        """Packed normalised keys of member-relative addresses."""
+        layouts, low = self._layouts, self._low
+        if len(self._reps) == 1:
+            rep = self._reps[0]
+            _allocs, index, offsets = layouts[rep].resolve(addr + low[rep])
+            return (layouts[rep].label_ids[index] << _OFFSET_BITS) | offsets
+        keys = np.empty(addr.shape[0], dtype=np.int64)
+        classes = self._member_class[member]
+        for cls, rep in enumerate(self._reps):
+            chosen = np.flatnonzero(classes == cls)
+            if chosen.size:
+                _allocs, index, offsets = layouts[rep].resolve(
+                    addr[chosen] + low[rep])
+                keys[chosen] = ((layouts[rep].label_ids[index]
+                                 << _OFFSET_BITS) | offsets)
+        return keys
+
+    # -- the graphs -----------------------------------------------------
+
+    def graphs(self, kernel_name: str, total_threads: int,
+               num_warps: int) -> List[ADCFG]:
+        graphs = [ADCFG(kernel_identity=kernel_name, kernel_name=kernel_name,
+                        total_threads=total_threads, num_warps=num_warps)
+                  for _ in range(self._members)]
+        self._apply_flow(graphs)
+        multi = np.asarray(self._slot_sources, dtype=np.int64) > 1
+        merged = []
+        for entries in self._entries:
+            several = multi[entries[0]]
+            if not several.any():
+                self._apply_memory(graphs, entries)
+            elif several.all():
+                merged.append(entries)
+            else:
+                self._apply_memory(graphs, tuple(
+                    column[~several] for column in entries))
+                merged.append(tuple(column[several] for column in entries))
+        if merged:
+            # a slot several records (sub-cohorts) filled: sum its entries
+            slot, member, keys, counts = (np.concatenate(column)
+                                          for column in zip(*merged))
+            order = np.lexsort((keys, member, slot))
+            slot, member, keys = slot[order], member[order], keys[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], (slot[1:] != slot[:-1])
+                 | (member[1:] != member[:-1]) | (keys[1:] != keys[:-1]))))
+            self._apply_memory(graphs, (
+                slot[starts], member[starts], keys[starts],
+                np.add.reduceat(counts[order], starts)))
+        return graphs
+
+    def _apply_flow(self, graphs: List[ADCFG]) -> None:
+        if not self._flow:
+            return
+        names = [START_LABEL, *self._label_names, END_LABEL]
+        span = len(names)
+        if self._members * span ** 3 >= 2 ** 63:
+            raise _NotFoldable("too many labels to pack transitions")
+        member, label, prev, prev_prev, counts = (
+            np.concatenate(column) for column in zip(*self._flow))
+        label = np.where(label < 0, span - 1, label)
+        code = ((member * span + label) * span + prev) * span + prev_prev
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], code[1:] != code[:-1])))
+        totals = np.add.reduceat(counts[order], starts).tolist()
+        end = span - 1
+        for packed, count in zip(code[starts].tolist(), totals):
+            packed, pp = divmod(packed, span)
+            packed, p = divmod(packed, span)
+            m, lab = divmod(packed, span)
+            graph = graphs[m]
+            if lab != end:
+                graph.node(names[lab]).record_entry(count)
+            graph.edge(names[p], names[lab]).record(prev_src=names[pp],
+                                                    count=count)
+
+    def _key_tuples(self, keys: np.ndarray) -> List[AddressKey]:
+        """``(label, offset)`` tuples of packed keys, each built once."""
+        known = self._known_keys
+        index = np.searchsorted(known, keys)
+        found = index < known.shape[0]
+        found[found] = known[index[found]] == keys[found]
+        if not found.all():
+            new = np.unique(keys[~found])
+            objects = np.empty(new.shape[0], dtype=object)
+            for i, packed in enumerate(new.tolist()):
+                objects[i] = (self._names[packed >> _OFFSET_BITS],
+                              packed & _OFFSET_MASK)
+            merged = np.concatenate((known, new))
+            order = np.argsort(merged, kind="stable")
+            self._known_keys = known = merged[order]
+            self._key_objects = np.concatenate(
+                (self._key_objects, objects))[order]
+            index = np.searchsorted(known, keys)
+        return self._key_objects[index].tolist()
+
+    def _apply_memory(self, graphs: List[ADCFG],
+                      entries: Tuple[np.ndarray, ...]) -> None:
+        slot, member, keys, counts = entries
+        if not slot.shape[0]:
+            return
+        objects = self._key_tuples(keys)
+        counts = counts.tolist()
+        owner = slot * self._members + member
+        starts = np.flatnonzero(np.concatenate(
+            ([True], owner[1:] != owner[:-1])))
+        bounds = starts.tolist()
+        slots, label_names = self._slots, self._label_names
+        for lo, hi, sid, m in zip(bounds, bounds[1:] + [len(objects)],
+                                  slot[starts].tolist(),
+                                  member[starts].tolist()):
+            label, visit, instr, space, is_store = slots[sid]
+            graphs[m].node(label_names[label]).record_access_bulk(
+                visit=visit, instr=instr, space=space, is_store=is_store,
+                keys=objects[lo:hi], counts=counts[lo:hi])

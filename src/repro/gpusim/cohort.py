@@ -56,16 +56,26 @@ from repro.gpusim.kernel import LaunchConfig
 from repro.gpusim.memory import DeviceBuffer, MemorySpace, WriteJournal
 from repro.gpusim.warp import WARP_SIZE, cohort_bool, cohort_vector
 
-# Record tags.  The ``*_U`` variants are the *flat* fast path: while every
-# warp of the cohort has a full active mask and has entered the same blocks
-# the per-warp trace state (current label / visit / instruction ordinal) is
-# a single scalar shared by all rows, so records need no per-row arrays.
-_BB = 0
-_SYNC = 1
-_MEM = 2
-_BB_U = 3
-_SYNC_U = 4
-_MEM_U = 5
+# Record tags: the first field of every tuple in :attr:`CohortContext.records`.
+# The ``*_U`` variants are the *flat* fast path: while every warp of the
+# cohort has a full active mask and has entered the same blocks the per-warp
+# trace state (current label / visit / instruction ordinal) is a single
+# scalar shared by all rows, so records need no per-row arrays.  Layouts
+# (``lid`` indexes :attr:`CohortContext.labels`; ``part`` holds local row
+# indices; ``addrs`` is a ``(rows, 32)`` array or one 1-D array per row):
+#
+# * ``(REC_BB, part, lid, visits, active_lane_counts)``
+# * ``(REC_SYNC, part)``
+# * ``(REC_MEM, part, lids, visits, instrs, space, is_store, addrs)``
+# * ``(REC_BB_U, lid, visit)`` — every row, 32 active lanes
+# * ``(REC_SYNC_U,)``
+# * ``(REC_MEM_U, lid, visit, instr, space, is_store, addrs)`` — every row
+REC_BB = 0
+REC_SYNC = 1
+REC_MEM = 2
+REC_BB_U = 3
+REC_SYNC_U = 4
+REC_MEM_U = 5
 
 
 class CohortSplit(Exception):
@@ -268,6 +278,27 @@ class CohortContext:
         return self._num
 
     @property
+    def replica_slots(self) -> Optional[np.ndarray]:
+        """Replica slot of each row, or None outside replica batching."""
+        return self._replica_slots
+
+    @property
+    def records(self) -> List[tuple]:
+        """The attempt's side-effect records, in execution order.
+
+        Tuple layouts are listed with the ``REC_*`` tags at the top of
+        this module.  A completed attempt's records can be folded straight
+        into A-DCFGs (:func:`repro.adcfg.builder.fold_lane_grid`) instead
+        of being re-expanded per warp by :meth:`replay_events`.
+        """
+        return self._records
+
+    @property
+    def labels(self) -> List[str]:
+        """Basic-block labels interned by this attempt (record ``lid``s)."""
+        return self._labels
+
+    @property
     def block_id(self) -> np.ndarray:
         """Linearised block id, as a ``(G, 1)`` column (broadcasts over
         lanes exactly like the per-warp scalar does)."""
@@ -399,7 +430,7 @@ class CohortContext:
             self._u_label = lid
             self._u_visit = visit
             self._u_instr = 0
-            self._records.append((_BB_U, lid, visit))
+            self._records.append((REC_BB_U, lid, visit))
             return
         if self._flat:
             self._materialize()
@@ -424,7 +455,7 @@ class CohortContext:
         self._current_label[part] = lid
         self._current_visit[part] = visits
         self._instr_ordinal[part] = 0
-        self._records.append((_BB, part, lid, visits, counts_active))
+        self._records.append((REC_BB, part, lid, visits, counts_active))
 
     def branch(self, cond) -> CohortBranchHandle:
         return CohortBranchHandle(self, self._grid_bool(cond))
@@ -603,12 +634,12 @@ class CohortContext:
 
     def syncthreads(self) -> None:
         if self._flat and self._active_full:
-            self._records.append((_SYNC_U,))
+            self._records.append((REC_SYNC_U,))
             return
         part = self._part_rows()
         if part.size == 0:
             return
-        self._records.append((_SYNC, part))
+        self._records.append((REC_SYNC, part))
 
     # ------------------------------------------------------------------
     # memory
@@ -842,7 +873,7 @@ class CohortContext:
                 raise SimtDivergenceError(
                     "memory access outside any basic block: "
                     "call k.block() first")
-            self._records.append((_MEM_U, self._u_label, self._u_visit,
+            self._records.append((REC_MEM_U, self._u_label, self._u_visit,
                                   self._u_instr, space_value, is_store,
                                   addresses))
             self._u_instr += 1
@@ -852,7 +883,7 @@ class CohortContext:
         if labels.min() < 0:
             raise SimtDivergenceError(
                 "memory access outside any basic block: call k.block() first")
-        self._records.append((_MEM, part, labels, self._current_visit[part],
+        self._records.append((REC_MEM, part, labels, self._current_visit[part],
                               self._instr_ordinal[part], space_value,
                               is_store, addresses))
         self._instr_ordinal += 1
@@ -864,7 +895,7 @@ class CohortContext:
         if labels.min() < 0:
             raise SimtDivergenceError(
                 "memory access outside any basic block: call k.block() first")
-        self._records.append((_MEM, part, labels, self._current_visit[part],
+        self._records.append((REC_MEM, part, labels, self._current_visit[part],
                               self._instr_ordinal[part], space_value,
                               is_store, addresses))
         self._instr_ordinal[part] += 1
@@ -922,7 +953,7 @@ class CohortContext:
 
         for record in self._records:
             tag = record[0]
-            if tag == _BB_U:
+            if tag == REC_BB_U:
                 _, lid, visit = record
                 label = labels[lid]
                 for r in range(num):
@@ -930,7 +961,7 @@ class CohortContext:
                         block_id=int(block_ids[r]),
                         warp_id=int(warp_ids[r]), label=label, visit=visit,
                         active_lanes=WARP_SIZE))
-            elif tag == _MEM_U:
+            elif tag == REC_MEM_U:
                 _, lid, visit, instr, space_value, is_store, addrs = record
                 label = labels[lid]
                 if columnar and shared_tables:
@@ -948,7 +979,7 @@ class CohortContext:
                     for r in range(num):
                         add_mem(r, label, visit, instr, space_value,
                                 is_store, addrs[r])
-            elif tag == _BB:
+            elif tag == REC_BB:
                 _, part, lid, visits, counts = record
                 label = labels[lid]
                 for i in range(part.shape[0]):
@@ -958,7 +989,7 @@ class CohortContext:
                         warp_id=int(warp_ids[r]), label=label,
                         visit=int(visits[i]),
                         active_lanes=int(counts[i])))
-            elif tag == _MEM:
+            elif tag == REC_MEM:
                 (_, part, lids, visits, instrs, space_value, is_store,
                  addrs) = record
                 if columnar:
@@ -969,12 +1000,12 @@ class CohortContext:
                     r = int(part[i])
                     add_mem(r, labels[int(lids[i])], int(visits[i]),
                             int(instrs[i]), space_value, is_store, addrs[i])
-            elif tag == _SYNC_U:
+            elif tag == REC_SYNC_U:
                 for r in range(num):
                     events[r].append(SyncEvent(
                         block_id=int(block_ids[r]),
                         warp_id=int(warp_ids[r])))
-            else:  # _SYNC
+            else:  # REC_SYNC
                 _, part = record
                 for i in range(part.shape[0]):
                     r = int(part[i])

@@ -314,3 +314,9 @@ class DeviceMemory:
     def resolve_batch(self, addresses: np.ndarray
                       ) -> Tuple[List[Allocation], np.ndarray, np.ndarray]:
         return self._allocator.resolve_batch(addresses)
+
+    def lookup_table(self) -> Tuple[np.ndarray, np.ndarray,
+                                    List[Allocation]]:
+        """Base-sorted ``(bases, ends, allocations)`` that
+        :meth:`resolve_batch` searches (shared; do not mutate)."""
+        return self._allocator._lookup_table()

@@ -9,11 +9,11 @@ traces before any differential analysis runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gpusim.memory import AllocationError, DeviceMemory
+from repro.gpusim.memory import Allocation, AllocationError, DeviceMemory
 from repro.host.runtime import LaunchRecord, MallocRecord
 
 
@@ -135,19 +135,9 @@ class HostTracer:
         in two blocks — share an id exactly as they share a key.
         """
         allocs, indices, offsets = self._memory.resolve_batch(addresses)
-        if len(allocs) != self._label_table_len:
-            ids = []
-            for alloc in allocs:
-                lid = self._label_ids.get(alloc.label)
-                if lid is None:
-                    lid = self._label_ids[alloc.label] = len(self._labels_by_id)
-                    self._labels_by_id.append(alloc.label)
-                ids.append(lid)
-            self._label_id_arr = np.asarray(ids, dtype=np.int64)
-            self._label_table_len = len(allocs)
         if offsets.size and int(offsets.max()) >= (1 << self._OFFSET_BITS):
             return None
-        packed = ((self._label_id_arr[indices] << self._OFFSET_BITS)
+        packed = ((self.label_ids(allocs)[indices] << self._OFFSET_BITS)
                   | offsets)
         uniq, inv = np.unique(packed, return_inverse=True)
         cache = self._packed_keys
@@ -161,6 +151,31 @@ class HostTracer:
                                       value & mask)
             keys.append(key)
         return inv, keys
+
+    def label_ids(self, allocs: Sequence[Allocation]) -> np.ndarray:
+        """Session label id of each allocation of the base-sorted table.
+
+        Labels are interned in the order the table first shows them and
+        keep their id for the session, so ids order normalised keys the
+        same way in every call; :attr:`labels` maps an id back to its
+        label.  The replica lane-grid fold packs keys with these ids too.
+        """
+        if len(allocs) != self._label_table_len:
+            ids = []
+            for alloc in allocs:
+                lid = self._label_ids.get(alloc.label)
+                if lid is None:
+                    lid = self._label_ids[alloc.label] = len(self._labels_by_id)
+                    self._labels_by_id.append(alloc.label)
+                ids.append(lid)
+            self._label_id_arr = np.asarray(ids, dtype=np.int64)
+            self._label_table_len = len(allocs)
+        return self._label_id_arr
+
+    @property
+    def labels(self) -> List[str]:
+        """Interned allocation labels, indexed by session label id."""
+        return self._labels_by_id
 
     def malloc_trace_bytes(self) -> int:
         """Serialised size of all allocation records (Fig. 5 series)."""

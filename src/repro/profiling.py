@@ -5,10 +5,14 @@ instrumented hot spots (device launch, event emission, A-DCFG folding)
 record into it only while one is active, so the default path pays a single
 ``None`` check per event.  Phases are plain string keys:
 
-* ``kernel_execute`` — time inside ``Device.launch`` minus event emission;
+* ``kernel_execute`` — time inside ``Device.launch`` (or a fused replica
+  launch) minus event emission;
 * ``event_emit``     — trace-listener dispatch (includes folding; the CLI
   reports it net of ``adcfg_fold``);
-* ``adcfg_fold``     — the A-DCFG monitor's per-event folding work;
+* ``adcfg_fold``     — the A-DCFG monitor's per-event folding work, plus
+  the one lane-grid fold of each fused replica launch
+  (:func:`repro.adcfg.builder.fold_lane_grid`), which is charged to
+  ``event_emit`` as well so it stays out of ``kernel_execute``;
 * the analysis phases (``analysis``, ``evidence_fold``) come from the
   pipeline's existing :class:`PhaseStats` rather than from hooks.
 

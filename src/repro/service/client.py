@@ -98,8 +98,8 @@ class ServiceClient:
 
     def wait_until_up(self, *, timeout: float = 30.0,
                       poll: float = 0.1) -> None:
-        deadline = time.time() + timeout
-        while time.time() < deadline:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
             if self.ping():
                 return
             time.sleep(poll)
@@ -128,12 +128,12 @@ class ServiceClient:
     def wait_for(self, campaign: str, *, timeout: float = 300.0,
                  poll: float = 0.1) -> CampaignStatus:
         """Poll until the campaign is terminal; returns its final status."""
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             row = self.status(campaign)
             if row.done:
                 return row
-            if time.time() > deadline:
+            if time.monotonic() > deadline:
                 raise ServiceError(
                     f"campaign {campaign} still in stage {row.stage!r} "
                     f"after {timeout:.0f}s")
@@ -412,13 +412,13 @@ def wait_for(address: Address, campaign: str, timeout: float = 300.0,
     """Deprecated: poll until terminal; returns the raw status row."""
     _deprecated("wait_for")
     client = ServiceClient(address)
-    deadline = time.time() + timeout
+    deadline = time.monotonic() + timeout
     while True:
         response = client._checked({"op": "status", "campaign": campaign})
         row = response["status"]
         if row["stage"] in ("complete", "failed"):
             return row
-        if time.time() > deadline:
+        if time.monotonic() > deadline:
             raise CampaignError(
                 f"campaign {campaign} still in stage {row['stage']!r} "
                 f"after {timeout:.0f}s")

@@ -311,14 +311,14 @@ class CampaignScheduler:
 
     def wait(self, cids=None, timeout: Optional[float] = None) -> bool:
         """Tick until the given campaigns (default: all) are terminal."""
-        deadline = None if timeout is None else time.time() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         targets = list(self.campaigns) if cids is None else list(cids)
         while True:
             self.tick()
             if all(self.campaigns[cid].done for cid in targets
                    if cid in self.campaigns):
                 return True
-            if deadline is not None and time.time() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 return False
             time.sleep(self.config.poll_seconds)
 

@@ -161,6 +161,19 @@ class WarpTraceMonitor:
         self.completed.append(builder.finish())
         self._builder = None
 
+    def adopt_graph(self, graph: ADCFG) -> None:
+        """Take the active launch's graph, folded outside the event stream.
+
+        The replica engine folds a fused launch for all its members at
+        once (:func:`repro.adcfg.builder.fold_lane_grid`) and hands each
+        member's monitor its finished graph between the launch's begin
+        and end events; the graph takes the launch's identity, and the end
+        event completes it as usual.
+        """
+        builder = self._require_builder()
+        graph.kernel_identity = builder.graph.kernel_identity
+        builder.graph = graph
+
     def _require_builder(self) -> ADCFGBuilder:
         if self._builder is None:
             raise MonitorError("device event outside any kernel launch")

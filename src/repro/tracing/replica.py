@@ -19,9 +19,15 @@ layers:
    NumPy interpretation of the kernel body is shared.  Divergent control
    flow between replicas is handled by the cohort engine's existing
    sub-cohort splitting + :class:`~repro.gpusim.memory.WriteJournal`
-   rollback, and :meth:`CohortContext.replay_events` re-expands
-   byte-identical per-run event streams — evidence, store fingerprints
-   and degradation ladders are untouched.
+   rollback.  The finished launch is folded once, straight from the
+   lane grid's records, into every member's A-DCFG
+   (:func:`~repro.adcfg.builder.fold_lane_grid`) — the graphs each
+   member's monitor would fold from its own per-warp event stream, so
+   evidence, store fingerprints and degradation ladders are untouched.
+   :meth:`CohortContext.replay_events` re-expands those per-run streams
+   only on the object (``columnar=False``) reference path, for a kernel
+   with a planned ``batch_fold_error`` (the columnar → object rung), and
+   for a launch the fold declines.
 
 Equivalence envelope
 --------------------
@@ -39,10 +45,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import profiling
+from repro.adcfg.builder import ReplicaLayout, fold_lane_grid
+from repro.adcfg.graph import ADCFG
 from repro.errors import CohortEnvelopeError
 from repro.gpusim.cohort import CohortContext, CohortSplit, ReplicaBuffer
 from repro.gpusim.context import SimtDivergenceError
@@ -449,10 +459,6 @@ class _ReplicaCohortEngine:
 
     def _execute_fused(self, group: List["_ReplicaSession"],
                        shared_stores: List[dict]) -> None:
-        from time import perf_counter
-
-        from repro import profiling
-
         prof = profiling.profiler()
         if prof is None:
             return self._execute_fused_impl(group, shared_stores)
@@ -524,7 +530,7 @@ class _ReplicaCohortEngine:
         slots = np.repeat(np.arange(replicas, dtype=np.int64), warps)
 
         rows_pending = [np.arange(num, dtype=np.int64)]
-        payloads: Dict[int, tuple] = {}
+        contexts: List[CohortContext] = []
         completed: List[WriteJournal] = []
         attempts = 0
         try:
@@ -553,7 +559,7 @@ class _ReplicaCohortEngine:
                     journal.rollback()
                     raise
                 completed.append(journal)
-                payloads.update(ctx.replay_events())
+                contexts.append(ctx)
         except BaseException:
             for journal in reversed(completed):
                 journal.rollback()
@@ -563,8 +569,17 @@ class _ReplicaCohortEngine:
         for fused in fused_cache.values():
             fused.writeback()
 
-        # retire per member, in slot order: each session's monitor sees
-        # exactly the event stream its own serial launch would produce
+        graphs = None
+        if (self._columnar
+                and fault_injection.batch_fold_fault_for(kern.name) is None):
+            graphs = self._fold(group, kern, launch, contexts)
+        if graphs is None:
+            payloads: Dict[int, tuple] = {}
+            for ctx in contexts:
+                payloads.update(ctx.replay_events())
+
+        # retire per member, in slot order: each session's monitor ends up
+        # with exactly the graph its own serial launch would produce
         for slot, session in enumerate(group):
             device = session.device
             device.launch_count += 1
@@ -572,15 +587,48 @@ class _ReplicaCohortEngine:
                 kernel_name=kern.name, grid=launch.grid,
                 block=launch.block, total_threads=launch.total_threads,
                 num_warps=launch.total_warps))
-            for position in range(warps):
-                events, batch = payloads[slot * warps + position]
-                for event in events:
-                    device._emit(event)
-                if batch is not None:
-                    device._emit(batch)
+            if graphs is not None:
+                session.monitor.adopt_graph(graphs[slot])
+            else:
+                for position in range(warps):
+                    events, batch = payloads[slot * warps + position]
+                    for event in events:
+                        device._emit(event)
+                    if batch is not None:
+                        device._emit(batch)
             device._emit(KernelEndEvent(kernel_name=kern.name))
         self.stats.fused_groups += 1
         self.stats.fused_launches += replicas
+
+    @staticmethod
+    def _fold(group: List["_ReplicaSession"], kern: Kernel,
+              launch: LaunchConfig,
+              contexts: List[CohortContext]) -> Optional[List[ADCFG]]:
+        """Fold the finished launch into every member's A-DCFG at once.
+
+        Profiled as ``adcfg_fold``, and inside ``event_emit`` as well: it
+        stands in for the members' event emission and monitor folds, so
+        ``--profile`` nets it out of ``event_emit`` and ``kernel_execute``
+        (elapsed minus emit time) never contains it.
+        """
+        prof = profiling.profiler()
+        started = perf_counter()
+        try:
+            layouts = []
+            for session in group:
+                memory = session.device.memory
+                bases, ends, allocs = memory.lookup_table()
+                layouts.append(ReplicaLayout(
+                    resolve=memory.resolve_batch, bases=bases, ends=ends,
+                    label_ids=session.tracer.label_ids(allocs),
+                    labels=session.tracer.labels))
+            return fold_lane_grid(kern.name, launch.total_threads,
+                                  launch.total_warps, contexts, layouts)
+        finally:
+            if prof is not None:
+                elapsed = perf_counter() - started
+                prof.add("adcfg_fold", elapsed)
+                prof.add("event_emit", elapsed)
 
     # -- teardown ------------------------------------------------------
 

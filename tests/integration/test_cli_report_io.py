@@ -66,6 +66,12 @@ class TestProfile:
             assert phase in payload["phases_seconds"]
             assert payload["phases_seconds"][phase] >= 0
         assert payload["phase_counts"]["adcfg_fold"] > 0
+        # fused replica launches are folded from the lane grid: that fold
+        # is charged once, to adcfg_fold, and never to kernel_execute
+        assert payload["replica_batching"]["fused_launches"] > 0
+        phases = payload["phases_seconds"]
+        assert (phases["kernel_execute"] + phases["event_emit"]
+                + phases["adcfg_fold"]) <= payload["total_seconds"]
 
     def test_profile_composes_with_save_report(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"

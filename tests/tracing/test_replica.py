@@ -14,10 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.libgpucrypto import aes_program
 from repro.gpusim import DeviceConfig, kernel
 from repro.resilience import FaultPlan
-from repro.resilience.events import REPLICA_TO_RUN, collecting_degradations
+from repro.resilience.events import (
+    COLUMNAR_TO_OBJECT,
+    REPLICA_TO_RUN,
+    collecting_degradations,
+)
 from repro.resilience.faults import activated
+from repro.tracing import replica
 from repro.tracing.recorder import TraceRecorder
 from repro.tracing.replica import (
     device_is_deterministic,
@@ -70,8 +76,48 @@ def make_program(kern, grid=2, block=64):
     return program
 
 
+@kernel()
+def warp_split_kernel(k, data, out):
+    """Warps of *one* replica disagree on a trip count, so each member's
+    warps finish in two sub-cohorts that both fill the ``tail`` slot."""
+    k.block("entry")
+    tid = k.global_tid()
+    trips = k.uniform(k.warp_id % 2 + 1 + k.lane * 0)
+    for i in k.range_("loop", trips):
+        k.load(data, (tid + i) % DATA_SIZE)
+    k.block("tail")
+    k.store(out, (DATA_SIZE - 1) - tid % DATA_SIZE, tid)
+
+
+@kernel()
+def load_or_store_kernel(k, data, out):
+    """A plain Python branch inside one block: members taking different
+    sides put a load and a store in the same (block, visit, instr) slot."""
+    k.block("entry")
+    tid = k.global_tid()
+    if k.uniform(k.load(data, 0) % 2 + k.lane * 0):
+        k.load(data, tid % DATA_SIZE)
+    else:
+        k.store(out, tid % DATA_SIZE, tid)
+
+
 divergent_program = make_program(divergent_kernel)
 shared_program = make_program(shared_kernel)
+warp_split_program = make_program(warp_split_kernel)
+load_or_store_program = make_program(load_or_store_kernel)
+
+
+def padded_program(rt, value):
+    """Members get different layouts: a value-sized allocation first."""
+    rt.cudaMalloc(16 + 64 * (int(value) % 3), label="pad")
+    divergent_program(rt, value)
+
+
+def swapped_labels_program(rt, value):
+    """Members intern allocation labels in different orders."""
+    for label in (("a", "b") if int(value) % 2 else ("b", "a")):
+        rt.cudaMalloc(8, label=label)
+    divergent_program(rt, value)
 
 
 def serial_signatures(program, values, config=None, columnar=True,
@@ -224,12 +270,87 @@ class TestFaultInjection:
         assert REPLICA_TO_RUN in log.counts_by_kind()
         assert stats.fallback_launches >= len(values)
 
+    def test_batch_fold_error_replays_a_fused_launch(self):
+        """A planned batch-fold fault keeps the fused launch but replays
+        its per-warp streams into the monitors (the columnar → object
+        rung) instead of folding the lane grid."""
+        values = [bytes(range(16)), bytes(range(16)), bytes(range(1, 17)),
+                  bytes(range(2, 18))]
+        plan = FaultPlan.parse("batch_fold_error")
+        with collecting_degradations() as log:
+            with activated(plan):
+                replica, stats = replica_signatures(aes_program, values)
+        assert replica == serial_signatures(aes_program, values)
+        assert log.counts_by_kind().get(COLUMNAR_TO_OBJECT, 0) >= 1
+        assert stats.fused_launches == len(values)
+
+
+class TestLaneGridFold:
+    """Fused launches fold once from the lane grid into every member."""
+
+    @staticmethod
+    def record_with_spy(monkeypatch, program, values):
+        folds = []
+        fold = replica.fold_lane_grid
+
+        def spy(*args, **kwargs):
+            graphs = fold(*args, **kwargs)
+            folds.append(graphs is not None)
+            return graphs
+
+        monkeypatch.setattr(replica, "fold_lane_grid", spy)
+        with collecting_degradations() as log:
+            groups, stats = record_grouped(program, values)
+        assert len(log) == 0
+        assert stats.fused_launches == len(values)
+        return [trace for trace, _count in groups], folds
+
+    @staticmethod
+    def key_orders(trace):
+        return [(label, visit, instr, list(record.counts))
+                for inv in trace.invocations
+                for label, node in sorted(inv.adcfg.nodes.items())
+                for visit, instr, record in node.iter_instructions()]
+
+    def test_members_with_different_layouts_match_serial(self, monkeypatch):
+        values = [0, 1, 2, 4]
+        traces, folds = self.record_with_spy(monkeypatch, padded_program,
+                                             values)
+        assert folds and all(folds)
+        assert [t.signature() for t in traces] == \
+            serial_signatures(padded_program, values)
+
+    def test_split_member_keeps_serial_key_order(self, monkeypatch):
+        values = [1, 2, 3]
+        traces, folds = self.record_with_spy(monkeypatch,
+                                             warp_split_program, values)
+        assert folds and all(folds)
+        recorder = TraceRecorder()
+        for trace, value in zip(traces, values):
+            serial = recorder.record(warp_split_program, value)
+            assert trace.signature() == serial.signature()
+            assert self.key_orders(trace) == self.key_orders(serial)
+
+    @pytest.mark.parametrize("program", [swapped_labels_program,
+                                         load_or_store_program],
+                             ids=["label-ids", "load-and-store-slot"])
+    def test_unfoldable_launch_replays_instead(self, monkeypatch, program):
+        """Members disagreeing on label ids, or one slot holding a load for
+        some members and a store for others: the fold declines and the
+        launch's per-warp streams are replayed."""
+        values = [1, 2, 3]
+        traces, folds = self.record_with_spy(monkeypatch, program, values)
+        assert folds and not any(folds)
+        assert [t.signature() for t in traces] == \
+            serial_signatures(program, values)
+
 
 # ----------------------------------------------------------------------
 # property: randomised toy kernels
 # ----------------------------------------------------------------------
 
 toy_spec_st = st.fixed_dictionaries({
+    "kernel": st.sampled_from([divergent_kernel, warp_split_kernel]),
     "grid": st.integers(1, 3),
     "block": st.integers(8, 96),
     "values": st.lists(st.integers(0, 9), min_size=2, max_size=4),
@@ -242,7 +363,7 @@ class TestProperty:
     @settings(max_examples=15, deadline=None)
     @given(spec=toy_spec_st)
     def test_replica_batch_matches_serial(self, spec):
-        program = make_program(divergent_kernel, spec["grid"], spec["block"])
+        program = make_program(spec["kernel"], spec["grid"], spec["block"])
         config = DeviceConfig(seed=spec["seed"],
                               shuffle_schedule=spec["shuffle"])
         replica, _stats = replica_signatures(program, spec["values"],
