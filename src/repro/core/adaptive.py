@@ -1,7 +1,9 @@
 """Group-sequential adaptive replica scheduling (§VIII-A budget, early).
 
 Owl's differential phase classically records the paper's full fixed
-budget — 100 fixed + 100 random replicas — before analysing anything.
+budget — 100 fixed + 100 random replicas — before analysing anything:
+one look at the full budget (:func:`look_schedule`), which is how every
+non-adaptive campaign runs.
 For an unmistakable leak the KS statistic is astronomically significant
 after 16 runs, and for a clean program every feature histogram has long
 converged; the fixed budget pays the worst case on every campaign.
@@ -178,6 +180,20 @@ def round_schedule(fixed_runs: int, random_runs: int,
         fractions=tuple(fractions),
         fixed=tuple(_side_boundaries(fractions, fixed_runs)),
         random=tuple(_side_boundaries(fractions, random_runs)))
+
+
+def look_schedule(config, full_budget: bool = False) -> RoundSchedule:
+    """The look schedule one campaign runs under *config*.
+
+    An adaptive campaign looks at each of its ``adaptive_rounds``; every
+    other campaign — and, with ``full_budget``, an adaptive one whose
+    store already holds a completed side — takes one look at the full
+    budget, which is the paper's classic protocol.
+    """
+    rounds = config.adaptive_rounds
+    if full_budget or not config.adaptive:
+        rounds = (max(config.fixed_runs, config.random_runs),)
+    return round_schedule(config.fixed_runs, config.random_runs, rounds)
 
 
 def _side_boundaries(fractions: Sequence[float], side_budget: int

@@ -14,6 +14,12 @@
    with the KS test to locate kernel / control-flow / data-flow leaks while
    cancelling input-independent nondeterminism.
 
+Phase 3 has one engine, ``Owl._phase3``: every evidence side advances to
+the replica boundaries of a look schedule
+(:func:`repro.core.adaptive.look_schedule`) and each look is analysed.
+The paper's protocol is the one-look schedule at the full budget;
+``OwlConfig(adaptive=True)`` adds interim looks that may stop early.
+
 The pipeline also collects the cost metrics reported in Table IV (per-trace
 size and time, evidence and test times, peak RAM).
 
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -376,20 +381,20 @@ class OwlResult:
 
 @dataclass
 class _EvidenceSide:
-    """Mutable per-side state of the adaptive round loop.
+    """Mutable per-side state of the phase-3 look loop.
 
     One per representative's fixed side plus one for the shared random
     side; ``done`` is the replica prefix already folded into
-    ``evidence`` and ``boundaries[r]`` where the side must stand for
-    round ``r``'s look.
+    ``evidence``, and ``complete`` marks a side whose full-budget
+    evidence is persisted in the store.
     """
 
     side: str
     key: Optional[str]
     values: List[object]
-    boundaries: Sequence[int]
     evidence: Optional[Evidence] = None
     done: int = 0
+    complete: bool = False
 
     @property
     def total(self) -> int:
@@ -478,255 +483,161 @@ class Owl:
         """Phase 2: group inputs into trace-equality classes."""
         return filter_traces(inputs, traces)
 
-    def collect_evidence(self, fixed_input: object,
-                         random_input: RandomInputFn,
-                         stats: Optional[PhaseStats] = None,
-                         campaign=None):
-        """Phase 3a: record and fold the fixed/random evidence pair.
+    def _phase3(self, representatives: Sequence[object],
+                random_input: RandomInputFn, stats: PhaseStats, campaign):
+        """Phase 3: record the evidence sides look by look, analyse each look.
 
-        Run inputs are all drawn here, in the parent, from one seeded
-        generator — the same draw order regardless of worker count — and
-        each side's runs stream straight into its evidence (each trace is
-        dropped once folded, so peak RAM holds one trace per worker plus
-        the merged graphs rather than 2N full traces).
+        One engine runs every campaign.  All representatives' fixed sides
+        and the shared random side advance together to each replica
+        boundary of :func:`repro.core.adaptive.look_schedule`: the
+        paper's protocol is one look at the full budget, analysed by
+        :func:`~repro.analysis.run_analyzers`; an adaptive campaign looks
+        after every round through :func:`repro.core.adaptive.evaluate_round`
+        and stops once every submitted test is decided for every
+        representative and every detector.  Run inputs are all drawn
+        here, in the parent, from one seeded generator — the same draw
+        order regardless of worker count or batching.
 
-        With a campaign attached, a side whose completed evidence is in
-        the store is loaded outright; otherwise recording starts from the
-        side's last persisted checkpoint (if any) and writes a new
-        checkpoint every ``store_checkpoint_every`` runs.  The evidence
-        returned is always the store's canonical round-tripped form, which
-        is what makes warm re-runs bit-identical to cold ones.
-        """
-        rng = np.random.default_rng(self.config.seed)
-        fixed_values = [fixed_input] * self.config.fixed_runs
-        random_values = [random_input(rng)
-                         for _ in range(self.config.random_runs)]
-        keep_per_run = self.config.sampling == "per_run"
-        rep_fp = (campaign.input_fingerprint(fixed_input)
-                  if campaign is not None else None)
-        evidences = []
-        for side, values in (("fixed", fixed_values),
-                             ("random", random_values)):
-            if campaign is None:
-                started = time.perf_counter()
-                evidence, chunk = self.pool.record_evidence(
-                    values, keep_per_run=keep_per_run)
-                if stats is not None:
-                    stats.absorb_chunk(chunk, time.perf_counter() - started)
-            else:
-                evidence = self._collect_side_checkpointed(
-                    campaign, side, rep_fp, values, keep_per_run, stats)
-            evidences.append(evidence)
-        return evidences[0], evidences[1]
-
-    def _collect_side_checkpointed(self, campaign, side: str,
-                                   rep_fp: Optional[str],
-                                   values: Sequence[object],
-                                   keep_per_run: bool,
-                                   stats: Optional[PhaseStats]):
-        """Record one evidence side through the store's cache/checkpoints."""
-        key = campaign.evidence_key(side, rep_fp)
-        cached = campaign.load_evidence(key)
-        if cached is not None:
-            if cached.num_runs != len(values):
-                raise CampaignError(
-                    f"store evidence {key!r} holds {cached.num_runs} runs "
-                    f"but the configuration asks for {len(values)} — "
-                    f"fingerprint collision or tampered manifest")
-            if stats is not None:
-                stats.cached_runs += cached.num_runs
-            return cached
-        evidence = None
-        done = 0
-        checkpoint = campaign.load_checkpoint(key)
-        if checkpoint is not None:
-            evidence, done = checkpoint
-            if done > len(values):
-                evidence, done = None, 0  # stale checkpoint: restart side
-            elif stats is not None:
-                stats.cached_runs += done
-        chunk_size = max(1, self.config.store_checkpoint_every)
-        while done < len(values):
-            batch = list(values[done:done + chunk_size])
-            started = time.perf_counter()
-            partial, chunk = self.pool.record_evidence(
-                batch, keep_per_run=keep_per_run)
-            if stats is not None:
-                stats.absorb_chunk(chunk, time.perf_counter() - started)
-            evidence = partial if evidence is None else evidence.merge(partial)
-            done += len(batch)
-            if done < len(values):
-                campaign.save_checkpoint(key, evidence, done, len(values),
-                                         side)
-        if evidence is None:
-            evidence = Evidence(keep_per_run=keep_per_run)
-        return campaign.save_evidence(key, evidence, side)
-
-    # ------------------------------------------------------------------
-    # phase 3, adaptive (group-sequential early stopping)
-    # ------------------------------------------------------------------
-
-    def _adaptive_phase3(self, representatives: Sequence[object],
-                         random_input: RandomInputFn,
-                         stats: Optional[PhaseStats], campaign):
-        """Phase 3 under the group-sequential replica scheduler.
-
-        All representatives' fixed sides and the shared random side
-        advance in lockstep to each round boundary of the schedule
-        (:func:`repro.core.adaptive.round_schedule`); after each round
-        every representative is analysed over its evidence *prefix* and
-        the campaign stops once every submitted test is decided for
-        every representative and every detector — one joint loop, so the
-        shared random evidence is never left at inconsistent depths.
+        With a campaign attached, each side starts from its completed
+        evidence or its last checkpoint.  A completed side carries more
+        information than any interim look, so its presence switches the
+        campaign to the one-look schedule (outcome ``cached-evidence``).
+        A resumed multi-look run fast-forwards over boundaries its
+        evidence already passed — a prior run decided "continue" there —
+        and recomputes the one live decision bit-identically.
 
         Returns ``(rep_reports, summary)`` with ``rep_reports[i]`` the
-        per-analyzer reports of representative ``i`` at the stopping
-        round.  With a campaign attached, early-stopped sides persist as
-        round-boundary *checkpoints* (the PR 3 resume path) — never as
-        completed evidence, whose key promises the full budget — and a
-        resumed run fast-forwards over boundaries the evidence already
-        passed, recomputing the one live decision bit-identically.
+        per-analyzer reports of representative ``i`` at the last look,
+        and ``summary`` the stopping story of an adaptive campaign (None
+        for a classic one).
         """
         config = self.config
-        schedule = sequential.round_schedule(
-            config.fixed_runs, config.random_runs, config.adaptive_rounds)
-        summary = AdaptiveSummary(fixed_budget=config.fixed_runs,
-                                  random_budget=config.random_runs)
-        keep_per_run = config.sampling == "per_run"
-        alpha = 1.0 - config.confidence
-
-        if campaign is not None \
-                and self._adaptive_cached_sides(representatives, campaign):
-            # the store already holds a completed side (recorded by a
-            # classic run, or this campaign's own final round): it
-            # carries strictly more information than any interim look,
-            # so degrade to the classic full-budget path and keep the
-            # store's evidence reuse
-            rep_reports = []
-            for rep in representatives:
-                fixed_evidence, random_evidence = self.collect_evidence(
-                    rep, random_input, stats=stats, campaign=campaign)
-                test_started = time.perf_counter()
-                rep_reports.append(run_analyzers(
-                    self.analyzers, fixed_evidence, random_evidence,
-                    program_name=self.name))
-                if stats is not None:
-                    stats.test_seconds += time.perf_counter() - test_started
-            summary.outcome = sequential.OUTCOME_CACHED
-            summary.fixed_recorded = config.fixed_runs
-            summary.random_recorded = config.random_runs
-            return rep_reports, summary
-
         rng = np.random.default_rng(config.seed)
         random_values = [random_input(rng)
                          for _ in range(config.random_runs)]
-        sides: List[_EvidenceSide] = []
-        for rep in representatives:
-            key = None
-            if campaign is not None:
-                key = campaign.evidence_key(
-                    "fixed", campaign.input_fingerprint(rep))
-            sides.append(_EvidenceSide(
-                side="fixed", key=key,
-                values=[rep] * config.fixed_runs,
-                boundaries=schedule.fixed))
+        sides = [_EvidenceSide(
+            side="fixed", values=[rep] * config.fixed_runs,
+            key=(campaign.evidence_key(
+                "fixed", campaign.input_fingerprint(rep))
+                 if campaign is not None else None))
+            for rep in representatives]
         random_side = _EvidenceSide(
-            side="random",
+            side="random", values=random_values,
             key=(campaign.evidence_key("random")
-                 if campaign is not None else None),
-            values=random_values, boundaries=schedule.random)
+                 if campaign is not None else None))
         sides.append(random_side)
-        if campaign is not None:
-            for side in sides:
-                checkpoint = campaign.load_checkpoint(side.key)
-                if checkpoint is not None:
-                    evidence, done = checkpoint
-                    if done <= side.total:
-                        side.evidence, side.done = evidence, done
-                        if stats is not None:
-                            stats.cached_runs += done
+        cached = (campaign is not None
+                  and self._resume_sides(sides, campaign, stats))
+        schedule = sequential.look_schedule(config, full_budget=cached)
 
         rep_reports = []
+        decisions = []
         for round_index in range(schedule.num_rounds):
-            final = round_index == schedule.num_rounds - 1
-            if any(side.done > side.boundaries[round_index]
+            if any(side.done > schedule.boundary(side.side, round_index)
                    for side in sides):
-                # evidence past this boundary proves a prior run already
-                # decided "continue" here; skip straight to the live round
                 continue
+            final = round_index == schedule.num_rounds - 1
             for side in sides:
-                self._adaptive_record_side(
-                    side, side.boundaries[round_index], keep_per_run,
-                    stats, campaign, final)
+                self._record_side(side, schedule.boundary(side.side,
+                                                          round_index),
+                                  stats, campaign, final)
             test_started = time.perf_counter()
-            rep_reports, decision = sequential.evaluate_round(
-                self.analyzers, [side.evidence for side in sides[:-1]],
-                random_side.evidence, program_name=self.name, alpha=alpha,
-                rho=config.adaptive_alpha_spend, schedule=schedule,
-                round_index=round_index)
-            decision.analysis_seconds = time.perf_counter() - test_started
-            if stats is not None:
-                stats.test_seconds += decision.analysis_seconds
-            summary.rounds.append(decision)
-            if decision.stop:
+            if schedule.num_rounds == 1:
+                rep_reports = [run_analyzers(
+                    self.analyzers, side.evidence, random_side.evidence,
+                    program_name=self.name) for side in sides[:-1]]
+            else:
+                rep_reports, decision = sequential.evaluate_round(
+                    self.analyzers, [side.evidence for side in sides[:-1]],
+                    random_side.evidence, program_name=self.name,
+                    alpha=1.0 - config.confidence,
+                    rho=config.adaptive_alpha_spend, schedule=schedule,
+                    round_index=round_index)
+                decision.analysis_seconds = time.perf_counter() - test_started
+                decisions.append(decision)
+            stats.test_seconds += time.perf_counter() - test_started
+            if decisions and decisions[-1].stop:
                 break
-        summary.fixed_recorded = sides[0].done
-        summary.random_recorded = random_side.done
-        summary.outcome = (
-            sequential.OUTCOME_BUDGET
-            if (summary.fixed_recorded == config.fixed_runs
-                and summary.random_recorded == config.random_runs)
-            else sequential.OUTCOME_EARLY_STOP)
+        if not config.adaptive:
+            return rep_reports, None
+        summary = AdaptiveSummary(
+            fixed_budget=config.fixed_runs, random_budget=config.random_runs,
+            fixed_recorded=sides[0].done, random_recorded=random_side.done,
+            rounds=decisions)
+        if cached:
+            summary.outcome = sequential.OUTCOME_CACHED
+        elif (summary.fixed_recorded < config.fixed_runs
+              or summary.random_recorded < config.random_runs):
+            summary.outcome = sequential.OUTCOME_EARLY_STOP
         return rep_reports, summary
 
-    def _adaptive_cached_sides(self, representatives, campaign) -> bool:
-        """True when the store holds any *completed* evidence side."""
-        keys = [campaign.evidence_key(
-            "fixed", campaign.input_fingerprint(rep))
-            for rep in representatives]
-        keys.append(campaign.evidence_key("random"))
-        return any(campaign.store.get(key) is not None for key in keys)
+    def _resume_sides(self, sides: Sequence[_EvidenceSide], campaign,
+                      stats: PhaseStats) -> bool:
+        """Load each side's completed evidence or last checkpoint.
 
-    def _adaptive_record_side(self, side: "_EvidenceSide", target: int,
-                              keep_per_run: bool,
-                              stats: Optional[PhaseStats], campaign,
-                              final: bool) -> None:
-        """Advance one evidence side to a round boundary, resumably.
-
-        Records in ``store_checkpoint_every`` batches with a checkpoint
-        after each (crash anywhere resumes mid-round), and leaves
-        ``side.evidence`` in the store's canonical round-tripped form at
-        the boundary — the exact bytes a resumed run loads back — so
-        cold and resumed looks analyse identical evidence.  Only the
-        final round may complete a side (``save_evidence``); an early
-        stop leaves the side checkpointed at its stopping boundary.
+        Returns True when the store holds any completed side.  Loaded
+        evidence is the store's canonical round-tripped form, which is
+        what makes warm re-runs bit-identical to cold ones.
         """
-        chunk_size = max(1, self.config.store_checkpoint_every)
-        advanced = False
+        cached = False
+        for side in sides:
+            cached = cached or campaign.store.get(side.key) is not None
+            evidence = campaign.load_evidence(side.key)
+            if evidence is not None:
+                if evidence.num_runs != side.total:
+                    raise CampaignError(
+                        f"store evidence {side.key!r} holds "
+                        f"{evidence.num_runs} runs but the configuration "
+                        f"asks for {side.total} — fingerprint collision "
+                        f"or tampered manifest")
+                side.evidence, side.done = evidence, side.total
+                side.complete = True
+            else:
+                checkpoint = campaign.load_checkpoint(side.key)
+                if checkpoint is None or checkpoint[1] > side.total:
+                    continue  # none, or stale: record the side afresh
+                side.evidence, side.done = checkpoint
+            stats.cached_runs += side.done
+        return cached
+
+    def _record_side(self, side: _EvidenceSide, target: int,
+                     stats: PhaseStats, campaign, final: bool) -> None:
+        """Advance one evidence side to a look's boundary, resumably.
+
+        Without a store the side's slice is one pool call, so replica
+        batching fuses the whole slice.  With a store it records in
+        ``store_checkpoint_every`` batches with a checkpoint after each
+        (a crash anywhere resumes mid-look), and leaves ``side.evidence``
+        in the store's canonical round-tripped form — the exact bytes a
+        resumed run loads back — so cold and resumed looks analyse
+        identical evidence.  Only the final look completes a side
+        (``save_evidence``); an early stop leaves the side checkpointed
+        at its stopping boundary.
+        """
+        keep_per_run = self.config.sampling == "per_run"
+        batch_size = (self.config.store_checkpoint_every
+                      if campaign is not None else target)
+        advanced = side.done < target
         while side.done < target:
-            batch = list(side.values[side.done:
-                                     min(side.done + chunk_size, target)])
+            batch = side.values[side.done:min(side.done + batch_size,
+                                              target)]
             started = time.perf_counter()
             partial, chunk = self.pool.record_evidence(
                 batch, keep_per_run=keep_per_run)
-            if stats is not None:
-                stats.absorb_chunk(chunk, time.perf_counter() - started)
+            stats.absorb_chunk(chunk, time.perf_counter() - started)
             side.evidence = (partial if side.evidence is None
                              else side.evidence.merge(partial))
             side.done += len(batch)
-            advanced = True
             if campaign is not None \
                     and not (final and side.done == side.total):
                 campaign.save_checkpoint(side.key, side.evidence,
                                          side.done, side.total, side.side)
-        if side.evidence is None:
-            side.evidence = Evidence(keep_per_run=keep_per_run)
-            advanced = True
-        if campaign is None:
+        if campaign is None or side.complete:
             return
-        if final and side.done == side.total:
+        if final:
             side.evidence = campaign.save_evidence(side.key, side.evidence,
                                                    side.side)
+            side.complete = True
         elif advanced:
             from repro.store.serialize import (deserialize_evidence,
                                                serialize_evidence)
@@ -737,13 +648,10 @@ class Owl:
     # full pipeline
     # ------------------------------------------------------------------
 
-    def detect(self, inputs: Sequence[object], *args,
-               random_input: Optional[RandomInputFn] = None,
-               store=None, reuse_report: bool = True) -> OwlResult:
+    def detect(self, inputs: Sequence[object], *,
+               random_input: RandomInputFn, store=None,
+               reuse_report: bool = True) -> OwlResult:
         """Run all three phases and return the located leaks.
-
-        Everything past ``inputs`` is keyword-only in the stable API
-        (positional calls still work for one deprecation cycle and warn).
 
         ``store`` (a :class:`~repro.store.store.TraceStore` or a path to
         create/open one) turns the call into a campaign: phase-1 traces
@@ -754,29 +662,6 @@ class Owl:
         one store must use distinct ``name``s: the store cannot see
         through the program callable, so the name *is* the version label.
         """
-        if args:
-            names = ("random_input", "store", "reuse_report")
-            if len(args) > len(names):
-                raise TypeError(
-                    f"detect() takes at most {len(names)} arguments past "
-                    f"'inputs' ({len(args)} given)")
-            warnings.warn(
-                f"passing {', '.join(names[:len(args)])} to Owl.detect() "
-                f"positionally is deprecated; use keyword arguments",
-                DeprecationWarning, stacklevel=2)
-            shifted = dict(zip(names, args))
-            if "random_input" in shifted:
-                if random_input is not None:
-                    raise TypeError(
-                        "detect() got multiple values for 'random_input'")
-                random_input = shifted["random_input"]
-            if "store" in shifted:
-                store = shifted["store"]
-            if "reuse_report" in shifted:
-                reuse_report = shifted["reuse_report"]
-        if random_input is None:
-            raise TypeError("detect() missing required argument: "
-                            "'random_input'")
         campaign = self._campaign(store)
         stats = PhaseStats(workers=resolve_workers(self.config.workers))
         tracking_memory = False
@@ -834,30 +719,15 @@ class Owl:
             if not self.config.analyze_all_representatives:
                 representatives = representatives[:1]
 
+            rep_reports, adaptive_summary = self._phase3(
+                representatives, random_input, stats, campaign)
             per_rep: List[LeakageReport] = []
             per_mode: List[List[LeakageReport]] = [[] for _ in self.analyzers]
-            adaptive_summary: Optional[AdaptiveSummary] = None
-            if self.config.adaptive:
-                rep_reports, adaptive_summary = self._adaptive_phase3(
-                    representatives, random_input, stats, campaign)
-                for reports in rep_reports:
-                    for mode_reports, report in zip(per_mode, reports):
-                        mode_reports.append(report)
-                    per_rep.append(reports[0] if len(reports) == 1
-                                   else cross_validate(*reports))
-            else:
-                for rep in representatives:
-                    fixed_evidence, random_evidence = self.collect_evidence(
-                        rep, random_input, stats=stats, campaign=campaign)
-                    test_started = time.perf_counter()
-                    reports = run_analyzers(self.analyzers, fixed_evidence,
-                                            random_evidence,
-                                            program_name=self.name)
-                    stats.test_seconds += time.perf_counter() - test_started
-                    for mode_reports, report in zip(per_mode, reports):
-                        mode_reports.append(report)
-                    per_rep.append(reports[0] if len(reports) == 1
-                                   else cross_validate(*reports))
+            for reports in rep_reports:
+                for mode_reports, report in zip(per_mode, reports):
+                    mode_reports.append(report)
+                per_rep.append(reports[0] if len(reports) == 1
+                               else cross_validate(*reports))
 
             # merge (and dedup) per detector mode, exactly as a
             # single-analyzer run would — the KS component of a "both" run

@@ -12,8 +12,10 @@ the same campaign key builders ``Owl.detect`` uses:
 * ``evidence`` — record runs ``[start, stop)`` of one side into a chunk
   blob (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
-* ``fold``     — merge one side's chunks in order through
-  ``Evidence.merge`` and persist the canonical evidence;
+* ``decide``   — one look of the campaign's schedule: merge each side's
+  chunks in order through ``Evidence.merge`` into a checkpoint (or, at
+  the final look, the canonical completed evidence) and decide whether
+  the campaign stops;
 * ``report``   — run ``Owl.detect`` against the now-warm store.  Bit
   identity with a direct in-process detection is inherited from the
   store's warm ≡ cold contract rather than re-proven here.
@@ -36,8 +38,8 @@ from repro.core.pipeline import Owl, OwlConfig, PhaseStats
 from repro.errors import CampaignError
 from repro.resilience.events import collecting_degradations
 from repro.service.units import (
-    KIND_DECIDE, KIND_EVIDENCE, KIND_FOLD, KIND_PLAN, KIND_REPORT,
-    KIND_TRACE, WorkUnit)
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, KIND_TRACE,
+    WorkUnit)
 from repro.store.serialize import deserialize_evidence, serialize_evidence
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
@@ -98,8 +100,6 @@ def _dispatch(unit: WorkUnit, store: TraceStore) -> Dict:
         return _run_evidence(unit, store)
     if unit.kind == KIND_DECIDE:
         return _run_decide(unit, store)
-    if unit.kind == KIND_FOLD:
-        return _run_fold(unit, store)
     if unit.kind == KIND_REPORT:
         return _run_report(unit, store)
     raise CampaignError(f"unknown work unit kind {unit.kind!r}")
@@ -158,22 +158,24 @@ def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
 
 
 def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
-    """One adaptive look: merge, checkpoint, analyse, stop-or-continue.
+    """One look: merge each side's chunks to the round boundary, decide.
 
-    Merges every side's chunks (rounds 0..r, in ordinal order) to the
-    round boundary, persists the result through the campaign checkpoint
-    path — the same canonical form the in-process adaptive loop leaves
-    behind — then replays :func:`repro.core.adaptive.evaluate_round`.
-    The decision is a pure function of the evidence prefix, so a
-    re-queued decide unit (after a worker death) recomputes it
-    bit-identically; on the final round the sides complete through
-    ``save_evidence`` and the chunks are collected, replacing the
-    classic fold stage.
+    Every side not yet complete merges its chunks (rounds 0..r, in
+    ordinal order).  At an interim look the merge persists as a
+    checkpoint — the canonical form the in-process look loop leaves
+    behind — and :func:`repro.core.adaptive.evaluate_round` decides
+    stop-vs-continue; the decision is a pure function of the evidence
+    prefix, so a re-queued decide unit recomputes it bit-identically.
+    At the final look the merge persists as completed evidence and the
+    unit stops without analysing: the report unit analyses.  A side the
+    store already holds complete (a full-budget run got there first)
+    is skipped and stops the campaign too — the report unit then takes
+    the one-look schedule over the stored evidence and the checkpoints
+    written here.  A stopping look deletes every chunk.
     """
     owl, campaign, inputs, _random = materialize(unit.spec, store)
     config = owl.config
-    schedule = sequential.round_schedule(
-        config.fixed_runs, config.random_runs, config.adaptive_rounds)
+    schedule = sequential.look_schedule(config)
     round_index = int(unit.params["round"])
     final = round_index == schedule.num_rounds - 1
     rep_indices = [int(index) for index in unit.params["rep_indices"]]
@@ -182,8 +184,9 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
                  for rep_index in rep_indices]
     side_plan.append(("random", -1, schedule.random[round_index],
                       config.random_runs, int(unit.params["random_chunks"])))
-    evidences = {}
+    evidences = []
     all_chunk_keys = []
+    cached_side = False
     for side, rep_index, boundary, total_runs, num_chunks in side_plan:
         rep_fp = _rep_fp(campaign, inputs, side, rep_index)
         evidence_key = campaign.evidence_key(side, rep_fp)
@@ -191,11 +194,8 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
                 for chunk in range(num_chunks)]
         all_chunk_keys.extend(keys)
         if store.get(evidence_key) is not None:
-            # the final round already completed (crash between its
-            # save_evidence and this result landing): nothing to decide,
-            # the report unit degrades to the warm full-budget path
-            return {"stop": True, "final": True, "round": round_index,
-                    "cached_side": True}
+            cached_side = True
+            continue
         merged: Optional[Evidence] = None
         for key in keys:
             chunk_evidence = store.get_evidence(key)
@@ -204,55 +204,31 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
         if merged is None:
             merged = Evidence(keep_per_run=config.sampling == "per_run")
         if final:
-            merged = campaign.save_evidence(evidence_key, merged, side)
+            campaign.save_evidence(evidence_key, merged, side)
         else:
             campaign.save_checkpoint(evidence_key, merged, boundary,
                                      total_runs, side)
-            merged = deserialize_evidence(serialize_evidence(merged))
-        evidences[(side, rep_index)] = merged
-    _reports, decision = sequential.evaluate_round(
-        owl.analyzers,
-        [evidences[("fixed", rep_index)] for rep_index in rep_indices],
-        evidences[("random", -1)], program_name=owl.name,
-        alpha=1.0 - config.confidence, rho=config.adaptive_alpha_spend,
-        schedule=schedule, round_index=round_index)
-    if decision.stop:
+            evidences.append(deserialize_evidence(serialize_evidence(merged)))
+    payload = {"stop": True, "final": final, "round": round_index}
+    if cached_side:
+        payload["cached_side"] = True
+    elif not final:
+        _reports, decision = sequential.evaluate_round(
+            owl.analyzers, evidences[:-1], evidences[-1],
+            program_name=owl.name, alpha=1.0 - config.confidence,
+            rho=config.adaptive_alpha_spend, schedule=schedule,
+            round_index=round_index)
+        payload.update(
+            stop=decision.stop, tested=decision.tested,
+            flagged=decision.flagged, clean=decision.clean,
+            undecided=decision.undecided,
+            fixed_boundary=decision.fixed_boundary,
+            random_boundary=decision.random_boundary)
+    if payload["stop"]:
         with store.batch():
             for key in all_chunk_keys:
                 store.delete(key)
-    return {"stop": decision.stop, "final": final, "round": round_index,
-            "tested": decision.tested, "flagged": decision.flagged,
-            "clean": decision.clean, "undecided": decision.undecided,
-            "fixed_boundary": decision.fixed_boundary,
-            "random_boundary": decision.random_boundary}
-
-
-def _run_fold(unit: WorkUnit, store: TraceStore) -> Dict:
-    owl, campaign, inputs, _random = materialize(unit.spec, store)
-    side = str(unit.params["side"])
-    rep_index = int(unit.params["rep_index"])
-    num_chunks = int(unit.params["num_chunks"])
-    rep_fp = _rep_fp(campaign, inputs, side, rep_index)
-    evidence_key = campaign.evidence_key(side, rep_fp)
-    keys = [chunk_key(unit.campaign, side, rep_fp, chunk)
-            for chunk in range(num_chunks)]
-    if store.get(evidence_key) is not None:
-        with store.batch():
-            for key in keys:
-                store.delete(key)
-        return {"runs": 0, "cached_side": True}
-    merged: Optional[Evidence] = None
-    for key in keys:
-        chunk_evidence = store.get_evidence(key)
-        merged = (chunk_evidence if merged is None
-                  else merged.merge(chunk_evidence))
-    if merged is None:
-        merged = Evidence(keep_per_run=owl.config.sampling == "per_run")
-    campaign.save_evidence(evidence_key, merged, side)
-    with store.batch():
-        for key in keys:
-            store.delete(key)
-    return {"runs": merged.num_runs}
+    return payload
 
 
 def _run_report(unit: WorkUnit, store: TraceStore) -> Dict:

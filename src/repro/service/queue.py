@@ -7,7 +7,9 @@ primitive, so any process can crash at any point without corrupting it:
   scheduler (re-queues rewrite it with a bumped attempt count);
 * ``claims/<uid>.claim`` — a lease, created with ``O_CREAT | O_EXCL`` so
   exactly one worker wins a unit; its mtime is the heartbeat, and a claim
-  older than the lease marks its worker dead;
+  whose mtime stops changing for a lease window — measured on the
+  scheduler's own monotonic clock, never against the mtime's value —
+  marks its worker dead;
 * ``results/<uid>.json`` — the unit's outcome (``done`` payload or
   ``error``), written tmp+rename *before* the claim is released, so a
   unit is never both unclaimed and unfinished unless it really is;
@@ -28,7 +30,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.units import WorkUnit
 
@@ -39,7 +41,8 @@ STOP_SENTINEL = "STOP"
 class JobQueue:
     """One directory of durable units, leases, results and events."""
 
-    def __init__(self, root) -> None:
+    def __init__(self, root, *,
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.root = Path(root)
         self.units_dir = self.root / "units"
         self.claims_dir = self.root / "claims"
@@ -51,6 +54,10 @@ class JobQueue:
                      self.campaigns_dir, self.tmp_dir):
             path.mkdir(parents=True, exist_ok=True)
         self._tmp_seq = 0
+        #: lease judging: the clock, and per claim the last mtime seen
+        #: with the clock reading at which it last changed
+        self._clock = clock
+        self._heartbeats: Dict[str, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # atomic write primitive
@@ -174,18 +181,34 @@ class JobQueue:
         except FileNotFoundError:
             pass
 
-    def expired_claims(self, lease_seconds: float,
-                       now: Optional[float] = None) -> List[str]:
-        """Leases whose heartbeat went silent past the lease window."""
-        now = time.time() if now is None else now
+    def expired_claims(self, lease_seconds: float) -> List[str]:
+        """Leases whose heartbeat stopped for ``lease_seconds``.
+
+        A claim's mtime is written by the worker's host (or the NFS
+        server), so its value is never compared with this host's clock:
+        each call only notes whether the mtime *changed* since the last
+        one, and a claim expires once it has not for ``lease_seconds`` of
+        this process's monotonic clock.  Clock skew between hosts and
+        wall-clock steps therefore cannot expire a live lease or keep a
+        dead one.  The first sighting starts the window, so a freshly
+        started scheduler waits one full lease before requeuing a claim
+        a dead worker left behind.
+        """
+        now = self._clock()
+        seen: Dict[str, Tuple[float, float]] = {}
         expired = []
         for uid in self.claimed_units():
             try:
                 mtime = self.claim_path(uid).stat().st_mtime
             except FileNotFoundError:
                 continue
-            if now - mtime > lease_seconds:
+            last = self._heartbeats.get(uid)
+            if last is None or last[0] != mtime:
+                last = (mtime, now)
+            seen[uid] = last
+            if now - last[1] > lease_seconds:
                 expired.append(uid)
+        self._heartbeats = seen
         return expired
 
     def claims_by_worker(self, worker: str) -> List[str]:

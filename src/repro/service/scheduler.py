@@ -1,19 +1,18 @@
 """The campaign scheduler: submissions → work units → fleet → reports.
 
 One :class:`CampaignScheduler` owns a :class:`~repro.service.queue.JobQueue`
-and drives every submitted campaign through the stage machine
+and drives every submitted campaign through one stage machine
 
-    tracing → planning → [evidence → folding] → reporting → complete
+    tracing → planning → [evidence → deciding]+ → reporting → complete
 
-— or, for ``OwlConfig(adaptive=True)`` campaigns, through the
-group-sequential loop
-
-    tracing → planning → [evidence → deciding]* → reporting → complete
-
-where each ``evidence`` stage records one round's replica slice
-(``unit_runs`` partitioning always respects the round boundaries) and
-the ``deciding`` stage's unit folds the prefix, checkpoints it, and
-either stops the campaign or schedules the next round — enqueuing the
+with one ``evidence → deciding`` pass per look of the campaign's schedule
+(:func:`repro.core.adaptive.look_schedule`): a single look at the full
+budget for the paper's protocol, one per round for
+``OwlConfig(adaptive=True)``.  Each ``evidence`` stage records one
+round's replica slice (``unit_runs`` partitioning always respects the
+round boundaries) and the ``deciding`` stage's unit merges the prefix
+into a checkpoint — or, at the final look, completed evidence — and
+either stops the campaign or schedules the next round, enqueuing the
 next stage's durable units the moment the previous stage's results are
 all on disk.  The actual work happens wherever a unit is
 claimed — fleet worker processes, or the scheduler process itself when
@@ -65,6 +64,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.adaptive import look_schedule
 from repro.core.pipeline import OwlConfig
 from repro.errors import CampaignError, QuotaError
 from repro.gpusim.device import DeviceConfig
@@ -75,8 +75,8 @@ from repro.service.execute import execute_unit
 from repro.service.fleet import WorkerFleet
 from repro.service.queue import JobQueue
 from repro.service.units import (
-    WorkUnit, decide_unit, evidence_units, fold_unit, plan_unit,
-    report_unit, round_chunk_offsets, round_evidence_units, trace_units)
+    WorkUnit, decide_unit, plan_unit, report_unit, round_chunk_offsets,
+    round_evidence_units, trace_units)
 from repro.store.fingerprint import (
     analysis_fingerprint, fingerprint_inputs, fingerprint_value)
 from repro.store.store import TraceStore
@@ -86,7 +86,6 @@ STAGE_TRACING = "tracing"
 STAGE_PLANNING = "planning"
 STAGE_EVIDENCE = "evidence"
 STAGE_DECIDING = "deciding"
-STAGE_FOLDING = "folding"
 STAGE_REPORTING = "reporting"
 STAGE_COMPLETE = "complete"
 STAGE_FAILED = "failed"
@@ -95,10 +94,6 @@ _LOCAL = "scheduler"
 
 #: Tenant identity of unauthenticated submissions.
 DEFAULT_TENANT = "anonymous"
-
-
-def _num_chunks(total_runs: int, unit_runs: int) -> int:
-    return (total_runs + unit_runs - 1) // unit_runs
 
 
 def campaign_identity(workload: str, config: OwlConfig) -> str:
@@ -139,9 +134,9 @@ class CampaignState:
     coalesced_into: Optional[str] = None
     degradations: List[DegradationEvent] = field(default_factory=list)
     submitted_at: float = 0.0
-    #: current adaptive round (meaningful only while an adaptive
+    #: current look of the campaign's schedule (meaningful while the
     #: campaign loops through evidence → deciding)
-    adaptive_round: int = 0
+    look: int = 0
 
     @property
     def done(self) -> bool:
@@ -446,68 +441,34 @@ class CampaignScheduler:
                 self._enqueue(state, [report_unit(state.cid, spec,
                                                   plan["num_classes"])])
                 return
-            if config.adaptive:
-                state.adaptive_round = 0
-                state.stage = STAGE_EVIDENCE
-                self._enqueue(state,
-                              self._adaptive_round_units(state, config, 0))
-                return
-            units = []
-            for rep_index in plan["rep_indices"]:
-                units.extend(evidence_units(
-                    state.cid, spec, "fixed", rep_index, config.fixed_runs,
-                    self.config.unit_runs))
-            units.extend(evidence_units(
-                state.cid, spec, "random", -1, config.random_runs,
-                self.config.unit_runs))
+            state.look = 0
             state.stage = STAGE_EVIDENCE
-            self._enqueue(state, units)
+            self._enqueue(state, self._round_units(state, config, 0))
             return
         if state.stage == STAGE_EVIDENCE:
-            plan = state.plan or {}
-            if config.adaptive:
-                schedule = self._adaptive_schedule(config)
-                round_index = state.adaptive_round
-                state.stage = STAGE_DECIDING
-                self._enqueue(state, [decide_unit(
-                    state.cid, spec, round_index,
-                    plan.get("rep_indices", []),
-                    round_chunk_offsets(schedule.fixed,
-                                        self.config.unit_runs)[
-                                            round_index + 1],
-                    round_chunk_offsets(schedule.random,
-                                        self.config.unit_runs)[
-                                            round_index + 1])])
-                return
-            units = []
-            for rep_index in plan.get("rep_indices", []):
-                chunks = _num_chunks(config.fixed_runs, self.config.unit_runs)
-                units.append(fold_unit(state.cid, spec, "fixed", rep_index,
-                                       chunks))
-            chunks = _num_chunks(config.random_runs, self.config.unit_runs)
-            units.append(fold_unit(state.cid, spec, "random", -1, chunks))
-            state.stage = STAGE_FOLDING
-            self._enqueue(state, units)
+            schedule = look_schedule(config)
+            state.stage = STAGE_DECIDING
+            self._enqueue(state, [decide_unit(
+                state.cid, spec, state.look,
+                (state.plan or {}).get("rep_indices", []),
+                round_chunk_offsets(schedule.fixed,
+                                    self.config.unit_runs)[state.look + 1],
+                round_chunk_offsets(schedule.random,
+                                    self.config.unit_runs)[state.look + 1])])
             return
         if state.stage == STAGE_DECIDING:
-            verdict = payloads[
-                f"{state.cid}.decide.{state.adaptive_round:02d}"]
+            verdict = payloads[f"{state.cid}.decide.{state.look:02d}"]
             self.queue.journal(
-                "decided", campaign=state.cid,
-                round=state.adaptive_round, stop=verdict.get("stop"),
-                undecided=verdict.get("undecided"))
+                "decided", campaign=state.cid, round=state.look,
+                stop=verdict.get("stop"), undecided=verdict.get("undecided"))
             if verdict.get("stop"):
                 state.stage = STAGE_REPORTING
                 self._enqueue(state, [report_unit(state.cid, spec, 0)])
                 return
-            state.adaptive_round += 1
+            state.look += 1
             state.stage = STAGE_EVIDENCE
-            self._enqueue(state, self._adaptive_round_units(
-                state, config, state.adaptive_round))
-            return
-        if state.stage == STAGE_FOLDING:
-            state.stage = STAGE_REPORTING
-            self._enqueue(state, [report_unit(state.cid, spec, 0)])
+            self._enqueue(state, self._round_units(state, config,
+                                                   state.look))
             return
         if state.stage == STAGE_REPORTING:
             state.report = payloads[f"{state.cid}.report"]
@@ -521,14 +482,9 @@ class CampaignScheduler:
             f"campaign {state.cid} advanced from unexpected stage "
             f"{state.stage!r}")
 
-    def _adaptive_schedule(self, config: OwlConfig):
-        from repro.core.adaptive import round_schedule
-        return round_schedule(config.fixed_runs, config.random_runs,
-                              config.adaptive_rounds)
-
-    def _adaptive_round_units(self, state: CampaignState, config: OwlConfig,
-                              round_index: int) -> List:
-        """Evidence units for one adaptive round's replica slice.
+    def _round_units(self, state: CampaignState, config: OwlConfig,
+                     round_index: int) -> List:
+        """Evidence units for one look's replica slice.
 
         Chunk ordinals continue across rounds (``round_chunk_offsets``),
         so the decide unit can merge every chunk recorded so far in one
@@ -538,7 +494,7 @@ class CampaignScheduler:
         """
         plan = state.plan or {}
         spec = state.spec()
-        schedule = self._adaptive_schedule(config)
+        schedule = look_schedule(config)
         fixed_offsets = round_chunk_offsets(schedule.fixed,
                                             self.config.unit_runs)
         random_offsets = round_chunk_offsets(schedule.random,

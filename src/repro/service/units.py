@@ -2,16 +2,16 @@
 
 One submitted campaign decomposes into a DAG of small, restartable JSON
 specs — per-input trace jobs, one filter/plan job, per-chunk evidence
-jobs, per-side fold jobs, one report job — that any worker process can
-execute given only the shared :class:`~repro.store.store.TraceStore`.
-Units reference programs *by name* through
-:mod:`repro.apps.registry`, so a spec is re-materialisable anywhere; all
-heavy payloads (traces, evidence, reports) travel through the store, and
-a unit's queue result carries only accounting.
+jobs and one decide job for each look of the campaign's schedule, one
+report job — that any worker process can execute given only the shared
+:class:`~repro.store.store.TraceStore`.  Units reference programs *by
+name* through :mod:`repro.apps.registry`, so a spec is re-materialisable
+anywhere; all heavy payloads (traces, evidence, reports) travel through
+the store, and a unit's queue result carries only accounting.
 
 Determinism is inherited, not re-implemented: an evidence unit re-derives
 its run inputs from ``np.random.default_rng(config.seed)`` exactly as
-``Owl.collect_evidence`` does and records the slice ``[start, stop)``, so
+``Owl.detect``'s phase 3 does and records the slice ``[start, stop)``, so
 any ``unit_runs`` partition folds — through the associative
 :meth:`~repro.core.evidence.Evidence.merge`, in chunk order — to the
 bytes one in-process ``Owl.detect`` would have produced.
@@ -27,14 +27,11 @@ KIND_TRACE = "trace"
 KIND_PLAN = "plan"
 KIND_EVIDENCE = "evidence"
 KIND_DECIDE = "decide"
-KIND_FOLD = "fold"
 KIND_REPORT = "report"
 
-#: Stage machine: which kinds a campaign schedules, in which order.
-#: (``decide`` only appears in adaptive campaigns, ``fold`` only in
-#: classic ones — the scheduler picks the path per config.)
-STAGES = (KIND_TRACE, KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_FOLD,
-          KIND_REPORT)
+#: Stage machine: which kinds a campaign schedules, in which order
+#: (``evidence`` and ``decide`` repeat once per look).
+STAGES = (KIND_TRACE, KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_REPORT)
 
 
 @dataclass
@@ -87,36 +84,14 @@ def plan_unit(cid: str, spec: Dict, num_inputs: int) -> WorkUnit:
                     spec=spec, params={"num_inputs": num_inputs})
 
 
-def evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
-                   total_runs: int, unit_runs: int) -> List[WorkUnit]:
-    """Contiguous run-slice units for one evidence side.
-
-    ``rep_index`` indexes the campaign's input list for the fixed side
-    and is ``-1`` for the shared random side.  Chunks are numbered in run
-    order; the fold unit merges them by that ordinal.
-    """
-    units = []
-    chunk = 0
-    for start in range(0, total_runs, unit_runs):
-        stop = min(start + unit_runs, total_runs)
-        units.append(WorkUnit(
-            uid=f"{cid}.evidence.{side}.{rep_index}.{chunk:04d}",
-            kind=KIND_EVIDENCE, campaign=cid, spec=spec,
-            params={"side": side, "rep_index": rep_index, "chunk": chunk,
-                    "start": start, "stop": stop}))
-        chunk += 1
-    return units
-
-
 def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
-    """Cumulative chunk ordinals at each adaptive round boundary.
+    """Cumulative chunk ordinals at each look's replica boundary.
 
     ``offsets[r]`` is the first chunk ordinal of round ``r``'s slice and
     ``offsets[r + 1]`` the total number of chunks once round ``r`` has
-    recorded — the adaptive analogue of ``_num_chunks`` for the classic
-    single-slice partition.  Round slices are partitioned by
-    ``unit_runs`` *within* each round, so the partition always respects
-    round boundaries: no unit ever spans an interim look.
+    recorded.  Round slices are partitioned by ``unit_runs`` *within*
+    each round, so the partition always respects round boundaries: no
+    unit ever spans an interim look.
     """
     offsets = [0]
     previous = 0
@@ -130,11 +105,13 @@ def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
 def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
                          start: int, stop: int, unit_runs: int,
                          first_chunk: int) -> List[WorkUnit]:
-    """Evidence units for one adaptive round's slice ``[start, stop)``.
+    """Evidence units for one round's slice ``[start, stop)`` of a side.
 
-    Chunk ordinals continue sequentially across rounds (via
-    *first_chunk* from :func:`round_chunk_offsets`), so the decide unit
-    merges every round recorded so far in one deterministic order.
+    ``rep_index`` indexes the campaign's input list for the fixed side
+    and is ``-1`` for the shared random side.  Chunk ordinals continue
+    sequentially across rounds (via *first_chunk* from
+    :func:`round_chunk_offsets`), so the decide unit merges every round
+    recorded so far in one deterministic order.
     """
     units = []
     chunk = first_chunk
@@ -152,23 +129,15 @@ def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
 def decide_unit(cid: str, spec: Dict, round_index: int,
                 rep_indices: List[int], fixed_chunks: int,
                 random_chunks: int) -> WorkUnit:
-    """One adaptive look: merge every side's chunks to the round
-    boundary, checkpoint, analyse, and decide stop-vs-continue."""
+    """One look: merge every side's chunks to the round boundary into a
+    checkpoint (or, at the final look, completed evidence) and decide
+    stop-vs-continue."""
     return WorkUnit(uid=f"{cid}.decide.{round_index:02d}",
                     kind=KIND_DECIDE, campaign=cid, spec=spec,
                     params={"round": round_index,
                             "rep_indices": list(rep_indices),
                             "fixed_chunks": fixed_chunks,
                             "random_chunks": random_chunks})
-
-
-def fold_unit(cid: str, spec: Dict, side: str, rep_index: int,
-              num_chunks: int) -> WorkUnit:
-    """Merge one side's chunks (in order) into its canonical evidence."""
-    return WorkUnit(uid=f"{cid}.fold.{side}.{rep_index}", kind=KIND_FOLD,
-                    campaign=cid, spec=spec,
-                    params={"side": side, "rep_index": rep_index,
-                            "num_chunks": num_chunks})
 
 
 def report_unit(cid: str, spec: Dict, num_inputs: int) -> WorkUnit:

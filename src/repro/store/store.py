@@ -40,7 +40,6 @@ import json
 import os
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,18 +95,8 @@ class Entry:
 class TraceStore:
     """Content-addressed, versioned on-disk store for Owl artifacts."""
 
-    def __init__(self, root: Union[str, Path], *args,
-                 create: bool = True, journal: bool = True) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"TraceStore() takes at most 1 argument past 'root' "
-                    f"({len(args)} given)")
-            warnings.warn(
-                "passing create to TraceStore() positionally is "
-                "deprecated; use TraceStore(root, create=...)",
-                DeprecationWarning, stacklevel=2)
-            create = args[0]
+    def __init__(self, root: Union[str, Path], *, create: bool = True,
+                 journal: bool = True) -> None:
         self.root = Path(root)
         manifest_exists = (self.root / "manifest.json").exists()
         if not create and not manifest_exists:

@@ -1,5 +1,5 @@
-"""The redesigned public surface: keyword-only APIs with deprecation
-shims, config coercion, and fingerprint neutrality of resilience knobs."""
+"""The redesigned public surface: keyword-only APIs, config coercion,
+and fingerprint neutrality of resilience knobs."""
 
 import dataclasses
 import json
@@ -33,28 +33,6 @@ class TestDetectKeywordOnly:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_positional_random_input_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="random_input"):
-            result = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input)
-        assert result.report is not None
-
-    def test_positional_store_warns_and_maps(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            result = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input,
-                                       TraceStore(tmp_path / "s"))
-        assert result.report is not None
-        assert len(TraceStore(tmp_path / "s")) > 0
-
-    def test_positional_and_keyword_shims_agree(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            legacy = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input)
-        modern = make_owl().detect(inputs=[dummy.fixed_input()],
-                                   random_input=dummy.random_input)
-        assert legacy.report.to_json() == modern.report.to_json()
-
     def test_missing_random_input_is_a_type_error(self):
         with pytest.raises(TypeError, match="random_input"):
             make_owl().detect(inputs=[dummy.fixed_input()])
@@ -66,10 +44,6 @@ class TestDetectKeywordOnly:
 
 
 class TestTraceStoreKeywordOnly:
-    def test_positional_create_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="create"):
-            TraceStore(tmp_path / "s", True)
-
     def test_keyword_create_is_warning_free(self, tmp_path, recwarn):
         TraceStore(tmp_path / "s", create=True)
         assert not [w for w in recwarn.list

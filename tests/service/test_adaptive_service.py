@@ -83,3 +83,38 @@ class TestAdaptiveServiceIdentity:
         assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct.report.to_json()
         assert scheduler.fleet.restarts == 2
+
+
+class TestCompletedSides:
+    def test_decide_over_completed_side_collects_every_chunk(self,
+                                                             tmp_path):
+        """A classic campaign completes the rep-0 fixed side and the random
+        side; a later adaptive campaign over every representative meets
+        them at its first look.  The decide unit must still fold the
+        remaining side, stop, and leave no chunk blob behind, and the
+        report must equal a direct adaptive run over a store the same
+        classic run warmed."""
+        from repro.store.store import TraceStore
+        classic = dict(ADAPTIVE, adaptive=False)
+        everything = dict(ADAPTIVE, analyze_all_representatives=True)
+        program, fixed_inputs, random_input = resolve("dummy")
+        direct_store = TraceStore(tmp_path / "direct")
+        Owl(program, name="dummy", config=OwlConfig(**classic)).detect(
+            fixed_inputs(), random_input=random_input, store=direct_store)
+        direct = Owl(program, name="dummy",
+                     config=OwlConfig(**everything)).detect(
+            fixed_inputs(), random_input=random_input, store=direct_store)
+        assert len(direct.per_representative) > 1
+
+        scheduler = CampaignScheduler(
+            tmp_path / "store", tmp_path / "queue",
+            ServiceConfig(workers=0, unit_runs=7))
+        for overrides in (classic, everything):
+            cid = scheduler.submit("dummy", overrides)
+            assert scheduler.wait([cid], timeout=240.0)
+        results = scheduler.results(cid)
+        assert results["stage"] == STAGE_COMPLETE
+        assert results["report_json"] == direct.report.to_json()
+        store = TraceStore(tmp_path / "store")
+        assert [entry.key for entry in store.entries()
+                if entry.key.startswith("servicechunk/")] == []

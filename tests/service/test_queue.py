@@ -76,24 +76,66 @@ class TestResults:
         assert queue.pending_units() == []
 
 
+class FakeClock:
+    """A monotonic clock the test advances by hand."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
+
+
+def _claimed_queue(tmp_path):
+    clock = FakeClock()
+    queue = JobQueue(tmp_path, clock=clock)
+    queue.enqueue(_unit())
+    queue.claim("c1.trace.0000", "w0")
+    return queue, clock
+
+
+def _touch(queue, mtime):
+    os.utime(queue.claim_path("c1.trace.0000"), (mtime, mtime))
+
+
 class TestLeases:
     def test_expired_claims_by_mtime(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
+        queue, clock = _claimed_queue(tmp_path)
         assert queue.expired_claims(lease_seconds=60.0) == []
-        stale = time.time() - 120
-        os.utime(queue.claim_path("c1.trace.0000"), (stale, stale))
+        clock.now += 120
         assert queue.expired_claims(lease_seconds=60.0) == ["c1.trace.0000"]
 
     def test_heartbeat_renews_lease(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
-        stale = time.time() - 120
-        os.utime(queue.claim_path("c1.trace.0000"), (stale, stale))
+        queue, clock = _claimed_queue(tmp_path)
+        _touch(queue, time.time() - 120)
+        assert queue.expired_claims(lease_seconds=60.0) == []
+        clock.now += 50
         queue.heartbeat("c1.trace.0000")
         assert queue.expired_claims(lease_seconds=60.0) == []
+        clock.now += 50
+        assert queue.expired_claims(lease_seconds=60.0) == []
+
+    def test_advancing_claim_behind_the_wall_clock_stays_live(self,
+                                                              tmp_path):
+        """A worker whose clock runs an hour behind the scheduler's keeps
+        writing old mtimes; they still advance, so the lease holds."""
+        queue, clock = _claimed_queue(tmp_path)
+        skewed = time.time() - 3600
+        for _ in range(5):
+            _touch(queue, skewed)
+            assert queue.expired_claims(lease_seconds=60.0) == []
+            clock.now += 30
+            skewed += 30
+
+    def test_silent_claim_expires_after_one_lease_and_not_before(
+            self, tmp_path):
+        queue, clock = _claimed_queue(tmp_path)
+        _touch(queue, time.time() + 3600)  # a worker clock an hour ahead
+        assert queue.expired_claims(lease_seconds=60.0) == []
+        clock.now += 60
+        assert queue.expired_claims(lease_seconds=60.0) == []
+        clock.now += 1
+        assert queue.expired_claims(lease_seconds=60.0) == ["c1.trace.0000"]
 
     def test_requeue_bumps_attempts_and_clears_lease(self, tmp_path):
         queue = JobQueue(tmp_path)

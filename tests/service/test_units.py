@@ -1,8 +1,8 @@
 """WorkUnit model: round-trip, builders, chunking arithmetic."""
 
 from repro.service.units import (
-    KIND_EVIDENCE, KIND_FOLD, KIND_PLAN, KIND_REPORT, KIND_TRACE, WorkUnit,
-    evidence_units, fold_unit, plan_unit, report_unit, trace_units)
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, KIND_TRACE, WorkUnit,
+    decide_unit, plan_unit, report_unit, round_evidence_units, trace_units)
 
 SPEC = {"workload": "dummy", "config": {"fixed_runs": 10}}
 
@@ -36,23 +36,24 @@ class TestBuilders:
         assert report.uid == "c1.report" and report.kind == KIND_REPORT
 
     def test_evidence_units_cover_all_runs_exactly(self):
-        units = evidence_units("c1", SPEC, "fixed", 0, total_runs=25,
-                               unit_runs=10)
+        units = round_evidence_units("c1", SPEC, "fixed", 0, start=0,
+                                     stop=25, unit_runs=10, first_chunk=0)
         spans = [(u.params["start"], u.params["stop"]) for u in units]
         assert spans == [(0, 10), (10, 20), (20, 25)]
         assert [u.params["chunk"] for u in units] == [0, 1, 2]
         assert all(u.kind == KIND_EVIDENCE for u in units)
 
     def test_evidence_units_single_chunk_when_unit_runs_exceeds(self):
-        units = evidence_units("c1", SPEC, "random", -1, total_runs=4,
-                               unit_runs=100)
+        units = round_evidence_units("c1", SPEC, "random", -1, start=0,
+                                     stop=4, unit_runs=100, first_chunk=0)
         assert len(units) == 1
         assert (units[0].params["start"], units[0].params["stop"]) == (0, 4)
         assert units[0].params["rep_index"] == -1
 
-    def test_fold_unit_names_side_and_rep(self):
-        unit = fold_unit("c1", SPEC, "fixed", 2, num_chunks=3)
-        assert unit.uid == "c1.fold.fixed.2"
-        assert unit.kind == KIND_FOLD
-        assert unit.params == {"side": "fixed", "rep_index": 2,
-                               "num_chunks": 3}
+    def test_decide_unit_names_its_look(self):
+        unit = decide_unit("c1", SPEC, 0, [2], fixed_chunks=3,
+                           random_chunks=4)
+        assert unit.uid == "c1.decide.00"
+        assert unit.kind == KIND_DECIDE
+        assert unit.params == {"round": 0, "rep_indices": [2],
+                               "fixed_chunks": 3, "random_chunks": 4}
