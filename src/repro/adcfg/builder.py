@@ -31,6 +31,7 @@ from typing import (
 import numpy as np
 
 from repro.adcfg.graph import ADCFG, END_LABEL, START_LABEL, AddressKey
+from repro.adcfg.serialize import size_from_counts, string_entry_bytes
 from repro.gpusim.cohort import (
     REC_BB,
     REC_BB_U,
@@ -388,16 +389,17 @@ class _NotFoldable(Exception):
 
 def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
                    attempts: Sequence, layouts: Sequence[ReplicaLayout]
-                   ) -> Optional[List[ADCFG]]:
-    """Fold one fused replica launch into every member's A-DCFG at once.
+                   ) -> Optional["LaneGridFold"]:
+    """Fold one fused replica launch for every member at once.
 
     *attempts* are the launch's completed cohort attempts
     (:class:`~repro.gpusim.cohort.CohortContext`: records, labels and the
     replica slot of each row); together their rows cover every warp of
     every member once.  *layouts* holds each member's allocation table, in
-    replica-slot order.  The result equals, graph for graph and down to
-    the order of each memory record's keys, what each member's monitor
-    folds from the per-warp event streams that
+    replica-slot order.  The returned :class:`LaneGridFold` holds the
+    members' graphs as unique, counted NumPy rows; its graphs equal, graph
+    for graph and down to the order of each memory record's keys, what
+    each member's monitor folds from the per-warp event streams that
     :meth:`~repro.gpusim.cohort.CohortContext.replay_events` re-expands —
     without expanding anything per warp:
 
@@ -419,21 +421,29 @@ def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
     the per-warp streams instead.
     """
     try:
-        fold = _LaneGridFold(layouts)
+        fold = LaneGridFold(layouts)
         for ctx in attempts:
             fold.add_attempt(ctx)
-        fold.flush()
-        return fold.graphs(kernel_name, total_threads, num_warps)
+        fold.finish(kernel_name, total_threads, num_warps)
+        return fold
     except _NotFoldable:
         return None
 
 
-class _LaneGridFold:
-    """State of one :func:`fold_lane_grid` call."""
+class LaneGridFold:
+    """One fused launch folded for all its members (:func:`fold_lane_grid`).
+
+    Once finished it holds two tables of unique, counted rows:
+    control-flow transitions ``(member, label, prev, prev_prev)`` and
+    memory entries ``(slot, member, key)``.  :meth:`graphs` builds graphs
+    from them, each of one member or summed over several, and
+    :meth:`sizes` each member's serialised size without building any
+    graph.
+    """
 
     def __init__(self, layouts: Sequence[ReplicaLayout]) -> None:
         self._layouts = layouts
-        members = self._members = len(layouts)
+        members = self.members = len(layouts)
         self._low = np.fromiter(
             (int(lay.bases[0]) if lay.bases.size else 0 for lay in layouts),
             dtype=np.int64, count=members)
@@ -485,10 +495,13 @@ class _LaneGridFold:
         self._entries: List[Tuple[np.ndarray, ...]] = []
         #: control-flow transitions: (member, label, prev, prev_prev, count)
         self._flow: List[Tuple[np.ndarray, ...]] = []
-        #: every packed key met so far (sorted) and its key tuple, built
-        #: once for the whole group
-        self._known_keys = np.empty(0, dtype=np.int64)
-        self._key_objects = np.empty(0, dtype=object)
+        #: the finished tables (see :meth:`finish`)
+        self._flow_rows: Tuple[np.ndarray, ...] = ()
+        self._memory: Tuple[np.ndarray, ...] = ()
+        #: sorted distinct packed keys of ``_memory`` and their key tuples,
+        #: built once for the whole group when first needed
+        self._key_values = np.empty(0, dtype=np.int64)
+        self._key_objects: Optional[np.ndarray] = None
 
     # -- interning ------------------------------------------------------
 
@@ -547,7 +560,7 @@ class _LaneGridFold:
         per-row record the state is one array per row.
         """
         rows = row_members.shape[0]
-        per_member = np.bincount(row_members, minlength=self._members)
+        per_member = np.bincount(row_members, minlength=self.members)
         present = np.flatnonzero(per_member)
         weights = per_member[present]
         ones = np.ones(rows, dtype=np.int64)
@@ -647,7 +660,7 @@ class _LaneGridFold:
             return
         member_parts, address_parts, lane_parts, slots = zip(*self._pending)
         self._pending, self._pending_addresses = [], 0
-        members = self._members
+        members = self.members
         row_slots = self._row_slots(slots,
                                     [part.shape[0] for part in member_parts])
         row_members = np.concatenate(member_parts)
@@ -709,28 +722,61 @@ class _LaneGridFold:
                                  << _OFFSET_BITS) | offsets)
         return keys
 
-    # -- the graphs -----------------------------------------------------
+    # -- the finished tables -------------------------------------------
 
-    def graphs(self, kernel_name: str, total_threads: int,
-               num_warps: int) -> List[ADCFG]:
-        graphs = [ADCFG(kernel_identity=kernel_name, kernel_name=kernel_name,
-                        total_threads=total_threads, num_warps=num_warps)
-                  for _ in range(self._members)]
-        self._apply_flow(graphs)
+    def finish(self, kernel_name: str, total_threads: int,
+               num_warps: int) -> None:
+        """Count the last chunk and reduce both tables to unique rows."""
+        self.flush()
+        self._kernel_name = kernel_name
+        self._total_threads = total_threads
+        self._num_warps = num_warps
+        self._finish_flow()
+        self._finish_memory()
+
+    def _finish_flow(self) -> None:
+        names = self._flow_names = [START_LABEL, *self._label_names,
+                                    END_LABEL]
+        if not self._flow:
+            self._flow_rows = (np.empty(0, dtype=np.int64),) * 5
+            return
+        span = len(names)
+        if self.members * span ** 3 >= 2 ** 63:
+            raise _NotFoldable("too many labels to pack transitions")
+        member, label, prev, prev_prev, counts = (
+            np.concatenate(column) for column in zip(*self._flow))
+        self._flow = []
+        label = np.where(label < 0, span - 1, label)
+        code = ((member * span + label) * span + prev) * span + prev_prev
+        order = np.argsort(code, kind="stable")
+        code = code[order]
+        starts = _run_starts(code)
+        counts = np.add.reduceat(counts[order], starts)
+        code, prev_prev = np.divmod(code[starts], span)
+        code, prev = np.divmod(code, span)
+        member, label = np.divmod(code, span)
+        self._flow_rows = (member, label, prev, prev_prev, counts)
+
+    def _finish_memory(self) -> None:
+        if not self._entries:
+            self._memory = (np.empty(0, dtype=np.int64),) * 4
+            return
+        # a slot several records (sub-cohorts) filled has entries in
+        # several chunks: sum them; every other slot's rows are unique and
+        # lie in one chunk, sorted by (member, key)
         multi = np.asarray(self._slot_sources, dtype=np.int64) > 1
-        merged = []
+        parts, merged = [], []
         for entries in self._entries:
             several = multi[entries[0]]
             if not several.any():
-                self._apply_memory(graphs, entries)
+                parts.append(entries)
             elif several.all():
                 merged.append(entries)
             else:
-                self._apply_memory(graphs, tuple(
-                    column[~several] for column in entries))
+                parts.append(tuple(column[~several] for column in entries))
                 merged.append(tuple(column[several] for column in entries))
+        self._entries = []
         if merged:
-            # a slot several records (sub-cohorts) filled: sum its entries
             slot, member, keys, counts = (np.concatenate(column)
                                           for column in zip(*merged))
             order = np.lexsort((keys, member, slot))
@@ -738,74 +784,224 @@ class _LaneGridFold:
             starts = np.flatnonzero(np.concatenate(
                 ([True], (slot[1:] != slot[:-1])
                  | (member[1:] != member[:-1]) | (keys[1:] != keys[:-1]))))
-            self._apply_memory(graphs, (
-                slot[starts], member[starts], keys[starts],
-                np.add.reduceat(counts[order], starts)))
+            parts.append((slot[starts], member[starts], keys[starts],
+                          np.add.reduceat(counts[order], starts)))
+        slot, member, keys, counts = (np.concatenate(column)
+                                      for column in zip(*parts))
+        self._key_values, key_ids = np.unique(keys, return_inverse=True)
+        if (self.members * len(self._slots)
+                * self._key_values.shape[0] >= 2 ** 63):
+            raise _NotFoldable("too many keys to pack")
+        self._memory = (slot, member, key_ids, counts)
+
+    # -- graphs and sizes -----------------------------------------------
+
+    def graphs(self, groups: np.ndarray, weights: np.ndarray,
+               identities: Sequence[str]) -> List[ADCFG]:
+        """One graph per entry of *identities*, all in one pass.
+
+        Graph ``g`` sums the members with ``groups[m] == g``, member ``m``
+        taken ``weights[m]`` times; members in group -1 are left out.  Its
+        nodes, edges, predecessors and keys come in the order that merging
+        its members' graphs one by one, in slot order, with
+        :func:`~repro.adcfg.merge.merge_adcfg_into` gives them: by the
+        first member holding them, then as within that member's graph.
+        """
+        groups = np.asarray(groups, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.int64)
+        graphs = [ADCFG(kernel_identity=identity,
+                        kernel_name=self._kernel_name,
+                        total_threads=self._total_threads,
+                        num_warps=self._num_warps) for identity in identities]
+        flow, group = _grouped(self._flow_rows, self._flow_rows[0], groups)
+        self._build_flow(graphs, flow, group, weights)
+        memory, group = _grouped(self._memory, self._memory[1], groups)
+        if memory[0].shape[0]:
+            self._build_memory(graphs,
+                               *self._records(memory, group, weights))
         return graphs
 
-    def _apply_flow(self, graphs: List[ADCFG]) -> None:
-        if not self._flow:
+    def _build_flow(self, graphs: List[ADCFG], flow: Tuple[np.ndarray, ...],
+                    group: np.ndarray, weights: np.ndarray) -> None:
+        """Nodes and edges from transition rows; row ``i`` goes to graph
+        ``group[i]``."""
+        member, label, prev, prev_prev, counts = flow
+        if not member.shape[0]:
             return
-        names = [START_LABEL, *self._label_names, END_LABEL]
+        counts = counts * weights[member]
+        names = self._flow_names
         span = len(names)
-        if self._members * span ** 3 >= 2 ** 63:
-            raise _NotFoldable("too many labels to pack transitions")
-        member, label, prev, prev_prev, counts = (
-            np.concatenate(column) for column in zip(*self._flow))
-        label = np.where(label < 0, span - 1, label)
-        code = ((member * span + label) * span + prev) * span + prev_prev
-        order = np.argsort(code, kind="stable")
+        code = ((group * span + label) * span + prev) * span + prev_prev
+        order = np.lexsort((member, code))
         code = code[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], code[1:] != code[:-1])))
-        totals = np.add.reduceat(counts[order], starts).tolist()
+        starts = _run_starts(code)
+        # per transition: its total and the first member holding it
+        first = member[order][starts]
+        totals = np.add.reduceat(counts[order], starts)
+        code = code[starts]
+        edges, prev_prev = np.divmod(code, span)
+        edge_starts = _run_starts(edges)
+        edge_first = np.minimum.reduceat(first, edge_starts)
+        edge_totals = np.add.reduceat(totals, edge_starts)
+        nodes, edge_prev = np.divmod(edges[edge_starts], span)
+        node_starts = _run_starts(nodes)
+        node_first = np.minimum.reduceat(edge_first, node_starts)
+        node_totals = np.add.reduceat(edge_totals, node_starts)
+        node_group, node_label = np.divmod(nodes[node_starts], span)
         end = span - 1
-        for packed, count in zip(code[starts].tolist(), totals):
-            packed, pp = divmod(packed, span)
-            packed, p = divmod(packed, span)
-            m, lab = divmod(packed, span)
-            graph = graphs[m]
+        order = np.lexsort((node_label, node_first, node_group))
+        for g, lab, total in zip(node_group[order].tolist(),
+                                 node_label[order].tolist(),
+                                 node_totals[order].tolist()):
             if lab != end:
-                graph.node(names[lab]).record_entry(count)
-            graph.edge(names[p], names[lab]).record(prev_src=names[pp],
-                                                    count=count)
+                graphs[g].node(names[lab]).record_entry(total)
+        # each edge's predecessor histogram, by first holder then label
+        edge_of = np.cumsum(np.concatenate(
+            ([False], edges[1:] != edges[:-1])))
+        histograms: List[Dict[str, int]] = [{} for _ in edge_starts]
+        order = np.lexsort((prev_prev, first, edge_of))
+        for e, pp, total in zip(edge_of[order].tolist(),
+                                prev_prev[order].tolist(),
+                                totals[order].tolist()):
+            histograms[e][names[pp]] = total
+        edge_group, edge_label = np.divmod(nodes, span)
+        order = np.lexsort((edge_prev, edge_label, edge_first, edge_group))
+        for e in order.tolist():
+            edge = graphs[int(edge_group[e])].edge(
+                names[int(edge_prev[e])], names[int(edge_label[e])])
+            edge.count += int(edge_totals[e])
+            edge.prev_counts = histograms[e]
 
-    def _key_tuples(self, keys: np.ndarray) -> List[AddressKey]:
-        """``(label, offset)`` tuples of packed keys, each built once."""
-        known = self._known_keys
-        index = np.searchsorted(known, keys)
-        found = index < known.shape[0]
-        found[found] = known[index[found]] == keys[found]
-        if not found.all():
-            new = np.unique(keys[~found])
-            objects = np.empty(new.shape[0], dtype=object)
-            for i, packed in enumerate(new.tolist()):
-                objects[i] = (self._names[packed >> _OFFSET_BITS],
-                              packed & _OFFSET_MASK)
-            merged = np.concatenate((known, new))
-            order = np.argsort(merged, kind="stable")
-            self._known_keys = known = merged[order]
-            self._key_objects = np.concatenate(
-                (self._key_objects, objects))[order]
-            index = np.searchsorted(known, keys)
-        return self._key_objects[index].tolist()
+    def _records(self, memory: Tuple[np.ndarray, ...], group: np.ndarray,
+                 weights: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Memory rows summed per graph: ``(graph * slots + slot, key,
+        count)``, one run per record, its keys by first holding member,
+        then key."""
+        slot, member, key_ids, counts = memory
+        n_keys = self._key_values.shape[0]
+        code = (group * len(self._slots) + slot) * n_keys + key_ids
+        order = np.argsort(code)
+        code = code[order]
+        starts = _run_starts(code)
+        first = np.minimum.reduceat(member[order], starts)
+        counts = np.add.reduceat((counts * weights[member])[order], starts)
+        owner, key_ids = np.divmod(code[starts], n_keys)
+        order = np.lexsort((key_ids, first, owner))
+        return owner[order], key_ids[order], counts[order]
 
-    def _apply_memory(self, graphs: List[ADCFG],
-                      entries: Tuple[np.ndarray, ...]) -> None:
-        slot, member, keys, counts = entries
-        if not slot.shape[0]:
-            return
-        objects = self._key_tuples(keys)
+    def _build_memory(self, graphs: List[ADCFG], owner: np.ndarray,
+                      key_ids: np.ndarray, counts: np.ndarray) -> None:
+        """Fill each ``(graph, slot)`` run of rows into its record."""
+        n_slots = len(self._slots)
+        starts = _run_starts(owner)
+        objects = self._key_tuples()[key_ids].tolist()
         counts = counts.tolist()
-        owner = slot * self._members + member
-        starts = np.flatnonzero(np.concatenate(
-            ([True], owner[1:] != owner[:-1])))
-        bounds = starts.tolist()
+        bounds = starts.tolist() + [len(objects)]
         slots, label_names = self._slots, self._label_names
-        for lo, hi, sid, m in zip(bounds, bounds[1:] + [len(objects)],
-                                  slot[starts].tolist(),
-                                  member[starts].tolist()):
+        for lo, hi, packed in zip(bounds, bounds[1:],
+                                  owner[starts].tolist()):
+            g, sid = divmod(packed, n_slots)
             label, visit, instr, space, is_store = slots[sid]
-            graphs[m].node(label_names[label]).record_access_bulk(
+            graphs[g].node(label_names[label]).record_access_bulk(
                 visit=visit, instr=instr, space=space, is_store=is_store,
                 keys=objects[lo:hi], counts=counts[lo:hi])
+
+    def _key_tuples(self) -> np.ndarray:
+        """``(label, offset)`` tuple of every distinct key, built once."""
+        if self._key_objects is None:
+            objects = np.empty(self._key_values.shape[0], dtype=object)
+            for i, packed in enumerate(self._key_values.tolist()):
+                objects[i] = (self._names[packed >> _OFFSET_BITS],
+                              packed & _OFFSET_MASK)
+            self._key_objects = objects
+        return self._key_objects
+
+    def sizes(self, identities: Sequence[str]) -> np.ndarray:
+        """Each member's :func:`~repro.adcfg.serialize.adcfg_size_bytes`.
+
+        Counted from the tables, without building any graph: each member's
+        string table and element counts, summed by
+        :func:`~repro.adcfg.serialize.size_from_counts`.  *identities*
+        holds each member's kernel identity, which its graph's string
+        table carries.
+        """
+        members = self.members
+        strings: Dict[str, int] = {}
+
+        def intern(values: Sequence[str]) -> np.ndarray:
+            return np.asarray([strings.setdefault(value, len(strings))
+                               for value in values], dtype=np.int64)
+
+        flow_ids = intern(self._flow_names)
+        key_ids = intern(self._names)[self._key_values >> _OFFSET_BITS]
+        own_ids = np.concatenate((intern([self._kernel_name] * members),
+                                  intern(identities)))
+        n = len(strings)
+        lengths = np.fromiter((string_entry_bytes(s) for s in strings),
+                              dtype=np.int64, count=n)
+        member, label, prev, prev_prev, _counts = self._flow_rows
+        slot, mem_member, mem_keys, _counts = self._memory
+        everyone = np.tile(np.arange(members, dtype=np.int64), 2)
+        held = np.concatenate((
+            member * n + flow_ids[label], member * n + flow_ids[prev],
+            member * n + flow_ids[prev_prev],
+            mem_member * n + key_ids[mem_keys], everyone * n + own_ids))
+        held = np.bincount(held, minlength=members * n).reshape(members, n)
+        # control flow: nodes (END is none), edges and predecessors
+        span = len(self._flow_names)
+        node_codes = member * span + label
+        nodes = np.bincount(
+            np.unique(node_codes[label != span - 1]) // span,
+            minlength=members)
+        edges = np.bincount(np.unique(node_codes * span + prev)
+                            // (span * span), minlength=members)
+        visits, records = self._visits_and_records(slot, mem_member)
+        return size_from_counts(
+            (held > 0) @ lengths, nodes, visits, records,
+            np.bincount(mem_member, minlength=members), edges,
+            np.bincount(member, minlength=members))
+
+    def _visits_and_records(self, slot: np.ndarray, member: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+        """Each member's serialised visits and records: a visit lists its
+        node's instructions up to its last one with entries (padding
+        records included), a node its visits up to its last one with a
+        record."""
+        members = self.members
+        if not slot.shape[0]:
+            return (np.zeros(members, dtype=np.int64),) * 2
+        held = _run_starts(slot * members + member)
+        table = np.asarray(self._slots, dtype=np.int64)[slot[held]]
+        n_labels, n_visits = len(self._label_names), int(table[:, 1].max()) + 1
+        visits = (member[held] * n_labels + table[:, 0]) * n_visits \
+            + table[:, 1]
+        order = np.argsort(visits)
+        visits = visits[order]
+        starts = _run_starts(visits)
+        instrs = np.maximum.reduceat(table[order, 2], starts) + 1
+        nodes, visit = np.divmod(visits[starts], n_visits)
+        records = np.bincount(nodes // n_labels, weights=instrs,
+                              minlength=members).astype(np.int64)
+        starts = _run_starts(nodes)
+        visits = np.bincount(
+            nodes[starts] // n_labels,
+            weights=np.maximum.reduceat(visit, starts) + 1,
+            minlength=members).astype(np.int64)
+        return visits, records
+
+
+def _grouped(table: Tuple[np.ndarray, ...], member: np.ndarray,
+             groups: np.ndarray
+             ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """The rows of *table* whose *member* has a group, and that group."""
+    group = groups[member]
+    keep = group >= 0
+    if keep.all():
+        return table, group
+    return tuple(column[keep] for column in table), group[keep]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Start of every run of equal values (sorted or run-grouped input)."""
+    return np.flatnonzero(np.concatenate(
+        ([True], values[1:] != values[:-1])))

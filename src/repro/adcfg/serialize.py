@@ -266,6 +266,41 @@ def _deserialize_adcfg_unchecked(data: bytes) -> ADCFG:
     return graph
 
 
+# Serialised bytes of the format's fixed part and of each element, from
+# the struct formats :func:`serialize_adcfg` writes (little-endian, no
+# padding); :func:`size_from_counts` adds them up.
+#: magic, then (version, threads, warps), string-table count, (identity,
+#: name) indices and (node, edge) counts
+HEADER_BYTES = len(_MAGIC) + struct.calcsize("<HII" "I" "II" "II")
+#: a string-table entry's u16 length, before its UTF-8 bytes
+STRING_PREFIX_BYTES = struct.calcsize("<H")
+NODE_BYTES = struct.calcsize("<IQI")         # label, entries, visits
+VISIT_BYTES = struct.calcsize("<I")          # record count
+RECORD_BYTES = struct.calcsize("<BBI")       # space, is_store, pairs
+PAIR_BYTES = struct.calcsize("<IqQ")         # label, offset, count
+EDGE_BYTES = struct.calcsize("<IIQI")        # src, dst, count, preds
+PREDECESSOR_BYTES = struct.calcsize("<IQ")   # label, count
+
+
+def string_entry_bytes(value: str) -> int:
+    """Serialised bytes of one string-table entry."""
+    return STRING_PREFIX_BYTES + len(value.encode("utf-8"))
+
+
+def size_from_counts(string_bytes, nodes, visits, records, pairs, edges,
+                     predecessors):
+    """Serialised size of a graph with these element counts.
+
+    *string_bytes* sums :func:`string_entry_bytes` over the string table.
+    Plain arithmetic, so NumPy arrays of counts give every graph's size at
+    once.
+    """
+    return (HEADER_BYTES + string_bytes + NODE_BYTES * nodes
+            + VISIT_BYTES * visits + RECORD_BYTES * records
+            + PAIR_BYTES * pairs + EDGE_BYTES * edges
+            + PREDECESSOR_BYTES * predecessors)
+
+
 def adcfg_size_bytes(graph: ADCFG) -> int:
     """Serialised size of *graph* (trace-size accounting for Fig. 5).
 
@@ -277,25 +312,14 @@ def adcfg_size_bytes(graph: ADCFG) -> int:
     build-and-discard serialisation a measurable slice of replica-batched
     recording.
     """
-    # header: magic + (version u16, threads u32, warps u32)
-    size = 4 + 10
-    # string table: u32 count, then u16 length + UTF-8 bytes each
-    size += 4
-    for s in _collect_strings(graph):
-        size += 2 + len(s.encode("utf-8"))
-    # identity + name indices
-    size += 8
-    # nodes: u32 count; per node (IQI)=16, per visit u32, per record
-    # (BBI)=6 plus (IqQ)=20 per access-count pair
-    size += 4
+    visits = records = pairs = 0
     for node in graph.nodes.values():
-        size += 16
+        visits += len(node.visits)
         for slots in node.visits:
-            size += 4
+            records += len(slots)
             for record in slots:
-                size += 6 + 20 * len(record.counts)
-    # edges: u32 count; per edge (IIQI)=20 plus (IQ)=12 per predecessor
-    size += 4
-    for edge in graph.edges.values():
-        size += 20 + 12 * len(edge.prev_counts)
-    return size
+                pairs += len(record.counts)
+    return size_from_counts(
+        sum(map(string_entry_bytes, _collect_strings(graph))),
+        len(graph.nodes), visits, records, pairs, len(graph.edges),
+        sum(len(edge.prev_counts) for edge in graph.edges.values()))

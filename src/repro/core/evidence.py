@@ -20,7 +20,7 @@ histograms for the device-leakage tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.adcfg.graph import ADCFG
 from repro.adcfg.merge import merge_adcfg_into
@@ -119,41 +119,58 @@ class Evidence:
         self.slots = new_slots
         self.num_runs += 1
 
-    def add_trace_repeated(self, trace: ProgramTrace, count: int) -> None:
-        """Fold *count* byte-identical repetitions of *trace* in one pass.
+    def add_segment(self, first: ProgramTrace, runs: int,
+                    rest: Optional[Sequence[Sequence[Tuple[ADCFG, int]]]]
+                    = None) -> None:
+        """Fold *runs* consecutive runs that share *first*'s kernel sequence.
 
-        Replica batching deduplicates equal-input runs on a deterministic
-        device into ``(trace, count)`` groups; this applies the group in
-        O(1) alignments instead of *count*.  Exactly equivalent to calling
-        :meth:`add_trace` *count* times: after the first fold the trace's
-        kernel sequence is a subsequence of the identity sequence, so the
-        remaining ``count - 1`` scripts contain only EQUAL and DELETE
-        steps (slot order never changes), and every merged attribute is an
-        additive count that scales linearly.
+        Exactly equivalent to calling :meth:`add_trace` once per run.  The
+        first run *is* *first* and folds as :meth:`add_trace` folds it.
+        After that fold the kernel sequence is a subsequence of the
+        identity sequence, so each remaining run's script against the
+        evidence has only EQUAL and DELETE steps; none changes the slot
+        order, so it is one script for all of them — the *second*
+        alignment, taken against the slots the first fold left (the first
+        run's own script also inserts slots, so it cannot be reused).  The
+        remaining runs fold as one step along it: every merged attribute
+        is an additive count.
+
+        ``rest[p]`` lists ``(graph, scale)`` pairs whose scaled sum is the
+        remaining runs' graphs at kernel position *p*.  They merge in
+        order, so a run order kept across the pairs puts every node, edge
+        and key at the place the per-run folds give it.  ``None`` means the
+        remaining runs repeat *first* (deduplicated equal inputs) — the
+        only form per-run evidence accepts, since it keeps each run's
+        graphs.
         """
-        if count < 1:
-            raise ConfigError(f"repetition count must be >= 1, got {count}")
-        self.add_trace(trace)
-        remaining = count - 1
+        if runs < 1:
+            raise ConfigError(f"repetition count must be >= 1, got {runs}")
+        if rest is not None and self.keep_per_run:
+            raise ConfigError(
+                "per-run evidence keeps every run's graphs: fold the runs "
+                "with add_trace")
+        self.add_trace(first)
+        remaining = runs - 1
         if remaining == 0:
             return
-        script = myers_diff(self.identity_sequence, trace.kernel_sequence)
-        if any(step.op is EditOp.INSERT for step in script):
-            # cannot happen after the fold above; keep the slow path as a
-            # defensive reference rather than corrupting slot order
-            for _ in range(remaining):
-                self.add_trace(trace)
-            return
+        graphs = [invocation.adcfg for invocation in first.invocations]
+        if rest is None:
+            rest = [[(graph, remaining)] for graph in graphs]
+        script = myers_diff(self.identity_sequence, first.kernel_sequence)
         for step in script:
+            if step.op is EditOp.INSERT:
+                raise AssertionError(
+                    "a kernel sequence aligned with an INSERT right after "
+                    "its own fold")
             slot = self.slots[step.a_index]
             if step.op is EditOp.EQUAL:
-                invocation = trace.invocations[step.b_index]
                 slot.per_run_present.extend([True] * remaining)
-                merge_adcfg_into(slot.adcfg, invocation.adcfg,
-                                 scale=remaining)
+                for graph, scale in rest[step.b_index]:
+                    merge_adcfg_into(slot.adcfg, graph, scale=scale)
                 if slot.per_run_graphs is not None:
+                    graph = graphs[step.b_index]
                     slot.per_run_graphs.extend(
-                        invocation.adcfg.copy() for _ in range(remaining))
+                        graph.copy() for _ in range(remaining))
             else:  # DELETE
                 slot.per_run_present.extend([False] * remaining)
                 if slot.per_run_graphs is not None:

@@ -131,6 +131,15 @@ class ChunkStats:
         self.trace_bytes_total += trace.trace_size_bytes() * count
         self.trace_seconds_total += seconds * count
 
+    def add_folded(self, folded, seconds: float) -> None:
+        """Account one batch recorded straight into evidence
+        (:class:`~repro.tracing.replica.FoldedBatch`) over *seconds*."""
+        self.trace_count += folded.runs
+        self.trace_bytes_total += folded.trace_bytes
+        self.trace_seconds_total += seconds - folded.evidence_seconds
+        self.evidence_seconds += folded.evidence_seconds
+        self.add_replica_stats(folded.stats)
+
     def add_replica_stats(self, replica_stats) -> None:
         self.replica_dedup_runs += replica_stats.dedup_runs
         self.replica_fused_groups += replica_stats.fused_groups
@@ -234,18 +243,31 @@ def _record_evidence_chunk(
 
     Each trace is dropped as soon as it is merged, so worker peak RAM is one
     trace plus the growing partial evidence — the streaming fold that keeps
-    the Table IV memory column flat at high run counts.
+    the Table IV memory column flat at high run counts.  Replica batches
+    build no per-run trace at all (:func:`repro.tracing.replica.fold_grouped`)
+    unless the evidence keeps per-run graphs.
     """
     stats = ChunkStats()
     evidence = Evidence(keep_per_run=keep_per_run)
     batches = None if buffered else _replica_batches(values, replica_batch)
+    if batches is not None and not keep_per_run:
+        from repro.tracing.replica import fold_grouped
+
+        for batch in batches:
+            started = time.perf_counter()
+            folded = fold_grouped(program, batch, evidence,
+                                  device_config=device_config,
+                                  columnar=columnar, cohort=cohort,
+                                  dedup=replica_dedup)
+            stats.add_folded(folded, time.perf_counter() - started)
+        return evidence, stats
     if batches is not None:
         for trace, count, per_run in _record_grouped_batches(
                 program, device_config, batches, columnar, cohort,
                 replica_dedup, stats):
             stats.add_trace(trace, per_run, count=count)
             folded = time.perf_counter()
-            evidence.add_trace_repeated(trace, count)
+            evidence.add_segment(trace, count)
             stats.evidence_seconds += time.perf_counter() - folded
         return evidence, stats
     recorder = TraceRecorder(device_config=device_config, buffered=buffered,

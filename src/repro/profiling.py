@@ -11,8 +11,10 @@ record into it only while one is active, so the default path pays a single
   reports it net of ``adcfg_fold``);
 * ``adcfg_fold``     — the A-DCFG monitor's per-event folding work, plus
   the one lane-grid fold of each fused replica launch
-  (:func:`repro.adcfg.builder.fold_lane_grid`), which is charged to
-  ``event_emit`` as well so it stays out of ``kernel_execute``;
+  (:func:`repro.adcfg.builder.fold_lane_grid`) and the graphs built from
+  those folds — per member in phase 1, per segment when a phase-3 batch
+  ends (:func:`repro.tracing.replica.fold_grouped`); these are charged to
+  ``event_emit`` as well so they stay out of ``kernel_execute``;
 * the analysis phases (``analysis``, ``evidence_fold``) come from the
   pipeline's existing :class:`PhaseStats` rather than from hooks.
 

@@ -166,9 +166,10 @@ class WarpTraceMonitor:
 
         The replica engine folds a fused launch for all its members at
         once (:func:`repro.adcfg.builder.fold_lane_grid`) and hands each
-        member's monitor its finished graph between the launch's begin
-        and end events; the graph takes the launch's identity, and the end
-        event completes it as usual.
+        member's monitor its finished graph — in phase 3 an empty stand-in,
+        the graph staying in the fold — between the launch's begin and end
+        events; the graph takes the launch's identity, and the end event
+        completes it as usual.
         """
         builder = self._require_builder()
         graph.kernel_identity = builder.graph.kernel_identity

@@ -20,7 +20,7 @@ layers:
    flow between replicas is handled by the cohort engine's existing
    sub-cohort splitting + :class:`~repro.gpusim.memory.WriteJournal`
    rollback.  The finished launch is folded once, straight from the
-   lane grid's records, into every member's A-DCFG
+   lane grid's records, for every member
    (:func:`~repro.adcfg.builder.fold_lane_grid`) — the graphs each
    member's monitor would fold from its own per-warp event stream, so
    evidence, store fingerprints and degradation ladders are untouched.
@@ -28,6 +28,15 @@ layers:
    only on the object (``columnar=False``) reference path, for a kernel
    with a planned ``batch_fold_error`` (the columnar → object rung), and
    for a launch the fold declines.
+
+Phase 1 needs every run's trace (:func:`record_grouped`).  Phase 3 needs
+only each side's evidence, so :func:`fold_grouped` builds no per-run
+trace: it keeps each fused launch's fold and, once the batch is done,
+folds each *segment* — consecutive runs with one kernel sequence — into
+the evidence in one step (:meth:`~repro.core.evidence.Evidence.add_segment`),
+each kernel position's graph summed across the segment's runs in NumPy
+before any dict is built.  The result is the evidence the per-run fold
+builds, byte for byte.
 
 Equivalence envelope
 --------------------
@@ -44,15 +53,25 @@ re-recording of the whole batch, each rung byte-identical by contract.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro import profiling
-from repro.adcfg.builder import ReplicaLayout, fold_lane_grid
+from repro.adcfg.builder import LaneGridFold, ReplicaLayout, fold_lane_grid
 from repro.adcfg.graph import ADCFG
+from repro.adcfg.serialize import adcfg_size_bytes
 from repro.errors import CohortEnvelopeError
 from repro.gpusim.cohort import CohortContext, CohortSplit, ReplicaBuffer
 from repro.gpusim.context import SimtDivergenceError
@@ -74,6 +93,9 @@ from repro.tracing.recorder import (
     KernelInvocation,
     _SessionTracer,
 )
+
+if TYPE_CHECKING:
+    from repro.core.evidence import Evidence
 
 
 class _ReplicaAbort(BaseException):
@@ -107,6 +129,18 @@ class ReplicaStats:
         self.fused_groups += other.fused_groups
         self.fused_launches += other.fused_launches
         self.fallback_launches += other.fallback_launches
+
+
+@dataclass
+class FoldedBatch:
+    """One batch of runs recorded straight into evidence (:func:`fold_grouped`)."""
+
+    runs: int
+    #: serialised size of the runs' traces (Table IV), each run counted
+    trace_bytes: int
+    #: seconds spent inside the evidence's folds
+    evidence_seconds: float
+    stats: ReplicaStats
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +264,11 @@ class _ReplicaSession:
         self.runtime.attach_tracer(self.tracer)
 
         self.pending: Optional[_PendingLaunch] = None
+        #: launch position -> (its fused launch's fold, this replica's
+        #: slot in it), for launches whose graph the monitor never built,
+        #: and those graphs' serialised bytes
+        self.folded: Dict[int, Tuple[LaneGridFold, int]] = {}
+        self.folded_bytes = 0
         self.finished = False
         self.error: Optional[BaseException] = None
         self.abort = False
@@ -285,14 +324,21 @@ class _ReplicaSession:
             self._resume.set()
         self._thread.join(timeout=30.0)
 
-    def finish_trace(self) -> ProgramTrace:
-        """Join host and device observations, as the serial recorder does."""
+    def finish_graphs(self) -> List[ADCFG]:
+        """The monitor's graph of every launch, checked against the host's
+        launches (a folded launch's graph is an empty stand-in)."""
         graphs = self.monitor.finish()
         launches = self.tracer.launch_records
         if len(graphs) != len(launches):
             raise RecordingError(
                 f"host saw {len(launches)} launches but device produced "
                 f"{len(graphs)} kernel traces")
+        return graphs
+
+    def trace(self, graphs: Sequence[ADCFG]) -> ProgramTrace:
+        """Join host and device observations, as the serial recorder
+        does, with *graphs* as the launches' graphs."""
+        launches = self.tracer.launch_records
         invocations = [
             KernelInvocation(identity=launch.identity,
                              kernel_name=launch.kernel_name, seq=launch.seq,
@@ -303,6 +349,16 @@ class _ReplicaSession:
         return ProgramTrace(invocations=invocations,
                             malloc_records=list(self.tracer.malloc_records),
                             launch_records=list(launches))
+
+    def trace_bytes(self, graphs: List[ADCFG]) -> int:
+        """:meth:`ProgramTrace.trace_size_bytes` of :meth:`trace`, without
+        building the folded launches' graphs."""
+        return (sum(r.size_bytes() for r in self.tracer.malloc_records)
+                + sum(r.size_bytes() for r in self.tracer.launch_records)
+                + self.folded_bytes
+                + sum(adcfg_size_bytes(graph)
+                      for position, graph in enumerate(graphs)
+                      if position not in self.folded))
 
 
 # ----------------------------------------------------------------------
@@ -322,37 +378,83 @@ def _alias_pattern(args: tuple) -> tuple:
 
 
 class _ReplicaCohortEngine:
-    """Runs several replica sessions, fusing compatible parked launches."""
+    """Runs several replica sessions, fusing compatible parked launches.
+
+    With ``keep_folds`` a folded launch's graphs are never built per
+    member: each session keeps the launch's fold for :meth:`fold_batch`.
+    """
 
     def __init__(self, config: DeviceConfig, columnar: bool,
-                 cohort: bool) -> None:
+                 cohort: bool, keep_folds: bool = False) -> None:
         self._config = config
         self._columnar = columnar
         self._cohort = cohort
+        self._keep_folds = keep_folds
         self.stats = ReplicaStats()
 
     def record_batch(self, program: Program,
                      values: Sequence[object]) -> List[ProgramTrace]:
+        sessions = self._run(program, values)
+        try:
+            return [s.trace(s.finish_graphs()) for s in sessions]
+        except BaseException as error:
+            raise _BatchAbandoned(str(error)) from error
+
+    def fold_batch(self, program: Program, values: Sequence[object],
+                   counts: Sequence[int],
+                   evidence: "Evidence") -> Tuple[int, float]:
+        """Record *values* into *evidence*, value ``i`` standing for
+        ``counts[i]`` runs; returns the runs' trace bytes and the seconds
+        spent in the evidence's folds.
+
+        *evidence* is untouched until every session has finished and its
+        launches are accounted for, so an abandoned batch can still be
+        re-recorded serially.
+        """
+        sessions = self._run(program, values)
+        try:
+            try:
+                graphs = [s.finish_graphs() for s in sessions]
+            except BaseException as error:
+                raise _BatchAbandoned(str(error)) from error
+            with _charged_to_fold():
+                trace_bytes = sum(s.trace_bytes(session_graphs) * count
+                                  for s, session_graphs, count
+                                  in zip(sessions, graphs, counts))
+                segments = _segments(sessions, graphs, counts)
+            seconds = 0.0
+            for first, runs, rest in segments:
+                started = perf_counter()
+                evidence.add_segment(first, runs, rest)
+                seconds += perf_counter() - started
+            return trace_bytes, seconds
+        finally:
+            # sessions sit in reference cycles (device <-> session) that
+            # only the cyclic collector frees: let the folds' tables go now
+            for session in sessions:
+                session.folded.clear()
+
+    def _run(self, program: Program,
+             values: Sequence[object]) -> List["_ReplicaSession"]:
+        """Run one session per value to completion, or abandon the batch."""
         sessions = [_ReplicaSession(program, value, self._config,
                                     self._columnar, self._cohort)
                     for value in values]
         try:
             self._drive(sessions)
-        except _BatchAbandoned:
-            raise
+            failed = next((s for s in sessions if s.error is not None),
+                          None)
+            if failed is not None:
+                raise _BatchAbandoned(
+                    f"program raised {type(failed.error).__name__}: "
+                    f"{failed.error}")
         except BaseException as error:
+            # every abandon path releases the program threads still parked
             self._abort(sessions)
+            if isinstance(error, _BatchAbandoned):
+                raise
             raise _BatchAbandoned(str(error)) from error
-        failed = next((s for s in sessions if s.error is not None), None)
-        if failed is not None:
-            self._abort(sessions)
-            raise _BatchAbandoned(
-                f"program raised {type(failed.error).__name__}: "
-                f"{failed.error}")
-        try:
-            return [s.finish_trace() for s in sessions]
-        except BaseException as error:
-            raise _BatchAbandoned(str(error)) from error
+        return sessions
 
     # -- scheduling ----------------------------------------------------
 
@@ -569,14 +671,23 @@ class _ReplicaCohortEngine:
         for fused in fused_cache.values():
             fused.writeback()
 
-        graphs = None
+        fold = graphs = None
         if (self._columnar
                 and fault_injection.batch_fold_fault_for(kern.name) is None):
-            graphs = self._fold(group, kern, launch, contexts)
-        if graphs is None:
+            fold = self._fold(group, kern, launch, contexts)
+        if fold is None:
             payloads: Dict[int, tuple] = {}
             for ctx in contexts:
                 payloads.update(ctx.replay_events())
+        else:
+            with _charged_to_fold():
+                if self._keep_folds:
+                    sizes = fold.sizes([s.tracer.launch_records[-1].identity
+                                        for s in group]).tolist()
+                else:
+                    members = np.arange(len(group))
+                    graphs = fold.graphs(members, np.ones_like(members),
+                                         [kern.name] * len(group))
 
         # retire per member, in slot order: each session's monitor ends up
         # with exactly the graph its own serial launch would produce
@@ -589,6 +700,10 @@ class _ReplicaCohortEngine:
                 num_warps=launch.total_warps))
             if graphs is not None:
                 session.monitor.adopt_graph(graphs[slot])
+            elif fold is not None:
+                session.folded[len(session.monitor.completed)] = (fold, slot)
+                session.folded_bytes += sizes[slot]
+                session.monitor.adopt_graph(ADCFG(kern.name))
             else:
                 for position in range(warps):
                     events, batch = payloads[slot * warps + position]
@@ -603,17 +718,9 @@ class _ReplicaCohortEngine:
     @staticmethod
     def _fold(group: List["_ReplicaSession"], kern: Kernel,
               launch: LaunchConfig,
-              contexts: List[CohortContext]) -> Optional[List[ADCFG]]:
-        """Fold the finished launch into every member's A-DCFG at once.
-
-        Profiled as ``adcfg_fold``, and inside ``event_emit`` as well: it
-        stands in for the members' event emission and monitor folds, so
-        ``--profile`` nets it out of ``event_emit`` and ``kernel_execute``
-        (elapsed minus emit time) never contains it.
-        """
-        prof = profiling.profiler()
-        started = perf_counter()
-        try:
+              contexts: List[CohortContext]) -> Optional[LaneGridFold]:
+        """Fold the finished launch for every member at once."""
+        with _charged_to_fold():
             layouts = []
             for session in group:
                 memory = session.device.memory
@@ -624,11 +731,6 @@ class _ReplicaCohortEngine:
                     labels=session.tracer.labels))
             return fold_lane_grid(kern.name, launch.total_threads,
                                   launch.total_warps, contexts, layouts)
-        finally:
-            if prof is not None:
-                elapsed = perf_counter() - started
-                prof.add("adcfg_fold", elapsed)
-                prof.add("event_emit", elapsed)
 
     # -- teardown ------------------------------------------------------
 
@@ -637,9 +739,139 @@ class _ReplicaCohortEngine:
             session.shutdown()
 
 
+class _FoldGroups:
+    """Graphs asked of a batch's lane-grid folds, each summing a group of
+    one fold's members; :meth:`build` builds each fold's in one pass."""
+
+    def __init__(self) -> None:
+        #: id(fold) -> (fold, group of each member, weight of each
+        #: member, identity of each group)
+        self._plans: Dict[int, tuple] = {}
+        self._graphs: Dict[int, List[ADCFG]] = {}
+
+    def new(self, fold: LaneGridFold, identity: str) -> Tuple[int, int]:
+        """A new, empty group of *fold*'s members; returns its handle."""
+        plan = self._plans.get(id(fold))
+        if plan is None:
+            plan = self._plans[id(fold)] = (
+                fold, np.full(fold.members, -1, dtype=np.int64),
+                np.zeros(fold.members, dtype=np.int64), [])
+        plan[3].append(identity)
+        return id(fold), len(plan[3]) - 1
+
+    def join(self, handle: Tuple[int, int], slot: int, weight: int) -> None:
+        """Add member *slot*, taken *weight* times, to a group."""
+        _fold, groups, weights, _identities = self._plans[handle[0]]
+        groups[slot] = handle[1]
+        weights[slot] = weight
+
+    def build(self) -> None:
+        for key, (fold, groups, weights, identities) in self._plans.items():
+            self._graphs[key] = fold.graphs(groups, weights, identities)
+
+    def __getitem__(self, handle: Tuple[int, int]) -> ADCFG:
+        return self._graphs[handle[0]][handle[1]]
+
+
+def _segments(sessions: List["_ReplicaSession"],
+              graphs: List[List[ADCFG]], counts: Sequence[int]) -> list:
+    """Split a finished batch into segments, ready to fold.
+
+    A segment is a run of consecutive sessions whose kernel-identity
+    sequences are equal.  Returns, per segment, the arguments of
+    :meth:`~repro.core.evidence.Evidence.add_segment`: its first run's
+    trace, its run count and, per kernel position, ``(graph, scale)``
+    pairs summing its remaining runs.  Those are the first run's graph
+    scaled by its remaining dedup count, then one graph per stretch of
+    consecutive sessions folded by one fused launch, or the monitor's
+    graph of a session whose launch was not folded, in session order.
+    Every fold builds all the graphs asked of it in one pass.
+    """
+    sequences = [tuple(launch.identity for launch in s.tracer.launch_records)
+                 for s in sessions]
+    bounds = [i for i in range(len(sessions))
+              if i == 0 or sequences[i] != sequences[i - 1]]
+    groups = _FoldGroups()
+
+    def graph(i: int, position: int):
+        source = sessions[i].folded.get(position)
+        if source is None:
+            return graphs[i][position]
+        handle = groups.new(source[0], sequences[i][position])
+        groups.join(handle, source[1], 1)
+        return handle
+
+    plans = []
+    for start, end in zip(bounds, bounds[1:] + [len(sessions)]):
+        first = [graph(start, position)
+                 for position in range(len(sequences[start]))]
+        rest = []
+        for position, identity in enumerate(sequences[start]):
+            pairs = []
+            if counts[start] > 1:
+                pairs.append((first[position], counts[start] - 1))
+            stretch = None
+            for i in range(start + 1, end):
+                source = sessions[i].folded.get(position)
+                if source is None:
+                    pairs.append((graphs[i][position], counts[i]))
+                    stretch = None
+                    continue
+                if stretch is None or stretch[0] is not source[0]:
+                    stretch = (source[0], groups.new(source[0], identity))
+                    pairs.append((stretch[1], 1))
+                groups.join(stretch[1], source[1], counts[i])
+            rest.append(pairs)
+        plans.append((start, first, sum(counts[start:end]), rest))
+    groups.build()
+
+    def resolved(item):
+        return item if isinstance(item, ADCFG) else groups[item]
+
+    return [(sessions[start].trace([resolved(g) for g in first]), runs,
+             [[(resolved(g), scale) for g, scale in pairs] for pairs in rest]
+             if runs > 1 else None)
+            for start, first, runs, rest in plans]
+
+
+@contextmanager
+def _charged_to_fold() -> Iterator[None]:
+    """Profile the block as ``adcfg_fold``, and inside ``event_emit`` too.
+
+    Lane-grid folds and the graphs built from them stand in for the
+    members' event emission and monitor folds, so ``--profile`` nets them
+    out of ``event_emit``, and ``kernel_execute`` (a fused launch's
+    elapsed time minus its emit time) never contains them.
+    """
+    prof = profiling.profiler()
+    started = perf_counter()
+    try:
+        yield
+    finally:
+        if prof is not None:
+            elapsed = perf_counter() - started
+            prof.add("adcfg_fold", elapsed)
+            prof.add("event_emit", elapsed)
+
+
 # ----------------------------------------------------------------------
-# public entry point
+# public entry points
 # ----------------------------------------------------------------------
+
+def _replicas(values: Sequence[object], config: DeviceConfig,
+              dedup: bool) -> Tuple[List[object], List[int]]:
+    """Values to record and the runs each stands for."""
+    groups = group_values(values, dedup and device_is_deterministic(config))
+    return ([value for value, _count in groups],
+            [count for _value, count in groups])
+
+
+def _abandoned(abandoned: _BatchAbandoned, runs: int) -> None:
+    resilience_events.record_degradation(
+        resilience_events.REPLICA_TO_RUN, "replica",
+        f"replica batch abandoned, re-recording serially: {abandoned}",
+        runs=runs)
+
 
 def record_grouped(
         program: Program, values: Sequence[object],
@@ -661,27 +893,56 @@ def record_grouped(
     """
     config = device_config or DeviceConfig()
     values = list(values)
-    groups = group_values(values,
-                          dedup and device_is_deterministic(config))
-    reps = [value for value, _count in groups]
-    counts = [count for _value, count in groups]
+    reps, counts = _replicas(values, config, dedup)
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
-
-    if len(reps) < 2:
-        recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
-        traces = [recorder.record(program, value) for value in reps]
-        return list(zip(traces, counts)), stats
-
-    engine = _ReplicaCohortEngine(config, columnar, cohort)
-    try:
-        traces = engine.record_batch(program, reps)
-    except _BatchAbandoned as abandoned:
-        resilience_events.record_degradation(
-            resilience_events.REPLICA_TO_RUN, "replica",
-            f"replica batch abandoned, re-recording serially: {abandoned}",
-            runs=len(reps))
-        recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
-        traces = [recorder.record(program, value) for value in reps]
-        return list(zip(traces, counts)), stats
-    stats.merge(engine.stats)
+    if len(reps) >= 2:
+        engine = _ReplicaCohortEngine(config, columnar, cohort)
+        try:
+            traces = engine.record_batch(program, reps)
+        except _BatchAbandoned as abandoned:
+            _abandoned(abandoned, len(reps))
+        else:
+            stats.merge(engine.stats)
+            return list(zip(traces, counts)), stats
+    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+    traces = [recorder.record(program, value) for value in reps]
     return list(zip(traces, counts)), stats
+
+
+def fold_grouped(
+        program: Program, values: Sequence[object], evidence: "Evidence",
+        device_config: Optional[DeviceConfig] = None,
+        columnar: bool = True, cohort: bool = True, dedup: bool = False,
+) -> FoldedBatch:
+    """Record *values* as one replica batch, straight into *evidence*.
+
+    Leaves *evidence* exactly as folding the serial traces of *values*
+    one by one with :meth:`~repro.core.evidence.Evidence.add_trace`
+    would, and reports their summed trace size, without building a trace
+    per run.  ``dedup`` is as for :func:`record_grouped`.  *evidence*
+    must not keep per-run graphs: those need every run's trace.
+    """
+    config = device_config or DeviceConfig()
+    values = list(values)
+    reps, counts = _replicas(values, config, dedup)
+    stats = ReplicaStats(dedup_runs=len(values) - len(reps))
+    if len(reps) >= 2:
+        engine = _ReplicaCohortEngine(config, columnar, cohort,
+                                      keep_folds=True)
+        try:
+            trace_bytes, seconds = engine.fold_batch(program, reps, counts,
+                                                     evidence)
+        except _BatchAbandoned as abandoned:
+            _abandoned(abandoned, len(reps))
+        else:
+            stats.merge(engine.stats)
+            return FoldedBatch(len(values), trace_bytes, seconds, stats)
+    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+    trace_bytes, seconds = 0, 0.0
+    for value, count in zip(reps, counts):
+        trace = recorder.record(program, value)
+        trace_bytes += trace.trace_size_bytes() * count
+        started = perf_counter()
+        evidence.add_segment(trace, count)
+        seconds += perf_counter() - started
+    return FoldedBatch(len(values), trace_bytes, seconds, stats)

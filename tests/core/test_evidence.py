@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adcfg.graph import ADCFG, START_LABEL
+from repro.adcfg.merge import merge_adcfg_into
 from repro.core.evidence import Evidence, align_evidence
 from repro.gpusim import kernel
+from repro.store.serialize import serialize_evidence
 from repro.tracing import TraceRecorder
+from repro.tracing.recorder import KernelInvocation, ProgramTrace
 
 
 @kernel()
@@ -121,14 +127,14 @@ def assert_equivalent(a, b):
 
 
 class TestAddTraceRepeated:
-    """The O(1)-alignment repeated fold must equal count x add_trace —
-    the contract replica deduplication relies on."""
+    """A trace repeated *count* times, folded as one segment, must equal
+    count x add_trace — the contract replica deduplication relies on."""
 
     @pytest.mark.parametrize("keep_per_run", [False, True])
     def test_equals_serial_folds(self, record, keep_per_run):
         trace = record(1)
         batched = Evidence(keep_per_run=keep_per_run)
-        batched.add_trace_repeated(trace, 4)
+        batched.add_segment(trace, 4)
         serial = Evidence(keep_per_run=keep_per_run)
         for _ in range(4):
             serial.add_trace(trace)
@@ -137,7 +143,7 @@ class TestAddTraceRepeated:
     def test_count_one_is_plain_add(self, record):
         trace = record(1)
         batched = Evidence()
-        batched.add_trace_repeated(trace, 1)
+        batched.add_segment(trace, 1)
         serial = Evidence.from_traces([trace])
         assert_equivalent(batched, serial)
 
@@ -147,7 +153,7 @@ class TestAddTraceRepeated:
         wide, narrow = record(12), record(1)
         batched = Evidence(keep_per_run=True)
         batched.add_trace(wide)
-        batched.add_trace_repeated(narrow, 3)
+        batched.add_segment(narrow, 3)
         serial = Evidence(keep_per_run=True)
         for trace in [wide, narrow, narrow, narrow]:
             serial.add_trace(trace)
@@ -155,7 +161,7 @@ class TestAddTraceRepeated:
 
     def test_repetitions_then_divergent_run(self, record):
         batched = Evidence()
-        batched.add_trace_repeated(record(1), 3)
+        batched.add_segment(record(1), 3)
         batched.add_trace(record(12))
         serial = Evidence.from_traces(
             [record(1), record(1), record(1), record(12)])
@@ -164,4 +170,133 @@ class TestAddTraceRepeated:
     def test_invalid_count_rejected(self, record):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError, match="count"):
-            Evidence().add_trace_repeated(record(1), 0)
+            Evidence().add_segment(record(1), 0)
+
+
+# ----------------------------------------------------------------------
+# property: a segment folds like its runs one by one
+# ----------------------------------------------------------------------
+
+IDENTITIES = ("a@0", "b@0", "c@0")
+LABELS = ("x", "y", "z")
+
+
+@st.composite
+def graphs(draw, identity):
+    """A small A-DCFG: labels, slots and keys drawn in any order."""
+    graph = ADCFG(kernel_identity=identity, kernel_name=identity[0],
+                  total_threads=draw(st.integers(32, 64)), num_warps=1)
+    for label in draw(st.lists(st.sampled_from(LABELS), max_size=3)):
+        node = graph.node(label)
+        node.record_entry(draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(0, 2))):
+            node.record_access(
+                visit=draw(st.integers(0, 1)), instr=draw(st.integers(0, 2)),
+                space=draw(st.integers(0, 1)), is_store=draw(st.booleans()),
+                keys=draw(st.lists(st.tuples(st.sampled_from("de"),
+                                             st.integers(0, 3)),
+                                   min_size=1, max_size=4)))
+    for _ in range(draw(st.integers(0, 3))):
+        graph.edge(draw(st.sampled_from(LABELS)),
+                   draw(st.sampled_from(LABELS))).record(
+            prev_src=draw(st.sampled_from((START_LABEL, *LABELS))),
+            count=draw(st.integers(1, 3)))
+    return graph
+
+
+@st.composite
+def traces(draw, sequence):
+    return ProgramTrace(
+        invocations=[KernelInvocation(identity=identity,
+                                      kernel_name=identity[0], seq=seq,
+                                      grid=(1, 1, 1), block=(32, 1, 1),
+                                      adcfg=draw(graphs(identity)))
+                     for seq, identity in enumerate(sequence)],
+        malloc_records=[], launch_records=[])
+
+
+sequence_st = st.lists(st.sampled_from(IDENTITIES), max_size=4)
+
+
+@st.composite
+def segments(draw):
+    """Prior runs, then a segment: runs sharing one kernel sequence, each
+    standing for *weight* equal runs."""
+    prior = [draw(traces(draw(sequence_st)))
+             for _ in range(draw(st.integers(0, 3)))]
+    sequence = draw(sequence_st)
+    runs = [(draw(traces(sequence)), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 4)))]
+    return prior, runs
+
+
+def dict_orders(evidence):
+    return [(list(slot.adcfg.nodes), list(slot.adcfg.edges),
+             [list(edge.prev_counts) for edge in slot.adcfg.edges.values()],
+             [[list(record.counts) for record in slots]
+              for node in slot.adcfg.nodes.values()
+              for slots in node.visits])
+            for slot in evidence.slots]
+
+
+class TestSegmentFold:
+    """``add_segment`` ≡ ``add_trace`` per run, down to dict order.
+
+    The remaining runs arrive as the replica engine hands them over:
+    consecutive runs summed into one graph, or one run's graph scaled by
+    its weight.  Prior evidence and repeated identities put DELETE steps
+    and repeated-identity pairings into the second alignment.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=segments(), data=st.data())
+    def test_segment_equals_per_run_folds(self, case, data):
+        prior, runs = case
+        serial, segment = Evidence(), Evidence()
+        for trace in prior:
+            serial.add_trace(trace)
+            segment.add_trace(trace)
+        for trace, weight in runs:
+            for _ in range(weight):
+                serial.add_trace(trace)
+        first, first_weight = runs[0]
+        rest = [(trace, weight) for trace, weight
+                in [(first, first_weight - 1), *runs[1:]] if weight]
+        # split the remaining runs into consecutive groups: a group of one
+        # passes its graph scaled, a longer one one summed graph
+        joins = data.draw(st.lists(st.booleans(), min_size=len(rest),
+                                   max_size=len(rest)))
+        groups = []
+        for run, join in zip(rest, joins):
+            if join and groups:
+                groups[-1].append(run)
+            else:
+                groups.append([run])
+        pairs = []
+        for position, invocation in enumerate(first.invocations):
+            pairs.append([])
+            for group in groups:
+                if len(group) == 1:
+                    trace, weight = group[0]
+                    pairs[-1].append((trace.invocations[position].adcfg,
+                                      weight))
+                    continue
+                total = ADCFG(kernel_identity=invocation.identity,
+                              kernel_name=invocation.kernel_name)
+                for trace, weight in group:
+                    merge_adcfg_into(total,
+                                     trace.invocations[position].adcfg,
+                                     scale=weight)
+                pairs[-1].append((total, 1))
+        segment.add_segment(first, sum(weight for _t, weight in runs),
+                            pairs)
+        assert_equivalent(segment, serial)
+        assert serialize_evidence(segment) == serialize_evidence(serial)
+        assert dict_orders(segment) == dict_orders(serial)
+
+    def test_summed_rest_refused_by_per_run_evidence(self, record):
+        from repro.errors import ConfigError
+        trace = record(1)
+        with pytest.raises(ConfigError, match="per-run"):
+            Evidence(keep_per_run=True).add_segment(
+                trace, 2, [[(inv.adcfg, 1)] for inv in trace.invocations])

@@ -73,6 +73,21 @@ class TestProfile:
         assert (phases["kernel_execute"] + phases["event_emit"]
                 + phases["adcfg_fold"]) <= payload["total_seconds"]
 
+    def test_fused_aes_run_charges_its_folds(self, tmp_path, capsys):
+        """Phase 3 folds fused launches and builds their segment graphs
+        at batch end: both land in adcfg_fold, never in kernel_execute."""
+        path = tmp_path / "profile.json"
+        code = main(["aes", "--fixed-runs", "6", "--random-runs", "6",
+                     "--profile", str(path)])
+        capsys.readouterr()
+        assert code == 1
+        payload = json.loads(path.read_text())
+        assert payload["replica_batching"]["fused_launches"] > 0
+        phases = payload["phases_seconds"]
+        assert phases["adcfg_fold"] > 0
+        assert (phases["kernel_execute"] + phases["event_emit"]
+                + phases["adcfg_fold"]) <= payload["total_seconds"]
+
     def test_profile_composes_with_save_report(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         report = tmp_path / "report.json"

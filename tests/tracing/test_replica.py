@@ -9,12 +9,16 @@ for replica-divergent control flow, shared memory, impure programs,
 injected faults, and Hypothesis-drawn toy kernels.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.libgpucrypto import aes_program
+from repro.core.evidence import Evidence
 from repro.gpusim import DeviceConfig, kernel
 from repro.resilience import FaultPlan
 from repro.resilience.events import (
@@ -23,10 +27,12 @@ from repro.resilience.events import (
     collecting_degradations,
 )
 from repro.resilience.faults import activated
+from repro.store.serialize import serialize_evidence
 from repro.tracing import replica
 from repro.tracing.recorder import TraceRecorder
 from repro.tracing.replica import (
     device_is_deterministic,
+    fold_grouped,
     group_values,
     record_grouped,
 )
@@ -99,6 +105,29 @@ def load_or_store_kernel(k, data, out):
         k.load(data, tid % DATA_SIZE)
     else:
         k.store(out, tid % DATA_SIZE, tid)
+
+
+SCATTER_SIZE = 1 << 16
+
+
+@kernel()
+def scatter_kernel(k, data, out):
+    """Every member reads far-apart addresses of its own on 16 loop
+    visits: sparse keys, few of them shared between members."""
+    k.block("entry")
+    tid = k.global_tid()
+    secret = k.load(data, 0)
+    for i in k.range_("loop", k.uniform(16 + k.lane * 0)):
+        k.load(data, (tid * 97 + i * 4099 + secret * 7919) % SCATTER_SIZE)
+
+
+def scatter_program(rt, value):
+    data = rt.cudaMalloc(SCATTER_SIZE, label="data")
+    seeded = np.zeros(SCATTER_SIZE, dtype=np.int64)
+    seeded[0] = int(value)
+    rt.cudaMemcpyHtoD(data, seeded)
+    out = rt.cudaMalloc(DATA_SIZE, label="out")
+    rt.cuLaunchKernel(scatter_kernel, 1, 64, data, out)
 
 
 divergent_program = make_program(divergent_kernel)
@@ -257,6 +286,36 @@ class TestRecordGroupedEquivalence:
         with pytest.raises(ValueError, match="boom"):
             record_grouped(exploding, [1, 2, 3])
 
+    @pytest.mark.parametrize("entry", ["record_grouped", "fold_grouped"])
+    def test_abandoned_batch_releases_parked_programs(self, entry):
+        """One program raising after its first launch abandons the batch
+        while the others are parked at their second: every session's
+        thread must end, not wait forever holding its device."""
+        def exploding(rt, value):
+            divergent_program(rt, value)
+            if value == 2:
+                raise ValueError("boom")
+            divergent_program(rt, value)
+
+        def record():
+            if entry == "record_grouped":
+                record_grouped(exploding, [1, 2, 3, 4])
+            else:
+                fold_grouped(exploding, [1, 2, 3, 4], Evidence())
+
+        def started_since():
+            return [thread for thread in threading.enumerate()
+                    if thread not in before]
+
+        before = set(threading.enumerate())
+        for _ in range(3):
+            with pytest.raises(ValueError, match="boom"):
+                record()
+        deadline = time.monotonic() + 10.0
+        while started_since() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started_since() == []
+
 
 class TestFaultInjection:
     def test_replica_violation_degrades_and_stays_identical(self):
@@ -283,6 +342,41 @@ class TestFaultInjection:
         assert replica == serial_signatures(aes_program, values)
         assert log.counts_by_kind().get(COLUMNAR_TO_OBJECT, 0) >= 1
         assert stats.fused_launches == len(values)
+
+    @pytest.mark.parametrize("fault", [
+        "batch_fold_error", "replica_violation:launch=0",
+        "cohort_violation:launch=0"])
+    def test_evidence_fold_merges_uncovered_launches(self, fault):
+        """Replayed or unfused launches have monitor-built graphs, which
+        the segment fold merges run by run: the evidence still equals the
+        per-run fold's."""
+        values = [bytes(range(16)), bytes(range(16)), bytes(range(1, 17)),
+                  bytes(range(2, 18))]
+        recorder = TraceRecorder()
+        serial = Evidence.from_traces(recorder.record(aes_program, value)
+                                      for value in values)
+        folded = Evidence()
+        with collecting_degradations() as log:
+            with activated(FaultPlan.parse(fault)):
+                batch = fold_grouped(aes_program, values, folded)
+        assert len(log) > 0
+        assert batch.trace_bytes == sum(
+            recorder.record(aes_program, value).trace_size_bytes()
+            for value in values)
+        assert serialize_evidence(folded) == serialize_evidence(serial)
+
+    @pytest.mark.parametrize("program", [divergent_program, scatter_program],
+                             ids=["dense-keys", "sparse-keys"])
+    def test_evidence_fold_matches_per_run_fold(self, program):
+        values = [1, 2, 2, 3, 5]
+        recorder = TraceRecorder()
+        traces = [recorder.record(program, value) for value in values]
+        folded = Evidence()
+        batch = fold_grouped(program, values, folded)
+        assert batch.stats.fused_launches == len(values)
+        assert batch.trace_bytes == sum(t.trace_size_bytes() for t in traces)
+        assert serialize_evidence(folded) == serialize_evidence(
+            Evidence.from_traces(traces))
 
 
 class TestLaneGridFold:
