@@ -1,25 +1,26 @@
-"""Service transports head to head: unix socket vs HTTP/JSON front end.
+"""Service address kinds head to head: HTTP on a unix socket vs on TCP.
 
-Both transports are thin codecs over the same
+The service has one wire protocol, HTTP/JSON, on two address kinds: a
+unix-domain socket (``unix://PATH``, the CLI's default) and TCP
+(``http://HOST:PORT``).  Both serve the same
+:class:`~repro.service.http.HttpFrontEnd` over the same
 :class:`~repro.service.api.ServiceAPI`, so they must return identical
-payloads — this bench asserts that, then prices the difference.  The
-HTTP front end pays request parsing, header framing and (for ``watch``)
-chunked encoding per call; the JSON-lines socket pays one line each
-way.  Two measurements:
+payloads — this bench asserts that, then prices the difference, which
+is the socket alone.  Two measurements:
 
-* **light ops** — ``ping`` and ``status`` round trips per transport
+* **light ops** — ``ping`` and ``status`` round trips per address kind
   (connection per call, exactly how :class:`ServiceClient` works), as
   mean latency and ops/s;
 * **campaign e2e** — submit → wait → results for one dummy campaign
-  per transport, report bytes asserted identical across transports
-  *and* to a direct in-process ``Owl.detect``.
+  per address kind, report bytes asserted identical across kinds *and*
+  to a direct in-process ``Owl.detect``.
 
 Run modes:
 
 * ``pytest benchmarks/bench_http_transport.py --benchmark-only -s`` —
-  full measurement, asserts HTTP stays within 10x of the socket on
-  light ops (generous: it is a per-request TCP handshake vs a unix
-  connect, and correctness, not speed, is HTTP's job);
+  full measurement, asserts HTTP on TCP stays within 10x of HTTP on the
+  unix socket on light ops (generous: a per-request TCP handshake vs a
+  unix connect);
 * ``python benchmarks/bench_http_transport.py --smoke`` — one quick
   pass for CI: identity checks only, no latency bar.
 """
@@ -62,7 +63,7 @@ def _direct_report(runs: int, root: Path) -> str:
 
 
 class _LiveService:
-    """One scheduler + server thread on the given transport URL."""
+    """One scheduler + server thread on the given address URL."""
 
     def __init__(self, root: Path, url: str, address) -> None:
         self.scheduler = CampaignScheduler(
@@ -83,8 +84,8 @@ class _LiveService:
         self.thread.join(timeout=30)
 
 
-def _service(root: Path, transport: str) -> _LiveService:
-    if transport == "socket":
+def _service(root: Path, kind: str) -> _LiveService:
+    if kind == "unix":
         path = root / "owl.sock"
         return _LiveService(root, f"unix://{path}", ("unix", str(path)))
     port = _free_port()
@@ -124,35 +125,37 @@ def measure(smoke: bool = False):
     reports = {}
     try:
         expected = _direct_report(runs, root)
-        for transport in ("socket", "http"):
-            service = _service(root / transport, transport)
+        for kind in ("unix", "http"):
+            service = _service(root / kind, kind)
             try:
                 for op in ("ping", "status"):
                     total = light_op_seconds(service, op, calls)
-                    latency[(transport, op)] = total / calls
+                    latency[(kind, op)] = total / calls
                     light_rows.append(
-                        [transport, op, calls,
+                        [kind, op, calls,
                          f"{total / calls * 1e3:.3f}",
                          f"{calls / total:.0f}"])
                 e2e_s, report_json = campaign_seconds(service, runs)
-                reports[transport] = report_json
-                e2e_rows.append([transport, f"{runs}+{runs}",
+                reports[kind] = report_json
+                e2e_rows.append([kind, f"{runs}+{runs}",
                                  f"{e2e_s:.3f}"])
             finally:
                 service.stop()
-        for transport, report_json in reports.items():
+        assert reports["unix"] == reports["http"], \
+            "report payloads differ across address kinds"
+        for kind, report_json in reports.items():
             assert report_json == expected, \
-                f"{transport} report diverged from direct detect"
+                f"{kind} report diverged from direct detect"
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
     light = render_table(
-        f"Service transport light-op round trips ({calls} calls, "
+        f"HTTP light-op round trips per address kind ({calls} calls, "
         f"connection per call)",
-        ["transport", "op", "calls", "mean ms", "ops/s"], light_rows)
+        ["address", "op", "calls", "mean ms", "ops/s"], light_rows)
     e2e = render_table(
-        f"Campaign e2e through each transport ({WORKLOAD})",
-        ["transport", "runs", "e2e s"], e2e_rows)
+        f"Campaign e2e through each address kind ({WORKLOAD})",
+        ["address", "runs", "e2e s"], e2e_rows)
 
     text = light + "\n\n" + e2e
     print("\n" + text)
@@ -164,9 +167,9 @@ def measure(smoke: bool = False):
 def test_http_transport(benchmark=None):
     latency = measure()
     for op in ("ping", "status"):
-        ratio = latency[("http", op)] / latency[("socket", op)]
+        ratio = latency[("http", op)] / latency[("unix", op)]
         assert ratio < 10.0, \
-            f"http {op} {ratio:.1f}x slower than the socket (cap 10x)"
+            f"tcp {op} {ratio:.1f}x slower than the unix socket (cap 10x)"
 
 
 if __name__ == "__main__":
@@ -175,6 +178,6 @@ if __name__ == "__main__":
     if smoke:
         print("\nbit-identity checks passed (smoke mode: no latency bar)")
     else:
-        ratio = latency[("http", "ping")] / latency[("socket", "ping")]
-        print(f"\nbit-identity checks passed; http ping costs {ratio:.1f}x "
-              f"a socket ping")
+        ratio = latency[("http", "ping")] / latency[("unix", "ping")]
+        print(f"\nbit-identity checks passed; a tcp ping costs {ratio:.1f}x "
+              f"a unix-socket ping")

@@ -17,8 +17,8 @@ options::
     owl gc --store ./owl-store               # drop unreferenced blobs
 
 as well as the multi-tenant detection service (every service verb takes
-one ``--connect URL`` — ``unix:///path``, ``tcp://host:port``, or
-``http://host:port`` for the HTTP/JSON front end)::
+one ``--connect URL`` — ``unix:///path`` or ``http://host:port``; both
+carry the service's HTTP/JSON protocol)::
 
     owl serve --store ./owl-store --workers 4    # scheduler + worker fleet
     owl serve --store ./owl-store --connect http://0.0.0.0:8750 \
@@ -398,20 +398,14 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
 
 def _add_service_connection(parser: argparse.ArgumentParser,
                             for_serve: bool = False) -> None:
-    """``--connect URL`` (plus deprecated aliases), shared by the verbs."""
+    """``--connect URL`` (plus client credentials), shared by the verbs."""
     parser.add_argument("--connect", metavar="URL", default=None,
-                        help="service endpoint as a URL: unix:///path, "
-                             "tcp://host:port, or http://host:port "
+                        help="service endpoint as a URL: unix:///path or "
+                             "http://host:port "
                              + ("(default: unix socket at "
                                 "<queue>/owl.sock)" if for_serve
                                 else "(must match what owl serve "
                                      "listens on)"))
-    parser.add_argument("--socket", metavar="PATH", default=None,
-                        help="deprecated: use --connect unix://PATH")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="deprecated: use --connect tcp://HOST:PORT")
-    parser.add_argument("--port", type=int, default=None,
-                        help="deprecated: use --connect tcp://HOST:PORT")
     if not for_serve:
         parser.add_argument("--token", default=None,
                             help="bearer token for an authenticated "
@@ -851,26 +845,15 @@ def _service_address(parser: argparse.ArgumentParser,
                      args: argparse.Namespace,
                      queue_dir: Optional[Path] = None):
     from repro.errors import ConfigError
-    from repro.service.address import parse_address, parse_connect
-    if args.connect is not None:
-        if args.socket is not None or args.port is not None:
-            parser.error("--connect replaces --socket/--host/--port; "
-                         "pass only one form")
-        try:
-            return parse_connect(args.connect)
-        except ConfigError as error:
-            parser.error(str(error))
-    if args.socket is not None:
-        print(f"owl: --socket is deprecated; use "
-              f"--connect unix://{args.socket}", file=sys.stderr)
-        return parse_address(socket_path=args.socket)
-    if args.port is not None:
-        print(f"owl: --host/--port are deprecated; use "
-              f"--connect tcp://{args.host}:{args.port}", file=sys.stderr)
-        return parse_address(host=args.host, port=args.port)
-    if queue_dir is None:
-        parser.error("pass --connect URL to reach the service")
-    return parse_address(socket_path=str(queue_dir / "owl.sock"))
+    from repro.service.address import parse_connect
+    if args.connect is None:
+        if queue_dir is None:
+            parser.error("pass --connect URL to reach the service")
+        return ("unix", str(queue_dir / "owl.sock"))
+    try:
+        return parse_connect(args.connect)
+    except ConfigError as error:
+        parser.error(str(error))
 
 
 def _service_client(parser: argparse.ArgumentParser,

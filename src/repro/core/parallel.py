@@ -158,61 +158,41 @@ class ChunkStats:
         self.degradations.extend(other.degradations)
 
 
-def _replica_batches(values: Sequence[object],
-                     replica_batch) -> Optional[List[Sequence[object]]]:
-    """Partition *values* into replica batches (None = serial reference).
-
-    ``True`` batches the whole chunk; an int ``n >= 2`` caps batches at
-    *n* runs; ``False`` / ``None`` / ``n <= 1`` keep the per-run loop.
-    """
-    if len(values) <= 1:
-        return None
-    if replica_batch is True:
-        size = len(values)
-    elif isinstance(replica_batch, bool) or replica_batch is None:
-        return None
-    elif isinstance(replica_batch, int) and replica_batch >= 2:
-        size = replica_batch
-    else:
-        return None
-    return [values[start:start + size]
-            for start in range(0, len(values), size)]
-
-
-def _record_grouped_batches(
+def _record_grouped_batch(
         program: Program, device_config: Optional[DeviceConfig],
-        batches: List[Sequence[object]], columnar: bool, cohort: bool,
+        values: Sequence[object], columnar: bool, cohort: bool,
         dedup: bool,
         stats: ChunkStats) -> List[Tuple[ProgramTrace, int, float]]:
-    """Record replica batches; yields ``(trace, count, per_run_seconds)``."""
+    """Record a chunk as one replica batch: ``(trace, count,
+    per_run_seconds)`` per group of equal runs."""
     from repro.tracing.replica import record_grouped
 
-    out: List[Tuple[ProgramTrace, int, float]] = []
-    for batch in batches:
-        started = time.perf_counter()
-        groups, replica_stats = record_grouped(
-            program, batch, device_config=device_config,
-            columnar=columnar, cohort=cohort, dedup=dedup)
-        elapsed = time.perf_counter() - started
-        stats.add_replica_stats(replica_stats)
-        total_runs = sum(count for _trace, count in groups)
-        per_run = elapsed / total_runs if total_runs else 0.0
-        out.extend((trace, count, per_run) for trace, count in groups)
-    return out
+    started = time.perf_counter()
+    groups, replica_stats = record_grouped(
+        program, values, device_config=device_config,
+        columnar=columnar, cohort=cohort, dedup=dedup)
+    elapsed = time.perf_counter() - started
+    stats.add_replica_stats(replica_stats)
+    total_runs = sum(count for _trace, count in groups)
+    per_run = elapsed / total_runs if total_runs else 0.0
+    return [(trace, count, per_run) for trace, count in groups]
 
 
 def _record_trace_chunk(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], buffered: bool, columnar: bool,
-        cohort: bool, replica_batch=False, replica_dedup: bool = False,
+        values: Sequence[object], columnar: bool, cohort: bool,
+        replica_batch: bool = False, replica_dedup: bool = False,
 ) -> Tuple[List[ProgramTrace], ChunkStats]:
-    """Worker body for phase 1: record and return the raw traces."""
+    """Worker body for phase 1: record and return the raw traces.
+
+    With ``replica_batch`` a chunk of two or more runs records as one
+    replica batch; otherwise each run records on its own (the reference).
+    """
     stats = ChunkStats()
     traces: List[ProgramTrace] = []
-    batches = None if buffered else _replica_batches(values, replica_batch)
-    if batches is not None:
-        for trace, count, per_run in _record_grouped_batches(
-                program, device_config, batches, columnar, cohort,
+    if replica_batch and len(values) > 1:
+        for trace, count, per_run in _record_grouped_batch(
+                program, device_config, values, columnar, cohort,
                 replica_dedup, stats):
             stats.add_trace(trace, per_run, count=count)
             # pre-compute the digest so the phase-2 grouping in the parent
@@ -220,7 +200,7 @@ def _record_trace_chunk(
             trace.signature()
             traces.extend([trace] * count)
         return traces, stats
-    recorder = TraceRecorder(device_config=device_config, buffered=buffered,
+    recorder = TraceRecorder(device_config=device_config,
                              columnar=columnar, cohort=cohort)
     for value in values:
         started = time.perf_counter()
@@ -235,42 +215,42 @@ def _record_trace_chunk(
 
 def _record_evidence_chunk(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], keep_per_run: bool, buffered: bool,
-        columnar: bool, cohort: bool, replica_batch=False,
+        values: Sequence[object], keep_per_run: bool, columnar: bool,
+        cohort: bool, replica_batch: bool = False,
         replica_dedup: bool = False,
 ) -> Tuple[Evidence, ChunkStats]:
     """Worker body for phase 3: fold the chunk's runs into partial evidence.
 
     Each trace is dropped as soon as it is merged, so worker peak RAM is one
     trace plus the growing partial evidence — the streaming fold that keeps
-    the Table IV memory column flat at high run counts.  Replica batches
-    build no per-run trace at all (:func:`repro.tracing.replica.fold_grouped`)
-    unless the evidence keeps per-run graphs.
+    the Table IV memory column flat at high run counts.  A replica batch
+    (``replica_batch`` and two or more runs) builds no per-run trace at
+    all (:func:`repro.tracing.replica.fold_grouped`) unless the evidence
+    keeps per-run graphs.
     """
     stats = ChunkStats()
     evidence = Evidence(keep_per_run=keep_per_run)
-    batches = None if buffered else _replica_batches(values, replica_batch)
-    if batches is not None and not keep_per_run:
+    batched = replica_batch and len(values) > 1
+    if batched and not keep_per_run:
         from repro.tracing.replica import fold_grouped
 
-        for batch in batches:
-            started = time.perf_counter()
-            folded = fold_grouped(program, batch, evidence,
-                                  device_config=device_config,
-                                  columnar=columnar, cohort=cohort,
-                                  dedup=replica_dedup)
-            stats.add_folded(folded, time.perf_counter() - started)
+        started = time.perf_counter()
+        folded = fold_grouped(program, values, evidence,
+                              device_config=device_config,
+                              columnar=columnar, cohort=cohort,
+                              dedup=replica_dedup)
+        stats.add_folded(folded, time.perf_counter() - started)
         return evidence, stats
-    if batches is not None:
-        for trace, count, per_run in _record_grouped_batches(
-                program, device_config, batches, columnar, cohort,
+    if batched:
+        for trace, count, per_run in _record_grouped_batch(
+                program, device_config, values, columnar, cohort,
                 replica_dedup, stats):
             stats.add_trace(trace, per_run, count=count)
             folded = time.perf_counter()
             evidence.add_segment(trace, count)
             stats.evidence_seconds += time.perf_counter() - folded
         return evidence, stats
-    recorder = TraceRecorder(device_config=device_config, buffered=buffered,
+    recorder = TraceRecorder(device_config=device_config,
                              columnar=columnar, cohort=cohort)
     for value in values:
         started = time.perf_counter()
@@ -299,16 +279,15 @@ class TraceRecordingPool:
 
     def __init__(self, program: Program,
                  device_config: Optional[DeviceConfig] = None,
-                 workers: WorkerSpec = 1, buffered: bool = False,
+                 workers: WorkerSpec = 1,
                  columnar: bool = True, cohort: bool = True, *,
-                 replica_batch=False, replica_dedup: bool = False,
+                 replica_batch: bool = False, replica_dedup: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  seed: int = 0) -> None:
         self.program = program
         self.device_config = device_config
         self.workers = resolve_workers(workers)
-        self.buffered = buffered
         self.columnar = columnar
         self.cohort = cohort
         self.replica_batch = replica_batch
@@ -326,8 +305,8 @@ class TraceRecordingPool:
         """Record one trace per value (phase 1: traces are kept)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_trace_chunk, values,
-                                      (self.buffered, self.columnar,
-                                       self.cohort, self.replica_batch,
+                                      (self.columnar, self.cohort,
+                                       self.replica_batch,
                                        self.replica_dedup))
         traces: List[ProgramTrace] = []
         stats = ChunkStats()
@@ -343,8 +322,8 @@ class TraceRecordingPool:
         """Record runs and fold them straight into one evidence (phase 3)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_evidence_chunk, values,
-                                      (keep_per_run, self.buffered,
-                                       self.columnar, self.cohort,
+                                      (keep_per_run, self.columnar,
+                                       self.cohort,
                                        self.replica_batch,
                                        self.replica_dedup))
         evidence: Optional[Evidence] = None

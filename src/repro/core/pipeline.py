@@ -125,11 +125,11 @@ class OwlConfig:
     #: ``(trace, count)`` groups, and the remaining distinct runs execute
     #: their kernel launches as extra rows of the warp-cohort lane grid —
     #: one NumPy pass per group of compatible launches.  ``True`` batches
-    #: a whole side's runs together, an int ``n >= 2`` caps the batch
-    #: size, and ``False`` keeps the per-run recording loop as the
-    #: reference.  Reports are byte-identical either way; excluded from
-    #: store fingerprints, like ``cohort``.
-    replica_batch: Union[bool, int] = True
+    #: each recorded chunk of a side's runs together, and ``False`` keeps
+    #: the per-run recording loop as the reference.  Reports are
+    #: byte-identical either way; excluded from store fingerprints, like
+    #: ``cohort``.
+    replica_batch: bool = True
     #: additionally collapse consecutive equal-input runs into a single
     #: recording (O(1) work for the whole fixed side).  Only sound when
     #: the program is a pure function of ``(rt, value)``: a program that
@@ -215,12 +215,9 @@ class OwlConfig:
             raise ConfigError(
                 f"sample_size_cap must be a positive int or None, got "
                 f"{self.sample_size_cap!r}")
-        if not isinstance(self.replica_batch, (bool, int)) or (
-                not isinstance(self.replica_batch, bool)
-                and self.replica_batch < 1):
+        if not isinstance(self.replica_batch, bool):
             raise ConfigError(
-                f"replica_batch must be a bool or a positive int, got "
-                f"{self.replica_batch!r}")
+                f"replica_batch must be a bool, got {self.replica_batch!r}")
         if not isinstance(self.replica_dedup, bool):
             raise ConfigError(
                 f"replica_dedup must be a bool, got {self.replica_dedup!r}")

@@ -1,9 +1,10 @@
 """The distributed detection service: campaigns sharded across a fleet.
 
 ``owl serve`` runs a :class:`~repro.service.scheduler.CampaignScheduler`
-behind an asyncio socket front end
-(:class:`~repro.service.server.ServiceServer`); tenants submit named
-workloads with ``owl submit`` and poll ``owl status`` / ``owl results``.
+behind an asyncio HTTP/JSON front end
+(:class:`~repro.service.server.ServiceServer`) on a unix socket or on
+TCP; tenants submit named workloads with ``owl submit`` and poll
+``owl status`` / ``owl results``, or call :class:`ServiceClient`.
 Campaigns decompose into durable :class:`~repro.service.units.WorkUnit`
 specs in a crash-safe :class:`~repro.service.queue.JobQueue`, executed by
 a supervised :class:`~repro.service.fleet.WorkerFleet` (or the scheduler

@@ -1,27 +1,23 @@
-"""One connection-addressing scheme for every service transport.
+"""Where the service listens: one URL scheme per address kind.
 
-The redesigned surface is a single ``--connect URL`` (CLI) /
-``ServiceClient(url)`` (library) accepting::
+``--connect URL`` (CLI) and ``ServiceClient(url)`` (library) accept::
 
-    unix:///path/to/owl.sock     JSON-lines over a unix-domain socket
-    tcp://host:port              JSON-lines over TCP
-    http://host:port             the HTTP/JSON front end
+    unix:///path/to/owl.sock     HTTP/JSON over a unix-domain socket
+    http://host[:port]           HTTP/JSON over TCP (port defaults to 8750)
 
-Internally every transport still resolves to the historical ``Address``
-tuple ``(kind, target)`` — ``("unix", path)``, ``("tcp", (host, port))``
-or ``("http", (host, port))`` — so pre-redesign call sites keep working
-unchanged.  A bare filesystem path (no scheme) is accepted as a unix
-socket for convenience.
+Both kinds carry the same HTTP/JSON protocol; only the socket differs.
+A bare filesystem path (no scheme) reads as a unix socket.  Each URL
+resolves to an ``Address`` tuple ``(kind, target)``: ``("unix", path)``
+or ``("http", (host, port))``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigError
 
-#: (kind, target): ("unix", path), ("tcp", (host, port)),
-#: or ("http", (host, port)).
+#: (kind, target): ("unix", path) or ("http", (host, port)).
 Address = Tuple[str, object]
 
 #: Default TCP port of the HTTP front end when a URL omits one.
@@ -29,41 +25,36 @@ DEFAULT_HTTP_PORT = 8750
 
 
 def parse_connect(url: str) -> Address:
-    """``unix:///path`` / ``tcp://host:port`` / ``http://host:port``."""
+    """``unix:///path``, ``http://host[:port]`` or a bare socket path."""
     text = str(url).strip()
     if not text:
         raise ConfigError("empty --connect URL")
-    if text.startswith("unix://"):
-        path = text[len("unix://"):]
-        if not path:
+    scheme, sep, rest = text.partition("://")
+    if not sep:
+        return ("unix", text)
+    if scheme == "unix":
+        if not rest:
             raise ConfigError(
                 f"unix URL {url!r} carries no socket path "
                 f"(use unix:///absolute/path)")
-        return ("unix", path)
-    for scheme in ("tcp", "http"):
-        prefix = f"{scheme}://"
-        if not text.startswith(prefix):
-            continue
-        rest = text[len(prefix):].rstrip("/")
-        host, sep, port_text = rest.rpartition(":")
-        if not sep:
-            if scheme == "http":
-                return ("http", (rest or "127.0.0.1", DEFAULT_HTTP_PORT))
-            raise ConfigError(
-                f"tcp URL {url!r} needs an explicit port "
-                f"(use tcp://host:port)")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise ConfigError(f"{scheme} URL {url!r} has a non-numeric port")
-        return (scheme, (host or "127.0.0.1", port))
-    if "://" in text:
-        scheme = text.split("://", 1)[0]
+        return ("unix", rest)
+    if scheme == "tcp":
+        raise ConfigError(
+            f"the service speaks HTTP on TCP: use http://HOST:PORT "
+            f"in place of {url!r}")
+    if scheme != "http":
         raise ConfigError(
             f"unsupported connection scheme {scheme!r} in {url!r} "
-            f"(choose unix://, tcp://, or http://)")
-    # a bare path reads as a unix socket, matching the old --socket flag
-    return ("unix", text)
+            f"(choose unix:// or http://)")
+    rest = rest.rstrip("/")
+    host, sep, port_text = rest.rpartition(":")
+    if not sep:
+        return ("http", (rest or "127.0.0.1", DEFAULT_HTTP_PORT))
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ConfigError(f"http URL {url!r} has a non-numeric port")
+    return ("http", (host or "127.0.0.1", port))
 
 
 def format_address(address: Address) -> str:
@@ -72,15 +63,4 @@ def format_address(address: Address) -> str:
     if kind == "unix":
         return f"unix://{target}"
     host, port = target  # type: ignore[misc]
-    return f"{kind}://{host}:{port}"
-
-
-def parse_address(socket_path: Optional[str] = None,
-                  host: Optional[str] = None,
-                  port: Optional[int] = None) -> Address:
-    """Legacy ``--socket`` / ``--host`` / ``--port`` resolution."""
-    if port is not None:
-        return ("tcp", (host or "127.0.0.1", int(port)))
-    if socket_path is None:
-        raise ValueError("need either a unix socket path or a TCP port")
-    return ("unix", str(socket_path))
+    return f"http://{host}:{port}"

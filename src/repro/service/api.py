@@ -1,21 +1,20 @@
-"""Transport-agnostic request handling for the detection service.
+"""Request handling for the detection service, apart from the wire.
 
-Both front ends — the JSON-lines socket
-(:class:`~repro.service.server.ServiceServer`) and the HTTP/JSON server
-(:mod:`repro.service.http`) — speak the *same* request schema and route
-through one :class:`ServiceAPI`, so :class:`CampaignScheduler` never
-sees a transport: a request is a dict with an ``op`` plus credentials,
-the response a dict with ``ok`` and, on failure, a machine-readable
-``code`` the transports map to exit codes (CLI) or HTTP statuses.
+The HTTP front end (:mod:`repro.service.http`) parses each request into
+a dict and routes it through one :class:`ServiceAPI`, so
+:class:`CampaignScheduler` never sees the protocol: a request is a dict
+with an ``op`` plus credentials, the response a dict with ``ok`` and,
+on failure, a machine-readable ``code`` that the front end maps to an
+HTTP status and the CLI to an exit code.
 
 Authentication is bearer-token: the server is configured with a
-``token → tenant`` table; a request presents its token in the JSON
-(``"token"`` field, socket) or the ``Authorization: Bearer`` header
-(HTTP).  With no table configured the service is *open* — every request
-is accepted and may name its tenant explicitly (``"tenant"`` field),
-which is what single-user deployments and the test-benches use.  With a
-table, a missing or unknown token is rejected with ``code="auth"``
-before the op is looked at.
+``token → tenant`` table; a request presents its token in the
+``Authorization: Bearer`` header (the ``"token"`` field of the request
+dict).  With no table configured the service is *open* — every request
+is accepted and may name its tenant explicitly (``X-Owl-Tenant``, the
+``"tenant"`` field), which is what single-user deployments and the
+test-benches use.  With a table, a missing or unknown token is rejected
+with ``code="auth"`` before the op is looked at.
 """
 
 from __future__ import annotations

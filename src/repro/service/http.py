@@ -1,10 +1,11 @@
-"""The HTTP/JSON front end: ``owl serve --connect http://host:port``.
+"""The service's wire protocol: HTTP/JSON on a unix socket or on TCP.
 
 A deliberately small HTTP/1.1 server on stdlib ``asyncio`` streams — no
-third-party web framework, mirroring the JSON-lines socket server's
-zero-dependency footprint.  Every route is a thin shim over the same
-:class:`~repro.service.api.ServiceAPI` request schema the socket speaks,
-so responses (including report bytes) are identical across transports::
+third-party web framework.  :class:`~repro.service.server.ServiceServer`
+serves :meth:`HttpFrontEnd.handle` on either address kind
+(``unix://PATH`` or ``http://HOST:PORT``), so the protocol is the same
+on both.  Every route is a thin shim over a
+:class:`~repro.service.api.ServiceAPI` request dict::
 
     GET  /v1/ping                     liveness + auth mode
     POST /v1/campaigns                submit {workload, config}
@@ -16,11 +17,12 @@ so responses (including report bytes) are identical across transports::
 
 Authentication is ``Authorization: Bearer <token>``; failures map to
 real HTTP statuses through :data:`~repro.service.api.HTTP_STATUS`
-(401 bad token, 404 unknown campaign, 429 quota exhausted).  ``watch``
-responses use chunked transfer encoding, one JSON event per line, held
-open until the campaign is terminal — ``owl results --watch`` over
-HTTP.  Connections are single-request (``Connection: close``); the
-service's request rate is bounded by campaign math, not socket churn.
+(400 malformed request, 401 bad token, 404 unknown campaign, 429 quota
+exhausted).  ``watch`` responses use chunked transfer encoding, one
+JSON event per line, held open until the campaign is terminal —
+``owl results --watch``.  Connections are single-request
+(``Connection: close``); the service's request rate is bounded by
+campaign math, not socket churn.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ class HttpFrontEnd:
     async def handle(self, reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            except ValueError:  # a line past the reader's 64 KiB limit
+                parsed = None
             if parsed is None:
                 await self._respond(writer, 400, {
                     "ok": False, "code": "bad_request",

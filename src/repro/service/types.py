@@ -1,11 +1,9 @@
-"""Frozen result types of the redesigned service client API.
+"""Frozen result types of the service client API.
 
 :class:`~repro.service.client.ServiceClient` returns these instead of
 raw protocol dicts: every field the wire carries, typed and immutable,
-identical over the JSON-lines socket and the HTTP front end (the
-transports serialise the same payloads, so the dataclasses are
-transport-blind by construction).  The raw dicts remain reachable
-through the deprecated module-level helpers for one release.
+identical on a unix socket and on TCP (both carry the same HTTP/JSON
+payloads).
 """
 
 from __future__ import annotations

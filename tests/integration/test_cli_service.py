@@ -131,11 +131,13 @@ class TestExitCodes:
             cli_main(["status", "--connect", "ftp://somewhere:21"])
         assert info.value.code == 2
 
-    def test_connect_conflicts_with_socket_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            cli_main(["status", "--connect", f"unix://{tmp_path}/a.sock",
-                      "--socket", f"{tmp_path}/b.sock"])
-        assert info.value.code == 2
+    def test_socket_host_port_are_usage_errors(self, tmp_path):
+        for flag, value in (("--socket", f"{tmp_path}/b.sock"),
+                            ("--host", "127.0.0.1"), ("--port", "8750")):
+            with pytest.raises(SystemExit) as info:
+                cli_main(["status", "--connect",
+                          f"unix://{tmp_path}/a.sock", flag, value])
+            assert info.value.code == 2
 
     def test_unknown_campaign_exits_2(self, service, capsys):
         url, _client, _scheduler = service
@@ -162,15 +164,6 @@ class TestExitCodes:
             except (CampaignError, OSError):
                 pass
             thread.join(timeout=30)
-
-    def test_deprecated_socket_flag_still_works_with_a_hint(
-            self, service, capsys):
-        url, _client, _scheduler = service
-        path = url[len("unix://"):]
-        assert cli_main(["status", "--socket", path]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--connect unix://" in captured.err
 
 
 class TestAuthAndQuotaExitCodes:

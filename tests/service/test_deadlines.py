@@ -17,7 +17,7 @@ from repro.service import scheduler as scheduler_module
 from repro.service.client import ServiceClient
 from repro.service.types import CampaignStatus
 
-ADDRESS = ("tcp", ("127.0.0.1", 9))
+ADDRESS = ("http", ("127.0.0.1", 9))
 
 
 class JumpingClock:
@@ -70,17 +70,6 @@ def test_wait_for_survives_a_clock_jump(jumping_clock):
                               for stage in ("tracing", "evidence",
                                             "complete")))
     assert client.wait_for("c1", timeout=30.0, poll=0.001).complete
-
-
-def test_module_wait_for_survives_a_clock_jump(jumping_clock, monkeypatch):
-    rows = answers(*({"ok": True, "status": status_row(stage)}
-                     for stage in ("tracing", "reporting", "complete")))
-    monkeypatch.setattr(ServiceClient, "_checked",
-                        lambda self, request: rows())
-    with pytest.warns(DeprecationWarning):
-        row = client_module.wait_for(ADDRESS, "c1", timeout=30.0,
-                                     poll=0.001)
-    assert row["stage"] == "complete"
 
 
 def test_scheduler_wait_survives_a_clock_jump(jumping_clock):

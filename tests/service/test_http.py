@@ -1,4 +1,4 @@
-"""The HTTP/JSON front end: same payloads as the socket, real statuses."""
+"""The HTTP/JSON front end: routes, real statuses, watch streams."""
 
 import http.client
 import json
@@ -101,6 +101,61 @@ class TestRouting:
             raw.recv(4096)
         finally:
             raw.close()
+        assert client.ping() is True
+
+
+@pytest.fixture(params=["unix", "http"])
+def any_address_service(request, tmp_path):
+    """A live service on each address kind: (address, client)."""
+    scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
+                                  ServiceConfig(workers=0, unit_runs=2))
+    if request.param == "unix":
+        address = ("unix", str(tmp_path / "owl.sock"))
+    else:
+        address = ("http", ("127.0.0.1", _free_port()))
+    thread = threading.Thread(target=serve_forever,
+                              args=(scheduler, address), daemon=True)
+    thread.start()
+    client = ServiceClient(address)
+    client.wait_until_up(timeout=30)
+    yield address, client
+    client.shutdown()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def _raw_reply(address, data: bytes) -> bytes:
+    """Send *data* on a fresh connection; everything the server answers."""
+    kind, target = address
+    if kind == "unix":
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10)
+        raw.connect(target)
+    else:
+        raw = socket.create_connection(target, timeout=10)
+    with raw:
+        raw.sendall(data)
+        chunks = []
+        while True:
+            chunk = raw.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestOverlongLines:
+    """A line past the stream reader's 64 KiB limit is a malformed
+    request: it gets a 400, and the server keeps serving."""
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /v1/ping HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    ], ids=["header", "path"])
+    def test_overlong_line_is_400(self, any_address_service,
+                                  request_bytes):
+        address, client = any_address_service
+        assert _raw_reply(address, request_bytes).startswith(
+            b"HTTP/1.1 400")
         assert client.ping() is True
 
 

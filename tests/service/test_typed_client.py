@@ -1,17 +1,16 @@
-"""The redesigned client API: typed results, URL connect, shims."""
+"""The client API: typed results and URL connect."""
 
 import dataclasses
 import threading
-import warnings
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import (
     CampaignError, ConfigError, ServiceConnectionError, ServiceError)
 from repro.service import (
     CampaignResults, CampaignScheduler, CampaignStatus, ServiceClient,
     ServiceConfig, SubmitReceipt, parse_connect)
-from repro.service import client as client_module
 from repro.service.server import serve_forever
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=21, store_checkpoint_every=2)
@@ -46,11 +45,13 @@ class TestConnectUrls:
     def test_bare_path_reads_as_unix(self):
         assert parse_connect("/tmp/a.sock") == ("unix", "/tmp/a.sock")
 
-    def test_tcp_url_needs_a_port(self):
-        assert parse_connect("tcp://10.0.0.5:9000") == \
-            ("tcp", ("10.0.0.5", 9000))
-        with pytest.raises(ConfigError):
-            parse_connect("tcp://10.0.0.5")
+    def test_tcp_url_is_refused_with_an_http_hint(self, capsys):
+        with pytest.raises(ConfigError, match="http://HOST:PORT"):
+            parse_connect("tcp://10.0.0.5:9000")
+        with pytest.raises(SystemExit) as info:
+            cli_main(["status", "--connect", "tcp://10.0.0.5:9000"])
+        assert info.value.code == 2
+        assert "http://HOST:PORT" in capsys.readouterr().err
 
     def test_http_url_defaults_its_port(self):
         assert parse_connect("http://owl.example:8750") == \
@@ -129,30 +130,3 @@ class TestTypedResults:
         assert events[-1].terminal
         assert events[-1].results is not None
         assert events[-1].results.report_json is not None
-
-
-class TestDeprecatedShims:
-    def test_dict_helpers_warn_and_delegate(self, service):
-        _client, url, _scheduler = service
-        address = parse_connect(url)
-        with pytest.warns(DeprecationWarning):
-            cid = client_module.submit(address, "dummy", TINY)
-        with pytest.warns(DeprecationWarning):
-            row = client_module.wait_for(address, cid, timeout=240)
-        assert row["stage"] == "complete"  # still the raw dict
-        with pytest.warns(DeprecationWarning):
-            status = client_module.status(address)
-        assert cid in status["campaigns"]
-        with pytest.warns(DeprecationWarning):
-            payload = client_module.results(address, cid)
-        assert payload["report_json"] is not None
-
-    def test_plumbing_helpers_do_not_warn(self, service):
-        _client, url, _scheduler = service
-        address = parse_connect(url)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert client_module.ping(address) is True
-            client_module.wait_until_up(address, timeout=10)
-            response = client_module.request(address, {"op": "ping"})
-        assert response["ok"] is True
