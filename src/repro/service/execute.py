@@ -78,13 +78,14 @@ def _side_values(owl: Owl, inputs: List[object], random_input,
     return [random_input(rng) for _ in range(owl.config.random_runs)]
 
 
-def execute_unit(unit: WorkUnit, store_root) -> Dict:
-    """Run one unit; returns its JSON-safe result payload.
+def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
+    """Run one unit against a held store; returns its JSON-safe payload.
 
-    Opens a fresh :class:`TraceStore` per execution so the manifest
-    journal replay makes every other worker's completed writes visible.
+    Refreshes *store* first, which reads only the manifest journal
+    appended since its last refresh, so every write that finished before
+    the unit was enqueued is visible.
     """
-    store = TraceStore(store_root)
+    store.refresh()
     with collecting_degradations() as log:
         payload = _dispatch(unit, store)
     payload["degradations"] = log.to_list()

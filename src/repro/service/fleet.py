@@ -16,7 +16,9 @@ subprocesses against one queue + store, and on every poll:
   (:data:`~repro.resilience.events.FLEET_TO_LOCAL`).
 
 Worker stdout/stderr land in ``<queue>/logs/<worker>.log`` for CI
-artefacts.
+artefacts.  A worker killed by :meth:`WorkerFleet.stop`'s SIGTERM, or
+one that crashed, cannot remove its doorbell FIFO; the fleet unlinks
+the bell of every worker it stops or reaps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.service.queue import bell_path, host_name, worker_bell_name
 
 
 def _repro_src_dir() -> str:
@@ -69,9 +73,7 @@ class WorkerFleet:
     def _spawn_one(self, inject_fault: bool) -> str:
         # hostname prefix keeps ids unique when remote workers share the
         # queue directory with this fleet (multi-host deployments)
-        import socket as socket_module
-        host = socket_module.gethostname().split(".")[0] or "host"
-        worker_id = f"{host}-w{self.spawned}"
+        worker_id = f"{host_name()}-w{self.spawned}"
         self.spawned += 1
         command = [sys.executable, "-m", "repro.service.worker",
                    "--queue", str(self.queue_root),
@@ -104,6 +106,7 @@ class WorkerFleet:
                 continue
             dead.append(worker_id)
             del self.procs[worker_id]
+            self._unlink_bell(proc)
             handle = self._log_handles.pop(worker_id, None)
             if handle is not None:
                 handle.close()
@@ -123,7 +126,13 @@ class WorkerFleet:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+            self._unlink_bell(proc)
         for handle in self._log_handles.values():
             handle.close()
         self._log_handles.clear()
         self.procs.clear()
+
+    def _unlink_bell(self, proc: subprocess.Popen) -> None:
+        """Remove an exited worker's doorbell (its pid names it)."""
+        bell_path(self.queue_root, worker_bell_name(proc.pid)).unlink(
+            missing_ok=True)

@@ -12,7 +12,15 @@ primitive, so any process can crash at any point without corrupting it:
   marks its worker dead;
 * ``results/<uid>.json`` — the unit's outcome (``done`` payload or
   ``error``), written tmp+rename *before* the claim is released, so a
-  unit is never both unclaimed and unfinished unless it really is;
+  unit is never both unclaimed and unfinished unless it really is; the
+  spec is unlinked last, so ``units/`` holds only pending work;
+* ``bells/<name>.fifo`` — one doorbell FIFO per waiting process on this
+  host (``scheduler.fifo``, ``worker-<host>-<pid>.fifo``).  New units
+  ring the workers' bells and new results the scheduler's, so waiters
+  wake at once instead of on their next poll.  A ring is only a hint:
+  waiters still poll every ``poll_seconds``, which is how workers on
+  other hosts (a FIFO never carries bytes across hosts) and platforms
+  without ``os.mkfifo`` see new work;
 * ``journal.jsonl`` — the scheduler's append-only event log (submit,
   enqueue, requeue, worker-lost, complete), the audit trail ``owl
   status`` summarises;
@@ -26,8 +34,11 @@ inside the queue root so renames never cross filesystems.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import select
+import socket
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -36,6 +47,81 @@ from repro.service.units import WorkUnit
 
 #: Name of the cooperative shutdown sentinel file.
 STOP_SENTINEL = "STOP"
+
+#: Bell name prefixes: the scheduler's bell, and every worker's.
+SCHEDULER_BELL = "scheduler"
+WORKER_BELL = "worker"
+
+#: Ring errors that only mean there is no one to wake: no reader on this
+#: host (a dead waiter, or one on another host sharing the directory),
+#: a pipe already full of rings, a bell unlinked since the listing, and
+#: a reader that closed between the open and the write.
+_MISSED_RING = (errno.ENXIO, errno.EAGAIN, errno.ENOENT, errno.EPIPE)
+
+
+def host_name() -> str:
+    """This host's short name: the prefix of worker ids and bells."""
+    return socket.gethostname().split(".")[0] or "host"
+
+
+def worker_bell_name(pid: int) -> str:
+    """The bell of worker process *pid* on this host."""
+    return f"{WORKER_BELL}-{host_name()}-{pid}"
+
+
+def bell_path(queue_root, name: str) -> Path:
+    return Path(queue_root) / "bells" / f"{name}.fifo"
+
+
+class Doorbell:
+    """A FIFO one process waits on and any process on its host rings.
+
+    The owner opens both ends: the read end to wait on, and a write end
+    it never writes, so the read end never reports EOF when a ringer
+    closes.  A ring that lands while the owner is busy stays buffered
+    in the pipe, so the next :meth:`wait` returns at once: no wakeup
+    between a scan and the wait is lost.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        try:
+            os.unlink(path)  # a dead process's, or a previous owner's
+        except FileNotFoundError:
+            pass
+        os.mkfifo(path)
+        self._read_fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        self._write_fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        self._inode = os.fstat(self._read_fd).st_ino
+        self._poller = select.poll()
+        self._poller.register(self._read_fd, select.POLLIN)
+
+    def fileno(self) -> int:
+        return self._read_fd
+
+    def drain(self) -> None:
+        """Swallow every buffered ring."""
+        try:
+            while os.read(self._read_fd, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until rung or for *timeout* seconds, then drain."""
+        self._poller.poll(timeout * 1000.0)
+        self.drain()
+
+    def close(self) -> None:
+        """Close both ends; unlink the FIFO unless a new owner replaced
+        it (a later waiter of the same name takes the bell over)."""
+        try:
+            if os.stat(self.path).st_ino == self._inode:
+                os.unlink(self.path)
+        except FileNotFoundError:
+            pass
+        os.close(self._read_fd)
+        os.close(self._write_fd)
 
 
 class JobQueue:
@@ -48,10 +134,11 @@ class JobQueue:
         self.claims_dir = self.root / "claims"
         self.results_dir = self.root / "results"
         self.campaigns_dir = self.root / "campaigns"
+        self.bells_dir = self.root / "bells"
         self.tmp_dir = self.root / "tmp"
         self.journal_path = self.root / "journal.jsonl"
         for path in (self.units_dir, self.claims_dir, self.results_dir,
-                     self.campaigns_dir, self.tmp_dir):
+                     self.campaigns_dir, self.bells_dir, self.tmp_dir):
             path.mkdir(parents=True, exist_ok=True)
         self._tmp_seq = 0
         #: lease judging: the clock, and per claim the last mtime seen
@@ -128,10 +215,16 @@ class JobQueue:
         return None if data is None else WorkUnit.from_dict(data)
 
     def pending_units(self) -> List[str]:
-        """Unit ids with a spec on disk and no result yet, sorted."""
-        uids = sorted(path.stem for path in self.units_dir.glob("*.json"))
-        return [uid for uid in uids
-                if not (self.results_dir / f"{uid}.json").exists()]
+        """Unit ids with a spec on disk and no result yet, sorted.
+
+        Finishing a unit retires its spec, so this costs O(pending); the
+        result check covers a crash between a result write and the
+        spec's unlink.
+        """
+        uids = sorted(name[:-len(".json")]
+                      for name in os.listdir(self.units_dir)
+                      if name.endswith(".json"))
+        return [uid for uid in uids if not self.has_result(uid)]
 
     # ------------------------------------------------------------------
     # claims (leases)
@@ -227,19 +320,30 @@ class JobQueue:
         return self.results_dir / f"{uid}.json"
 
     def complete(self, uid: str, payload: Dict, worker: str) -> None:
-        self._write_json(self.result_path(uid),
-                         {"status": "done", "worker": worker,
-                          "payload": payload})
-        self.release(uid)
+        self._finish(uid, {"status": "done", "worker": worker,
+                           "payload": payload})
 
     def fail(self, uid: str, error: str, worker: str) -> None:
-        self._write_json(self.result_path(uid),
-                         {"status": "error", "worker": worker,
-                          "error": error})
+        self._finish(uid, {"status": "error", "worker": worker,
+                           "error": error})
+
+    def _finish(self, uid: str, outcome: Dict) -> None:
+        """Write the result, release the claim, retire the spec — in
+        that order, so a crash never leaves a unit unclaimed, unfinished
+        and unlisted — then ring the scheduler."""
+        self._write_json(self.result_path(uid), outcome)
         self.release(uid)
+        try:
+            os.unlink(self.unit_path(uid))
+        except FileNotFoundError:
+            pass
+        self.ring(SCHEDULER_BELL)
 
     def result(self, uid: str) -> Optional[Dict]:
         return self._read_json(self.result_path(uid))
+
+    def has_result(self, uid: str) -> bool:
+        return self.result_path(uid).exists()
 
     def clear_result(self, uid: str) -> None:
         try:
@@ -248,7 +352,8 @@ class JobQueue:
             pass
 
     def requeue(self, uid: str) -> Optional[WorkUnit]:
-        """Revoke a lease and re-offer the unit with a bumped attempt."""
+        """Revoke a lease and re-offer the unit with a bumped attempt
+        (None when its spec is gone: the unit already finished)."""
         unit = self.load_unit(uid)
         if unit is None:
             return None
@@ -257,6 +362,44 @@ class JobQueue:
         self.clear_result(uid)
         self.save_unit(unit)
         return unit
+
+    # ------------------------------------------------------------------
+    # doorbells
+    # ------------------------------------------------------------------
+
+    def doorbell(self, name: str) -> Optional[Doorbell]:
+        """Open this process's bell ``bells/<name>.fifo`` to wait on
+        (None where ``os.mkfifo`` is missing or fails: just poll)."""
+        if not hasattr(os, "mkfifo"):
+            return None
+        try:
+            return Doorbell(bell_path(self.root, name))
+        except OSError:
+            return None
+
+    def ring(self, prefix: str) -> None:
+        """Wake every waiter on this host whose bell name has *prefix*.
+
+        Writes one byte, non-blocking, to each such FIFO.  Never unlinks
+        one: a bell belongs to its owner, or to the fleet that reaps it.
+        """
+        try:
+            names = os.listdir(self.bells_dir)
+        except FileNotFoundError:
+            return
+        for name in names:
+            if not name.startswith(prefix):
+                continue
+            try:
+                fd = os.open(self.bells_dir / name,
+                             os.O_WRONLY | os.O_NONBLOCK)
+                try:
+                    os.write(fd, b"\0")
+                finally:
+                    os.close(fd)
+            except OSError as error:
+                if error.errno not in _MISSED_RING:
+                    raise
 
     # ------------------------------------------------------------------
     # campaigns + shutdown
@@ -275,6 +418,7 @@ class JobQueue:
 
     def request_stop(self) -> None:
         (self.root / STOP_SENTINEL).touch()
+        self.ring(WORKER_BELL)
 
     def stop_requested(self) -> bool:
         return (self.root / STOP_SENTINEL).exists()

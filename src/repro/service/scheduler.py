@@ -73,7 +73,7 @@ from repro.resilience.events import (
 from repro.service.config import ServiceConfig
 from repro.service.execute import execute_unit
 from repro.service.fleet import WorkerFleet
-from repro.service.queue import JobQueue
+from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import (
     WorkUnit, decide_unit, plan_unit, report_unit, round_chunk_offsets,
     round_evidence_units, trace_units)
@@ -162,7 +162,9 @@ class CampaignScheduler:
         self.events: List[DegradationEvent] = []
         #: weighted fair stride state: tenant → accumulated pass
         self._tenant_pass: Dict[str, float] = {}
-        TraceStore(self.store_root)  # create/validate the shared store
+        #: the shared store, created/validated here and refreshed before
+        #: each read of other processes' writes
+        self.store = TraceStore(self.store_root)
 
     # ------------------------------------------------------------------
     # submission
@@ -245,6 +247,7 @@ class CampaignScheduler:
         """
         inflight: Dict[str, int] = {}
         total_inflight = 0
+        enqueued = False
         backlogged: Dict[str, List[CampaignState]] = {}
         for state in self.campaigns.values():
             if state.done or state.coalesced_into is not None:
@@ -277,6 +280,7 @@ class CampaignScheduler:
                 if not states:
                     del backlogged[tenant]
             if self.queue.enqueue(unit):
+                enqueued = True
                 self.queue.journal("enqueued", unit=unit.uid,
                                    kind=unit.kind, campaign=state.cid,
                                    tenant=tenant)
@@ -286,6 +290,8 @@ class CampaignScheduler:
             self._tenant_pass[tenant] = (
                 self._tenant_pass.get(tenant, 0.0)
                 + 1.0 / self.config.quota_for(tenant).weight)
+        if enqueued:
+            self.queue.ring(WORKER_BELL)
 
     # ------------------------------------------------------------------
     # the drive loop
@@ -305,17 +311,29 @@ class CampaignScheduler:
         self._mirror_coalesced()
 
     def wait(self, cids=None, timeout: Optional[float] = None) -> bool:
-        """Tick until the given campaigns (default: all) are terminal."""
+        """Tick until the given campaigns (default: all) are terminal.
+
+        Between ticks it waits on the scheduler's doorbell, which every
+        unit result rings, for at most ``poll_seconds``.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         targets = list(self.campaigns) if cids is None else list(cids)
-        while True:
-            self.tick()
-            if all(self.campaigns[cid].done for cid in targets
-                   if cid in self.campaigns):
-                return True
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(self.config.poll_seconds)
+        bell = self.queue.doorbell(SCHEDULER_BELL)
+        try:
+            while True:
+                self.tick()
+                if all(self.campaigns[cid].done for cid in targets
+                       if cid in self.campaigns):
+                    return True
+                if deadline is not None and time.monotonic() > deadline:
+                    return False
+                if bell is None:
+                    time.sleep(self.config.poll_seconds)
+                else:
+                    bell.wait(self.config.poll_seconds)
+        finally:
+            if bell is not None:
+                bell.close()
 
     # -- fault reaping --------------------------------------------------
 
@@ -371,16 +389,15 @@ class CampaignScheduler:
     # -- execution ------------------------------------------------------
 
     def _execute_local(self, uid: str) -> None:
-        if self.queue.result(uid) is not None:
-            return
         if not self.queue.claim(uid, _LOCAL):
             return  # someone else holds it; their result (or death) wins
-        unit = self.queue.load_unit(uid)
+        unit = (None if self.queue.has_result(uid)  # finished meanwhile
+                else self.queue.load_unit(uid))
         if unit is None:
             self.queue.release(uid)
             return
         try:
-            payload = execute_unit(unit, self.store_root)
+            payload = execute_unit(unit, self.store)
         except Exception as error:  # noqa: BLE001 — recorded as unit failure
             self.queue.fail(uid, f"{type(error).__name__}: {error}", _LOCAL)
         else:
@@ -581,8 +598,8 @@ class CampaignScheduler:
             return {"cid": cid, "stage": STAGE_FAILED, "error": state.error}
         if state.stage != STAGE_COMPLETE or state.report is None:
             return {"cid": cid, "stage": state.stage}
-        store = TraceStore(self.store_root)
-        report = store.get_report(state.report["report_key"])
+        self.store.refresh()
+        report = self.store.get_report(state.report["report_key"])
         return {"cid": cid, "stage": STAGE_COMPLETE,
                 "report_key": state.report["report_key"],
                 "has_leaks": state.report.get("has_leaks"),

@@ -10,7 +10,9 @@ default ``<queue>/owl.sock``) and TCP (``http://HOST:PORT``).
 Scheduling runs on a background task that calls ``scheduler.tick()``
 between awaits, so submissions return immediately and clients poll
 ``status`` — the CLI's ``owl submit --wait`` does exactly that, and
-``owl results --watch`` holds a ``watch`` stream instead.
+``owl results --watch`` holds a ``watch`` stream instead.  The task
+ticks when a unit result rings the scheduler's doorbell, and at least
+every ``tick_seconds``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, Optional
 from repro.service.address import Address
 from repro.service.api import ServiceAPI
 from repro.service.http import HttpFrontEnd
+from repro.service.queue import SCHEDULER_BELL
 from repro.service.scheduler import CampaignScheduler
 
 
@@ -73,9 +76,28 @@ class ServiceServer:
                 self.scheduler.fleet.stop()
 
     async def _tick_loop(self) -> None:
-        while not self._stopping.is_set():
-            self.scheduler.tick()
-            await asyncio.sleep(self.tick_seconds)
+        loop = asyncio.get_running_loop()
+        rung = asyncio.Event()
+        bell = self.scheduler.queue.doorbell(SCHEDULER_BELL)
+
+        def on_ring() -> None:
+            bell.drain()
+            rung.set()
+
+        if bell is not None:
+            loop.add_reader(bell.fileno(), on_ring)
+        try:
+            while not self._stopping.is_set():
+                self.scheduler.tick()
+                try:
+                    await asyncio.wait_for(rung.wait(), self.tick_seconds)
+                except asyncio.TimeoutError:
+                    pass
+                rung.clear()
+        finally:
+            if bell is not None:
+                loop.remove_reader(bell.fileno())
+                bell.close()
 
 
 def serve_forever(scheduler: CampaignScheduler, address: Address,

@@ -10,9 +10,11 @@ queue/store paths.  Nothing else to configure: worker ids default to
 ``<hostname>-<pid>`` so hosts never collide, and results land through
 the same tmp+rename discipline the local fleet uses.
 
-Protocol per unit: win the ``O_EXCL`` claim, heartbeat it *continuously*
-from a background thread (every quarter lease) while executing against
-the shared store, write the result tmp+rename, release the claim.
+Protocol per unit: win the ``O_EXCL`` claim (and let it go at once if
+another worker already finished the unit: the scan's listing may be
+stale), heartbeat it *continuously* from a background thread (every
+quarter lease) while executing against the shared store, write the
+result tmp+rename, release the claim, retire the spec.
 Long-running units on slow hosts therefore never lose their lease
 mid-execution; a worker *death* stops the heartbeat, which the
 scheduler notices — dead process or silent lease — and re-queues.
@@ -24,19 +26,25 @@ those as real bugs and fails the campaign, mirroring
 after winning the Nth claim, before executing it.  That is the worst
 crash point (the lease is held, no result exists), exactly what the
 re-queue path must survive.
+
+Idle workers wait on their doorbell, ``bells/worker-<host>-<pid>.fifo``
+in the queue, which the scheduler rings as it admits units; the wait
+times out after ``poll_seconds``, the only wakeup a worker on another
+host gets.  Each worker holds one :class:`~repro.store.store.TraceStore`
+for its lifetime and refreshes it before each unit.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import socket
 import threading
 import time
 from typing import Optional
 
 from repro.service.execute import execute_unit
-from repro.service.queue import JobQueue
+from repro.service.queue import JobQueue, host_name, worker_bell_name
+from repro.store.store import TraceStore
 
 #: Fraction of the lease window between heartbeats while executing.
 HEARTBEAT_FRACTION = 0.25
@@ -44,8 +52,7 @@ HEARTBEAT_FRACTION = 0.25
 
 def default_worker_id() -> str:
     """``<hostname>-<pid>``: unique across a shared-filesystem fleet."""
-    host = socket.gethostname().split(".")[0] or "host"
-    return f"{host}-{os.getpid()}"
+    return f"{host_name()}-{os.getpid()}"
 
 
 class _Heartbeat:
@@ -91,40 +98,54 @@ def worker_loop(queue_root, store_root, worker_id: Optional[str] = None,
     of it while executing.
     """
     queue = JobQueue(queue_root)
+    store = TraceStore(store_root)
     worker_id = worker_id or default_worker_id()
+    bell = queue.doorbell(worker_bell_name(os.getpid()))
     executed = 0
     claimed = 0
     loops = 0
-    while not queue.stop_requested():
-        progressed = False
-        for uid in queue.pending_units():
-            if queue.stop_requested():
-                break
-            if not queue.claim(uid, worker_id):
-                continue
-            claimed += 1
-            if die_after is not None and claimed >= die_after:
-                # injected death: hard exit with the lease still held
-                os._exit(3)
-            unit = queue.load_unit(uid)
-            if unit is None:  # re-queue race: spec rewritten under us
-                queue.release(uid)
-                continue
-            with _Heartbeat(queue, uid, lease_seconds):
-                try:
-                    payload = execute_unit(unit, store_root)
-                except BaseException as error:  # noqa: BLE001 — to scheduler
-                    queue.fail(uid, f"{type(error).__name__}: {error}",
-                               worker_id)
+    try:
+        while not queue.stop_requested():
+            progressed = False
+            for uid in queue.pending_units():
+                if queue.stop_requested():
+                    break
+                if not queue.claim(uid, worker_id):
+                    continue
+                if queue.has_result(uid):
+                    # a stale listing: another worker finished the unit
+                    # and released its claim since the scan
+                    queue.release(uid)
+                    continue
+                claimed += 1
+                if die_after is not None and claimed >= die_after:
+                    # injected death: hard exit with the lease still held
+                    os._exit(3)
+                unit = queue.load_unit(uid)
+                if unit is None:  # re-queue race: spec rewritten under us
+                    queue.release(uid)
+                    continue
+                with _Heartbeat(queue, uid, lease_seconds):
+                    try:
+                        payload = execute_unit(unit, store)
+                    except BaseException as error:  # noqa: BLE001
+                        queue.fail(uid, f"{type(error).__name__}: {error}",
+                                   worker_id)
+                    else:
+                        queue.complete(uid, payload, worker_id)
+                executed += 1
+                progressed = True
+            if not progressed:
+                loops += 1
+                if max_loops is not None and loops >= max_loops:
+                    break
+                if bell is None:
+                    time.sleep(poll_seconds)
                 else:
-                    queue.complete(uid, payload, worker_id)
-            executed += 1
-            progressed = True
-        if not progressed:
-            loops += 1
-            if max_loops is not None and loops >= max_loops:
-                break
-            time.sleep(poll_seconds)
+                    bell.wait(poll_seconds)
+    finally:
+        if bell is not None:
+            bell.close()
     return executed
 
 

@@ -26,7 +26,10 @@ Because concurrent writers *append* deltas rather than clobbering each
 other's snapshots, two processes can run campaigns against one store
 without losing entries — the fleet-safety contract the detection service
 builds on.  :meth:`batch` groups many mutations into one locked append
-(one fsync), and :meth:`refresh` re-reads other writers' deltas.
+(one fsync), and :meth:`refresh` reads other writers' deltas: only the
+journal bytes appended since this handle last read it, unless
+``manifest.json`` was rewritten (a compaction) or the journal no longer
+continues where the handle stopped reading, which reload everything.
 
 Both layers write atomically (temp file + ``os.replace``), verify content
 hashes on load, and fail closed with :class:`StoreCorruptionError` rather
@@ -43,7 +46,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.evidence import Evidence
 from repro.core.report import LeakageReport
@@ -64,6 +67,16 @@ JOURNAL_COMPACT_BYTES = 512 * 1024
 
 #: Recognised entry kinds (informational; the store accepts any string).
 KINDS = ("trace", "evidence", "checkpoint", "report", "campaign")
+
+#: How far a handle has read the manifest: manifest.json's identity
+#: ``(st_ino, st_size, st_mtime_ns)``, the journal offset just past the
+#: last complete line read, and that line (checked on the next read, so
+#: a journal rewritten under the handle is noticed).
+Mark = Tuple[Tuple[int, int, int], int, bytes]
+
+
+def _identity(stat: os.stat_result) -> Tuple[int, int, int]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
 
 @dataclass
@@ -117,6 +130,8 @@ class TraceStore:
         self._pending_records: List[Dict] = []
         self._dirty = False
         self._entries: Dict[str, Entry] = {}
+        #: what this handle has read (None: reload everything on refresh)
+        self._mark: Optional[Mark] = None
         if manifest_exists:
             self._load_manifest()
         else:
@@ -127,11 +142,20 @@ class TraceStore:
     # manifest persistence
     # ------------------------------------------------------------------
 
-    def _read_disk_state(self) -> Dict[str, Entry]:
-        """Manifest entries as currently on disk: snapshot + journal."""
+    def _manifest_identity(self) -> Optional[Tuple[int, int, int]]:
         try:
-            data = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+            return _identity(os.stat(self.manifest_path))
+        except OSError:
+            return None
+
+    def _read_disk_state(self) -> Tuple[Dict[str, Entry], Mark]:
+        """Manifest entries as currently on disk (snapshot + journal),
+        and the mark of what was read (caller holds a lock)."""
+        try:
+            with open(self.manifest_path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                data = json.loads(handle.read().decode("utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
             raise StoreCorruptionError(
                 f"cannot read store manifest {self.manifest_path}: "
                 f"{error}") from error
@@ -144,31 +168,32 @@ class TraceStore:
                 f"unsupported store manifest version {version!r}")
         entries = {key: Entry.from_dict(key, value)
                    for key, value in data["entries"].items()}
-        for record in self._read_journal():
-            op = record.get("op")
-            key = record.get("key")
-            if op == "put" and isinstance(key, str):
-                entries[key] = Entry.from_dict(key, record.get("entry", {}))
-            elif op == "del" and isinstance(key, str):
-                entries.pop(key, None)
-            else:
-                raise StoreCorruptionError(
-                    f"manifest journal {self.journal_path} holds an "
-                    f"unrecognised record: {record!r}")
-        return entries
+        records, offset, last_line = self._read_journal(0, b"")
+        self._replay(entries, records)
+        return entries, (_identity(stat), offset, last_line)
 
-    def _read_journal(self) -> List[Dict]:
-        """Replay the delta journal, tolerating one torn trailing line.
+    def _read_journal(self, offset: int, last_line: bytes
+                      ) -> Optional[Tuple[List[Dict], int, bytes]]:
+        """Journal records past *offset*, tolerating one torn tail line.
 
+        Returns the records, the offset just past the last complete line
+        and that line — or None when the bytes before *offset* are no
+        longer *last_line* (the journal was compacted or truncated).
         A crash mid-append can leave a partial final line; everything
         before it is intact (appends are whole-line and serialized by the
         lock), so the partial tail is dropped rather than failing the
-        load.  Garbage *between* valid lines is real corruption.
+        load, and it is not consumed.  Garbage *between* valid lines is
+        real corruption.
         """
         try:
-            raw = self.journal_path.read_bytes()
+            with open(self.journal_path, "rb") as handle:
+                handle.seek(offset - len(last_line))
+                raw = handle.read()
         except FileNotFoundError:
-            return []
+            raw = b""
+        if not raw.startswith(last_line):
+            return None
+        raw = raw[len(last_line):]
         records: List[Dict] = []
         lines = raw.split(b"\n")
         for index, line in enumerate(lines):
@@ -181,21 +206,53 @@ class TraceStore:
                     break  # torn tail from an interrupted append
                 raise StoreCorruptionError(
                     f"manifest journal {self.journal_path} is corrupt at "
-                    f"line {index + 1}: {error}") from error
-        return records
+                    f"line {index + 1} past byte {offset}: {error}"
+                ) from error
+        end = raw.rfind(b"\n") + 1
+        if end:
+            last_line = raw[raw.rfind(b"\n", 0, end - 1) + 1:end]
+        return records, offset + end, last_line
+
+    def _replay(self, entries: Dict[str, Entry], records: List[Dict]
+                ) -> None:
+        for record in records:
+            op = record.get("op")
+            key = record.get("key")
+            if op == "put" and isinstance(key, str):
+                entries[key] = Entry.from_dict(key, record.get("entry", {}))
+            elif op == "del" and isinstance(key, str):
+                entries.pop(key, None)
+            else:
+                raise StoreCorruptionError(
+                    f"manifest journal {self.journal_path} holds an "
+                    f"unrecognised record: {record!r}")
 
     def _load_manifest(self) -> None:
         with FileLock(self._lock.path, shared=True):
-            self._entries = self._read_disk_state()
+            self._entries, self._mark = self._read_disk_state()
 
     def refresh(self) -> None:
-        """Re-read the manifest so another writer's entries become visible.
+        """Make other writers' entries visible, reading only what is new.
 
         Pending batched records of *this* store are flushed first, so a
-        refresh never drops local writes.
+        refresh never drops local writes.  Reads only the journal bytes
+        appended since this handle's mark, up to the last complete
+        line; a rewritten manifest.json (any process's compaction) or a
+        journal that no longer continues at the mark reloads everything.
+        Replaying this handle's own appends again is harmless: records
+        are whole-entry puts and deletes, applied in journal order.
         """
         self._flush_journal()
-        self._load_manifest()
+        with FileLock(self._lock.path, shared=True):
+            if self._mark is not None \
+                    and self._mark[0] == self._manifest_identity():
+                appended = self._read_journal(*self._mark[1:])
+                if appended is not None:
+                    records, offset, last_line = appended
+                    self._replay(self._entries, records)
+                    self._mark = (self._mark[0], offset, last_line)
+                    return
+            self._entries, self._mark = self._read_disk_state()
 
     def _save_manifest(self) -> None:
         """Rewrite manifest.json from ``self._entries`` (caller holds lock)."""
@@ -254,10 +311,11 @@ class TraceStore:
 
     def _compact_locked(self) -> None:
         """Fold the journal into manifest.json (caller holds the lock)."""
-        self._entries = self._read_disk_state()
+        self._entries = self._read_disk_state()[0]
         self._save_manifest()
         with open(self.journal_path, "wb"):
             pass  # truncate: every delta is now in the snapshot
+        self._mark = (self._manifest_identity(), 0, b"")
 
     def flush(self) -> None:
         """Durably persist pending batched mutations now."""

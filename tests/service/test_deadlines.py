@@ -80,8 +80,10 @@ def test_scheduler_wait_survives_a_clock_jump(jumping_clock):
         ticks.append(1)
         campaign.done = len(ticks) >= 3
 
+    # no doorbell: wait() polls with the patched module's sleep
     scheduler = types.SimpleNamespace(
         campaigns={"c1": campaign}, tick=tick,
+        queue=types.SimpleNamespace(doorbell=lambda name: None),
         config=types.SimpleNamespace(poll_seconds=0.001))
     assert scheduler_module.CampaignScheduler.wait(scheduler, timeout=30.0)
     assert len(ticks) == 3

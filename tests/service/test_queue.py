@@ -1,10 +1,15 @@
-"""JobQueue: atomic claims, leases, results, re-queues, crash recovery."""
+"""JobQueue: atomic claims, leases, results, re-queues, crash recovery,
+retired specs and doorbells."""
 
+import errno
 import json
 import os
+import threading
 import time
 
-from repro.service.queue import JobQueue
+import pytest
+
+from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import WorkUnit
 
 
@@ -189,3 +194,136 @@ class TestDurability:
         raw = queue.result_path("c1.trace.0000").read_text()
         assert json.loads(raw)["payload"] == {"runs": 3}
         assert not list(queue.tmp_dir.iterdir())  # staging left clean
+
+
+class TestRetiredSpecs:
+    @pytest.mark.parametrize("finish", ["complete", "fail"])
+    def test_finishing_retires_the_spec(self, tmp_path, finish):
+        queue = JobQueue(tmp_path)
+        queue.enqueue(_unit())
+        queue.claim("c1.trace.0000", "w0")
+        if finish == "complete":
+            queue.complete("c1.trace.0000", {}, "w0")
+        else:
+            queue.fail("c1.trace.0000", "KeyError: boom", "w0")
+        assert not queue.unit_path("c1.trace.0000").exists()
+        assert queue.claimed_units() == []
+        assert queue.pending_units() == []
+        assert queue.requeue("c1.trace.0000") is None
+        assert queue.result("c1.trace.0000") is not None
+
+    def test_result_without_unlink_still_hides_the_unit(self, tmp_path):
+        """A crash between the result write and the spec's unlink."""
+        queue = JobQueue(tmp_path)
+        queue.enqueue(_unit())
+        queue.enqueue(_unit(uid="c1.trace.0001"))
+        queue._write_json(queue.result_path("c1.trace.0000"),
+                          {"status": "done", "worker": "w0",
+                           "payload": {}})
+        assert queue.unit_path("c1.trace.0000").exists()
+        assert queue.pending_units() == ["c1.trace.0001"]
+
+
+def _fifo(queue, name):
+    path = queue.bells_dir / f"{name}.fifo"
+    os.mkfifo(path)
+    return path
+
+
+class TestDoorbells:
+    def test_ring_wakes_a_waiting_bell(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        bell = queue.doorbell("worker-h-1")
+        try:
+            woke = []
+            waiter = threading.Thread(
+                target=lambda: (bell.wait(30.0), woke.append(1)))
+            started = time.monotonic()
+            waiter.start()
+            time.sleep(0.05)
+            queue.ring(WORKER_BELL)
+            waiter.join(timeout=5.0)
+            assert woke and time.monotonic() - started < 5.0
+        finally:
+            bell.close()
+
+    def test_a_ring_before_the_wait_is_not_lost(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        bell = queue.doorbell(SCHEDULER_BELL)
+        try:
+            queue.ring(SCHEDULER_BELL)
+            queue.ring(SCHEDULER_BELL)
+            started = time.monotonic()
+            bell.wait(30.0)
+            assert time.monotonic() - started < 1.0
+            started = time.monotonic()
+            bell.wait(0.05)  # both rings were drained
+            assert time.monotonic() - started >= 0.04
+        finally:
+            bell.close()
+
+    def test_ring_matches_the_prefix_only(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        bell = queue.doorbell(SCHEDULER_BELL)
+        try:
+            queue.ring(WORKER_BELL)
+            started = time.monotonic()
+            bell.wait(0.05)
+            assert time.monotonic() - started >= 0.04
+        finally:
+            bell.close()
+
+    def test_ring_skips_a_fifo_without_reader(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        path = _fifo(queue, "worker-otherhost-7")
+        started = time.monotonic()
+        queue.ring(WORKER_BELL)
+        assert time.monotonic() - started < 1.0
+        assert path.exists()  # never unlinks another process's bell
+
+    def test_ring_skips_a_full_pipe(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        bell = queue.doorbell("worker-h-1")
+        try:
+            ringer = os.open(bell.path, os.O_WRONLY | os.O_NONBLOCK)
+            try:
+                with pytest.raises(OSError) as full:
+                    while True:
+                        os.write(ringer, b"\0" * 4096)
+                assert full.value.errno == errno.EAGAIN
+            finally:
+                os.close(ringer)
+            started = time.monotonic()
+            queue.ring(WORKER_BELL)
+            assert time.monotonic() - started < 1.0
+            assert bell.path.exists()
+        finally:
+            bell.close()
+
+    def test_close_unlinks_only_its_own_fifo(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        first = queue.doorbell("worker-h-1")
+        second = queue.doorbell("worker-h-1")  # takes the name over
+        first.close()
+        assert second.path.exists()
+        queue.ring(WORKER_BELL)
+        started = time.monotonic()
+        second.wait(30.0)
+        assert time.monotonic() - started < 1.0
+        second.close()
+        assert list(queue.bells_dir.iterdir()) == []
+
+    def test_a_dead_owners_bell_is_replaced(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        stale = _fifo(queue, "worker-h-1")
+        bell = queue.doorbell("worker-h-1")
+        try:
+            assert os.stat(stale).st_ino == os.fstat(bell.fileno()).st_ino
+        finally:
+            bell.close()
+
+    def test_no_mkfifo_means_no_bell(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "mkfifo")
+        queue = JobQueue(tmp_path)
+        assert queue.doorbell(SCHEDULER_BELL) is None
+        queue.ring(SCHEDULER_BELL)  # nothing to ring, nothing raised

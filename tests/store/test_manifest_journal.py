@@ -1,9 +1,15 @@
-"""Journaled manifest writes: O(1) appends, batching, crash tolerance."""
+"""Journaled manifest writes: O(1) appends, batching, crash tolerance,
+incremental refresh."""
 
 import json
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.store.store as store_module
 from repro.errors import StoreCorruptionError
 from repro.store.store import TraceStore
 
@@ -116,3 +122,138 @@ class TestAutoCompaction:
         assert store.journal_path.stat().st_size <= 4096
         reopened = TraceStore(tmp_path, create=False)
         assert len(reopened) == 120
+
+
+def _view(store):
+    return {entry.key: entry.to_dict() for entry in store.entries()}
+
+
+def _fresh_view(root):
+    return _view(TraceStore(root, create=False))
+
+
+_KEYS = st.sampled_from([f"trace/k{index}" for index in range(5)])
+_PAYLOADS = st.binary(min_size=1, max_size=6)
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, _PAYLOADS),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("batch"),
+              st.lists(st.tuples(_KEYS, st.none() | _PAYLOADS),
+                       max_size=4)),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("refresh")))
+
+
+def _apply(store, op):
+    kind = op[0]
+    if kind == "put":
+        store.put_bytes(op[1], "trace", op[2])
+    elif kind == "delete":
+        store.delete(op[1])
+    elif kind == "batch":
+        with store.batch():
+            for key, payload in op[1]:
+                if payload is None:
+                    store.delete(key)
+                else:
+                    store.put_bytes(key, "trace", payload)
+    elif kind == "compact":
+        store.compact()
+
+
+class TestIncrementalRefresh:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=24), journal=st.booleans())
+    def test_refresh_matches_a_fresh_open(self, ops, journal):
+        """Whatever a writer did — appends, batches, compactions, auto
+        compactions, or snapshot rewrites with ``journal=False`` — a
+        reader's refresh sees what a fresh open sees."""
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(
+                store_module, "JOURNAL_COMPACT_BYTES", 700):
+            writer = TraceStore(root, journal=journal)
+            reader = TraceStore(root)
+            for op in ops + [("refresh",)]:
+                if op[0] == "refresh":
+                    reader.refresh()
+                    assert _view(reader) == _fresh_view(root)
+                else:
+                    _apply(writer, op)
+
+    def test_compaction_then_regrowth_past_the_old_offset(self, tmp_path):
+        writer = TraceStore(tmp_path)
+        reader = TraceStore(tmp_path)
+        _fill(writer, 3, prefix="trace/a")
+        reader.refresh()
+        read_to = writer.journal_path.stat().st_size
+        writer.compact()
+        writer.delete("trace/a/1")
+        _fill(writer, 6, prefix="trace/b")
+        assert writer.journal_path.stat().st_size > read_to
+        reader.refresh()
+        assert _view(reader) == _fresh_view(tmp_path)
+        assert "trace/a/1" not in reader and "trace/b/5" in reader
+
+    def test_a_rewritten_journal_under_an_unchanged_identity_reloads(
+            self, tmp_path, monkeypatch):
+        """Inode reuse within one coarse timestamp tick can give a
+        rewritten manifest.json its old identity; the last line read
+        then no longer matches the journal, which forces a reload."""
+        monkeypatch.setattr(store_module, "_identity", lambda stat: (0, 0, 0))
+        writer = TraceStore(tmp_path)
+        reader = TraceStore(tmp_path)
+        _fill(writer, 3, prefix="trace/a")
+        reader.refresh()
+        writer.compact()
+        writer.delete("trace/a/0")
+        _fill(writer, 6, prefix="trace/b")
+        reader.refresh()
+        assert _view(reader) == _fresh_view(tmp_path)
+
+    def test_own_compaction_keeps_the_next_refresh_incremental(
+            self, tmp_path):
+        writer = TraceStore(tmp_path)
+        reader = TraceStore(tmp_path)
+        _fill(writer, 3)
+        reader.compact()
+        _fill(writer, 2, prefix="trace/late")
+        with mock.patch.object(TraceStore, "_read_disk_state",
+                               autospec=True,
+                               side_effect=TraceStore._read_disk_state
+                               ) as full_reload:
+            reader.refresh()
+        assert full_reload.call_count == 0
+        assert _view(reader) == _fresh_view(tmp_path)
+
+    def test_refresh_reads_only_appended_bytes(self, tmp_path):
+        """Damage before the reader's mark goes unread by its refresh,
+        while a fresh open, which replays everything, fails on it."""
+        writer = TraceStore(tmp_path)
+        reader = TraceStore(tmp_path)
+        _fill(writer, 3)
+        reader.refresh()
+        raw = writer.journal_path.read_bytes()
+        writer.journal_path.write_bytes(b"#" + raw[1:])  # in place
+        _fill(writer, 2, prefix="trace/new")
+        reader.refresh()
+        assert "trace/new/1" in reader and len(reader) == 5
+        with pytest.raises(StoreCorruptionError):
+            TraceStore(tmp_path, create=False)
+
+    def test_a_partial_line_is_left_for_the_next_read(self, tmp_path):
+        """A line seen half-appended (a reader without working locks)
+        is not consumed, so its completion is read in full later."""
+        writer = TraceStore(tmp_path)
+        reader = TraceStore(tmp_path)
+        _fill(writer, 2)
+        line = writer.journal_path.read_bytes().splitlines()[-1]
+        line = line.replace(b"trace/t/1", b"trace/t/9")
+        with open(writer.journal_path, "ab") as handle:
+            handle.write(line[:20])
+        reader.refresh()
+        assert _view(reader) == _fresh_view(tmp_path)
+        assert len(reader) == 2
+        with open(writer.journal_path, "ab") as handle:
+            handle.write(line[20:] + b"\n")
+        reader.refresh()
+        assert _view(reader) == _fresh_view(tmp_path)
+        assert "trace/t/9" in reader
