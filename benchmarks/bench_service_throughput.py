@@ -15,9 +15,9 @@ end:
 * **service fleet xK (e2e)** — the same batch dispatched to a real
   worker-process fleet (spawn cost and unit granularity included).
 
-A second table isolates the store-layer write-amplification fix: full
-manifest rewrites during one campaign, journaled (current) vs legacy
-snapshot-per-put mode — O(runs) → O(1).
+A second table counts the store's write amplification during one
+campaign: full manifest rewrites (O(1) with the journaled manifest)
+against journal appends.
 
 Run modes:
 
@@ -120,25 +120,19 @@ def service_speedup(workers: int, reps: int = 1, runs=None,
 
 
 def manifest_write_counts(runs: int):
-    """Full manifest rewrites during one campaign, journaled vs legacy."""
+    """Full manifest rewrites and journal appends during one campaign."""
     program, fixed_inputs, random_input = resolve("dummy")
-    rows = []
-    counts = {}
-    for mode, journal in (("journaled (current)", True),
-                          ("legacy snapshot-per-put", False)):
-        root = Path(tempfile.mkdtemp(prefix="owl-bench-manifest-"))
-        try:
-            store = TraceStore(root / "store", journal=journal)
-            owl = Owl(program, name="dummy",
-                      config=OwlConfig(**_config_dict(runs)))
-            owl.detect(fixed_inputs(), random_input=random_input,
-                       store=store)
-            counts[mode] = store.manifest_saves
-            rows.append([mode, runs, store.manifest_saves,
-                         store.journal_appends, len(store)])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    return rows, counts
+    root = Path(tempfile.mkdtemp(prefix="owl-bench-manifest-"))
+    try:
+        store = TraceStore(root / "store")
+        owl = Owl(program, name="dummy",
+                  config=OwlConfig(**_config_dict(runs)))
+        owl.detect(fixed_inputs(), random_input=random_input, store=store)
+        row = ["journaled", runs, store.manifest_saves,
+               store.journal_appends, len(store)]
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return [row], store.manifest_saves
 
 
 def measure(smoke: bool = False):
@@ -169,7 +163,7 @@ def measure(smoke: bool = False):
         f"({runs}+{runs} runs), serial direct runs vs one service",
         ["scenario", "serial s", "service s", "speedup"], rows)
 
-    manifest_rows, manifest_counts = manifest_write_counts(runs)
+    manifest_rows, manifest_saves = manifest_write_counts(runs)
     manifest = render_table(
         f"Store manifest write amplification during one campaign "
         f"({runs}+{runs} runs)",
@@ -180,22 +174,18 @@ def measure(smoke: bool = False):
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "service_throughput.txt").write_text(text + "\n")
-    return speedups, manifest_counts
+    return speedups, manifest_saves
 
 
 def test_service_throughput(benchmark=None):
-    speedups, manifest_counts = measure()
+    speedups, journaled = measure()
     headline = speedups["service multi-tenant (e2e)"]
     assert headline >= 3.0, \
         f"multi-tenant amortisation only {headline:.2f}x (need >=3x)"
     for scenario, speedup in speedups.items():
         assert speedup > 1.0, f"{scenario} slower than serial"
-    journaled = manifest_counts["journaled (current)"]
-    legacy = manifest_counts["legacy snapshot-per-put"]
     assert journaled <= 1, \
         f"journaled store rewrote the manifest {journaled} times"
-    assert legacy >= 5 * max(journaled, 1), \
-        "legacy mode no longer shows the amplification being fixed"
 
 
 if __name__ == "__main__":

@@ -114,11 +114,6 @@ class Reader:
         return self._pos == len(self._data)
 
 
-#: Backwards-compatible aliases (pre-store internal names).
-_Writer = Writer
-_Reader = Reader
-
-
 def _collect_strings(graph: ADCFG) -> List[str]:
     strings = {graph.kernel_identity, graph.kernel_name}
     strings.update(graph.nodes.keys())

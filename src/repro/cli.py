@@ -15,6 +15,8 @@ options::
     owl diff baseline.json candidate.json    # cross-version regression diff
     owl ls --store ./owl-store               # inspect stored artifacts
     owl gc --store ./owl-store               # drop unreferenced blobs
+    owl verify --store ./owl-store           # integrity check (migrates
+                                             # a pre-sharding store once)
 
 as well as the multi-tenant detection service (every service verb takes
 one ``--connect URL`` — ``unix:///path`` or ``http://host:port``; both
@@ -254,7 +256,8 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
                          "(blob digests and sizes); delete nothing")
 
     verify = commands.add_parser(
-        "verify", help="integrity-check a store's artifacts")
+        "verify", help="integrity-check a store's artifacts (first "
+                       "migrating a pre-sharding flat store, once)")
     verify.add_argument("--store", metavar="DIR", required=True,
                         help="campaign store directory")
     verify.add_argument("--repair", action="store_true",
@@ -653,6 +656,21 @@ def _run_workload(parser: argparse.ArgumentParser, args: argparse.Namespace,
 # subcommands
 # ----------------------------------------------------------------------
 
+def _open_store(root, *, create: bool = False):
+    """Open the store at *root*, or print why not and return None.
+
+    Every ``--store`` verb exits :data:`EXIT_CONFIG` on None, so an
+    unreadable manifest or an old store's migrate hint reads as one
+    line rather than a traceback.
+    """
+    from repro.store import StoreError, TraceStore
+    try:
+        return TraceStore(root, create=create)
+    except StoreError as error:
+        print(f"owl: {error}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(parser: argparse.ArgumentParser,
              args: argparse.Namespace) -> int:
     if args.list:
@@ -661,20 +679,19 @@ def _cmd_run(parser: argparse.ArgumentParser,
         return 0
     store = None
     if args.store is not None:
-        from repro.store import TraceStore
-        store = TraceStore(args.store)
+        store = _open_store(args.store, create=True)
+        if store is None:
+            return EXIT_CONFIG
     return _run_workload(parser, args, store=store,
                          reuse_report=not args.no_reuse_report)
 
 
 def _cmd_resume(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
-    from repro.store import StoreError, TraceStore, incomplete_campaigns
-    try:
-        store = TraceStore(args.store, create=False)
-    except StoreError as error:
-        print(f"owl: {error}", file=sys.stderr)
-        return 2
+    from repro.store import incomplete_campaigns
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_CONFIG
     pending = incomplete_campaigns(store)
     if not pending:
         print(f"{args.store}: no interrupted campaigns")
@@ -736,14 +753,12 @@ def _cmd_diff(parser: argparse.ArgumentParser,
     import json as json_module
 
     from repro.errors import ConfigError
-    from repro.store import StoreError, TraceStore, diff_reports
+    from repro.store import diff_reports
     store = None
     if args.store is not None:
-        try:
-            store = TraceStore(args.store, create=False)
-        except StoreError as error:
-            print(f"owl: {error}", file=sys.stderr)
-            return 2
+        store = _open_store(args.store)
+        if store is None:
+            return EXIT_CONFIG
     baseline = _load_report_for_diff(parser, args.baseline, store)
     candidate = _load_report_for_diff(parser, args.candidate, store)
     try:
@@ -760,12 +775,9 @@ def _cmd_diff(parser: argparse.ArgumentParser,
 
 def _cmd_ls(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> int:
-    from repro.store import StoreError, TraceStore
-    try:
-        store = TraceStore(args.store, create=False)
-    except StoreError as error:
-        print(f"owl: {error}", file=sys.stderr)
-        return 2
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_CONFIG
     entries = store.entries(kind=args.kind)
     for entry in entries:
         print(f"{entry.kind:<10} {entry.size:>10}  {entry.key}")
@@ -778,28 +790,12 @@ def _cmd_ls(parser: argparse.ArgumentParser,
     return 0
 
 
-def _render_layout(layout: Dict) -> str:
-    version = layout.get("version")
-    flat = layout.get("flat_blobs", 0)
-    sharded = layout.get("sharded_blobs", 0)
-    if version == "1+2":
-        return (f"layout v1+v2 (mixed: {flat} flat blobs pending lazy "
-                f"migration, {sharded} sharded)")
-    if version == 1:
-        return f"layout v1 (flat, {flat} blobs; migrates lazily on access)"
-    return f"layout v2 (digest-prefix sharded, {sharded} blobs)"
-
-
 def _cmd_gc(parser: argparse.ArgumentParser,
             args: argparse.Namespace) -> int:
-    from repro.store import StoreError, TraceStore
-    try:
-        store = TraceStore(args.store, create=False)
-    except StoreError as error:
-        print(f"owl: {error}", file=sys.stderr)
-        return 2
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_CONFIG
     result = store.gc(dry_run=args.dry_run)
-    print(_render_layout(result["layout"]))
     if args.dry_run:
         for digest, size in result["candidates"]:
             print(f"would remove {size:>10}  {digest}")
@@ -814,13 +810,14 @@ def _cmd_gc(parser: argparse.ArgumentParser,
 
 def _cmd_verify(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
-    from repro.store import StoreError, TraceStore
-    try:
-        store = TraceStore(args.store, create=False)
-    except StoreError as error:
-        print(f"owl: {error}", file=sys.stderr)
-        return 2
-    print(_render_layout(store.blobs.layout()))
+    from repro.store.blobs import migrate_flat
+    # stores written before blob sharding open only once migrated
+    migrated = migrate_flat(args.store)
+    if migrated:
+        print(f"migrated {migrated} flat blob(s) to the sharded layout")
+    store = _open_store(args.store)
+    if store is None:
+        return EXIT_CONFIG
     bad = store.verify(repair=args.repair)
     if not bad:
         print(f"{args.store}: all {len(store)} entries verified")
@@ -919,6 +916,7 @@ def _cmd_serve(parser: argparse.ArgumentParser,
     from repro.errors import ConfigError
     from repro.service import CampaignScheduler, ServiceConfig, WorkerFleet
     from repro.service.server import serve_forever
+    from repro.store import StoreError
 
     queue_dir = Path(args.queue if args.queue is not None
                      else Path(args.store) / "service")
@@ -945,8 +943,12 @@ def _cmd_serve(parser: argparse.ArgumentParser,
                             lease_seconds=service_config.lease_seconds,
                             die_after=service_config.die_after,
                             restart_budget=service_config.restart_budget)
-    scheduler = CampaignScheduler(args.store, queue_dir,
-                                  config=service_config, fleet=fleet)
+    try:
+        scheduler = CampaignScheduler(args.store, queue_dir,
+                                      config=service_config, fleet=fleet)
+    except StoreError as error:
+        print(f"owl: {error}", file=sys.stderr)
+        return EXIT_CONFIG
     scheduler.queue.clear_stop()
     if args.recover:
         recovered = scheduler.recover()
@@ -979,6 +981,7 @@ def _cmd_serve(parser: argparse.ArgumentParser,
 def _cmd_worker(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> int:
     from repro.service.worker import default_worker_id, worker_loop
+    from repro.store import StoreError
     worker_id = args.worker_id or default_worker_id()
     print(f"owl worker {worker_id}: queue={args.queue} "
           f"store={args.store}", flush=True)
@@ -989,6 +992,9 @@ def _cmd_worker(parser: argparse.ArgumentParser,
                                die_after=args.die_after)
     except KeyboardInterrupt:
         return 0
+    except StoreError as error:  # units' errors are failed, not raised
+        print(f"owl: {error}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"owl worker {worker_id}: executed {executed} unit(s), "
           f"stop requested")
     return 0

@@ -46,7 +46,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.evidence import Evidence
 from repro.errors import ConfigError
 from repro.gpusim.device import DeviceConfig
-from repro.resilience import events as degradation_events
 from repro.resilience.events import DegradationEvent, collecting_degradations
 from repro.resilience.faults import FaultPlan, activated
 from repro.resilience.retry import RetryPolicy
@@ -381,7 +380,3 @@ class TraceRecordingPool:
         # outcomes arrive in chunk (= run) order whatever the completion
         # order, so downstream folds see runs exactly as the serial loop
         return outcomes
-
-
-# re-exported for callers that want to observe degradations directly
-record_degradation = degradation_events.record_degradation

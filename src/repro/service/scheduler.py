@@ -153,6 +153,10 @@ class CampaignScheduler:
                  config: Optional[ServiceConfig] = None,
                  fleet: Optional[WorkerFleet] = None) -> None:
         self.store_root = str(store_root)
+        #: the shared store, created/validated here (before the queue,
+        #: so a store that refuses to open leaves no queue behind) and
+        #: refreshed before each read of other processes' writes
+        self.store = TraceStore(self.store_root)
         self.config = config or ServiceConfig()
         self.queue = JobQueue(queue_root)
         self.fleet = fleet
@@ -162,9 +166,6 @@ class CampaignScheduler:
         self.events: List[DegradationEvent] = []
         #: weighted fair stride state: tenant → accumulated pass
         self._tenant_pass: Dict[str, float] = {}
-        #: the shared store, created/validated here and refreshed before
-        #: each read of other processes' writes
-        self.store = TraceStore(self.store_root)
 
     # ------------------------------------------------------------------
     # submission

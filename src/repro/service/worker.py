@@ -97,8 +97,8 @@ def worker_loop(queue_root, store_root, worker_id: Optional[str] = None,
     scheduler's setting: the worker heartbeats held claims at a quarter
     of it while executing.
     """
-    queue = JobQueue(queue_root)
     store = TraceStore(store_root)
+    queue = JobQueue(queue_root)
     worker_id = worker_id or default_worker_id()
     bell = queue.doorbell(worker_bell_name(os.getpid()))
     executed = 0

@@ -15,14 +15,14 @@ Writes are atomic: payloads land in ``tmp/`` and are published with
 ``os.replace``, so a crash mid-write can leave garbage in ``tmp/`` (swept
 opportunistically) but never a half-written object at a valid address.
 
-Two directory layouts are understood.  The current layout (version 2)
-shards objects by digest prefix — ``objects/ab/cdef…`` — so a fleet-scale
-store never piles a million files into one directory.  The legacy flat
-layout (version 1) kept every blob directly under ``objects/<64 hex>``;
-flat blobs are still found by every read path and are **lazily migrated**
-to their sharded address the first time they are touched (an atomic
-``os.replace``, safe under concurrent readers).  ``migrate_flat()`` bulk-
-migrates a whole store; :meth:`layout` reports what is on disk.
+Objects are sharded by digest prefix (``objects/ab/cdef…``) so a
+fleet-scale store never piles a million files into one directory.
+Stores written before sharding kept every blob flat, directly under
+``objects/<64 hex>``.  :class:`BlobStore` refuses to open such a store
+rather than see each flat blob as missing (the campaign's self-healing
+loads would then drop every entry those blobs back); the error names
+``owl verify --store DIR``, which moves them once with
+:func:`migrate_flat`.
 """
 
 from __future__ import annotations
@@ -33,17 +33,14 @@ import os
 import threading
 import zlib
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator, List, Union
 
 # historical home of these classes; canonical definitions live in
 # repro.errors so every layer shares one hierarchy
 from repro.errors import StoreCorruptionError, StoreError
 
-__all__ = ["BlobStore", "LAYOUT_VERSION", "StoreCorruptionError",
-           "StoreError", "sha256_hex"]
-
-#: Current on-disk blob layout: digest-prefix sharded directories.
-LAYOUT_VERSION = 2
+__all__ = ["BlobStore", "StoreCorruptionError", "StoreError",
+           "migrate_flat", "sha256_hex"]
 
 #: Disambiguates concurrent same-digest writes from one process: pid
 #: alone is not unique when two *threads* (e.g. in-process workers) put
@@ -56,13 +53,54 @@ def sha256_hex(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def _is_digest(name: str) -> bool:
+    return len(name) == 64 and all(c in "0123456789abcdef" for c in name)
+
+
+def _flat_digests(objects_dir: Path) -> List[str]:
+    """Addresses of blobs stored flat, directly under ``objects/``."""
+    try:
+        with os.scandir(objects_dir) as entries:
+            return [entry.name for entry in entries
+                    if _is_digest(entry.name) and entry.is_file()]
+    except FileNotFoundError:
+        return []
+
+
+def migrate_flat(root: Union[str, Path]) -> int:
+    """Move every flat blob of the store at *root* to its sharded address.
+
+    The one-shot upgrade ``owl verify`` runs before it opens a store;
+    returns the number of blobs moved.  Each move is one atomic
+    ``os.replace`` of an already durable file, so an interrupted
+    migration leaves a store that still refuses to open, and rerunning
+    it finishes the job.
+    """
+    objects_dir = Path(root) / "objects"
+    moved = 0
+    for digest in _flat_digests(objects_dir):
+        target = objects_dir / digest[:2] / digest[2:]
+        target.parent.mkdir(exist_ok=True)
+        try:
+            os.replace(objects_dir / digest, target)
+        except FileNotFoundError:
+            continue  # a concurrent migration moved it first
+        moved += 1
+    return moved
+
+
 class BlobStore:
-    """Flat content-addressed object directory with atomic publication."""
+    """Digest-prefix sharded content-addressed objects, published
+    atomically."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.tmp_dir = self.root / "tmp"
+        if _flat_digests(self.objects_dir):
+            raise StoreError(
+                f"{self.root} holds blobs in the pre-sharding flat layout; "
+                f"run `owl verify --store {self.root}` once to migrate it")
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self.tmp_dir.mkdir(parents=True, exist_ok=True)
 
@@ -71,43 +109,10 @@ class BlobStore:
     # ------------------------------------------------------------------
 
     def path_for(self, digest: str) -> Path:
-        """Canonical (sharded, layout-2) path for *digest*."""
-        if len(digest) != 64 or any(c not in "0123456789abcdef"
-                                    for c in digest):
+        """Sharded path for *digest*: ``objects/<aa>/<62 hex>``."""
+        if not _is_digest(digest):
             raise StoreError(f"not a SHA-256 blob address: {digest!r}")
         return self.objects_dir / digest[:2] / digest[2:]
-
-    def flat_path_for(self, digest: str) -> Path:
-        """Legacy (flat, layout-1) path for *digest*."""
-        if len(digest) != 64 or any(c not in "0123456789abcdef"
-                                    for c in digest):
-            raise StoreError(f"not a SHA-256 blob address: {digest!r}")
-        return self.objects_dir / digest
-
-    def _resolve(self, digest: str) -> Path:
-        """The on-disk path holding *digest*, migrating flat blobs.
-
-        A blob found at its legacy flat address is moved to the sharded
-        address first (atomic ``os.replace``; idempotent if another
-        process races us there), so every touched blob ends up in the
-        current layout without a store-wide rewrite.
-        """
-        path = self.path_for(digest)
-        if path.exists():
-            return path
-        flat = self.flat_path_for(digest)
-        if flat.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(flat, path)
-            except OSError:
-                # a concurrent migration won the race; fall through to
-                # whichever address now holds the blob
-                pass
-            if path.exists():
-                return path
-            return flat
-        return path
 
     # ------------------------------------------------------------------
     # read / write
@@ -116,10 +121,9 @@ class BlobStore:
     def put(self, payload: bytes) -> str:
         """Store *payload*, returning its content address (idempotent)."""
         digest = sha256_hex(payload)
-        path = self._resolve(digest)  # migrates a legacy flat copy
+        path = self.path_for(digest)
         if path.exists():
             return digest
-        path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         compressed = zlib.compress(payload, level=6)
         tmp_path = self.tmp_dir / (
@@ -138,9 +142,8 @@ class BlobStore:
 
     def get(self, digest: str) -> bytes:
         """Load and verify the payload stored at *digest*."""
-        path = self._resolve(digest)
         try:
-            compressed = path.read_bytes()
+            compressed = self.path_for(digest).read_bytes()
         except FileNotFoundError:
             raise StoreError(f"missing blob {digest}") from None
         try:
@@ -157,83 +160,30 @@ class BlobStore:
         return payload
 
     def has(self, digest: str) -> bool:
-        return (self.path_for(digest).exists()
-                or self.flat_path_for(digest).exists())
+        return self.path_for(digest).exists()
 
     def delete(self, digest: str) -> int:
-        """Remove a blob (either layout); returns on-disk bytes reclaimed."""
-        reclaimed = 0
-        for path in (self.path_for(digest), self.flat_path_for(digest)):
-            try:
-                size = path.stat().st_size
-                path.unlink()
-                reclaimed += size
-            except FileNotFoundError:
-                continue
-        return reclaimed
+        """Remove a blob; returns the on-disk bytes reclaimed."""
+        path = self.path_for(digest)
+        try:
+            size = path.stat().st_size
+            path.unlink()
+        except FileNotFoundError:
+            return 0
+        return size
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
 
     def iter_digests(self) -> Iterator[str]:
-        """All blob addresses currently on disk, in both layouts."""
-        seen = set()
+        """All blob addresses currently on disk."""
         for shard in sorted(self.objects_dir.iterdir()):
             if shard.is_dir() and len(shard.name) == 2:
                 for entry in sorted(shard.iterdir()):
                     digest = shard.name + entry.name
-                    if len(digest) == 64 and digest not in seen:
-                        seen.add(digest)
+                    if len(digest) == 64:
                         yield digest
-            elif shard.is_file() and len(shard.name) == 64:
-                # legacy flat layout: blobs directly under objects/
-                if shard.name not in seen:
-                    seen.add(shard.name)
-                    yield shard.name
-
-    def iter_flat_digests(self) -> Iterator[str]:
-        """Addresses still stored in the legacy flat layout."""
-        for entry in sorted(self.objects_dir.iterdir()):
-            if entry.is_file() and len(entry.name) == 64:
-                yield entry.name
-
-    def layout(self) -> dict:
-        """What is on disk: layout version plus per-layout blob counts.
-
-        ``version`` is :data:`LAYOUT_VERSION` once no flat blobs remain,
-        1 for a purely flat store, and the string ``"1+2"`` while a lazy
-        migration is still in flight.
-        """
-        flat = sum(1 for _ in self.iter_flat_digests())
-        total = sum(1 for _ in self.iter_digests())
-        sharded = total - flat
-        if flat == 0:
-            version = LAYOUT_VERSION
-        elif sharded == 0:
-            version = 1
-        else:
-            version = "1+2"
-        return {"version": version, "sharded_blobs": sharded,
-                "flat_blobs": flat}
-
-    def migrate_flat(self) -> int:
-        """Move every legacy flat blob to its sharded address.
-
-        Returns the number of blobs migrated.  Safe under concurrent
-        readers (each move is one atomic ``os.replace``; a reader that
-        already resolved the flat path keeps its open file).
-        """
-        migrated = 0
-        for digest in list(self.iter_flat_digests()):
-            target = self.path_for(digest)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(self.flat_path_for(digest), target)
-                migrated += 1
-            except OSError:
-                continue  # raced with another migrator; already moved
-        return migrated
 
     def sweep_tmp(self) -> int:
         """Drop leftovers from interrupted writes; returns files removed."""
@@ -248,9 +198,7 @@ class BlobStore:
 
     def disk_bytes(self, digest: str) -> int:
         """Compressed on-disk size of one blob (0 if absent)."""
-        for path in (self.path_for(digest), self.flat_path_for(digest)):
-            try:
-                return path.stat().st_size
-            except FileNotFoundError:
-                continue
-        return 0
+        try:
+            return self.path_for(digest).stat().st_size
+        except FileNotFoundError:
+            return 0

@@ -65,9 +65,6 @@ MANIFEST_VERSION = 1
 #: Compact the journal back into manifest.json once it grows past this.
 JOURNAL_COMPACT_BYTES = 512 * 1024
 
-#: Recognised entry kinds (informational; the store accepts any string).
-KINDS = ("trace", "evidence", "checkpoint", "report", "campaign")
-
 #: How far a handle has read the manifest: manifest.json's identity
 #: ``(st_ino, st_size, st_mtime_ns)``, the journal offset just past the
 #: last complete line read, and that line (checked on the next read, so
@@ -108,8 +105,7 @@ class Entry:
 class TraceStore:
     """Content-addressed, versioned on-disk store for Owl artifacts."""
 
-    def __init__(self, root: Union[str, Path], *, create: bool = True,
-                 journal: bool = True) -> None:
+    def __init__(self, root: Union[str, Path], *, create: bool = True) -> None:
         self.root = Path(root)
         manifest_exists = (self.root / "manifest.json").exists()
         if not create and not manifest_exists:
@@ -119,8 +115,6 @@ class TraceStore:
         self.manifest_path = self.root / "manifest.json"
         self.journal_path = self.root / "manifest.journal"
         self.quarantine_dir = self.root / "quarantine"
-        #: journaled deltas (default) vs legacy rewrite-manifest-per-put
-        self.journal_enabled = journal
         #: write-amplification accounting: full manifest.json rewrites and
         #: journal delta lines appended (the service benchmark reads these)
         self.manifest_saves = 0
@@ -128,7 +122,6 @@ class TraceStore:
         self._lock = FileLock(self.root / "manifest.lock")
         self._batch_depth = 0
         self._pending_records: List[Dict] = []
-        self._dirty = False
         self._entries: Dict[str, Entry] = {}
         #: what this handle has read (None: reload everything on refresh)
         self._mark: Optional[Mark] = None
@@ -263,8 +256,20 @@ class TraceStore:
             indent=2, sort_keys=True)
         tmp_path = self.blobs.tmp_dir / (
             f"manifest.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp_path.write_text(payload + "\n", encoding="utf-8")
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.write(payload + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, self.manifest_path)
+        if hasattr(os, "O_DIRECTORY"):
+            # the rename must be durable before a compaction empties the
+            # journal, or a power loss could keep neither copy of the
+            # deltas (POSIX only: other platforms cannot open a directory)
+            directory = os.open(self.root, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
         self.manifest_saves += 1
 
     # ------------------------------------------------------------------
@@ -273,27 +278,12 @@ class TraceStore:
 
     def _record(self, record: Dict) -> None:
         """Queue one manifest delta; flush immediately outside a batch."""
-        if not self.journal_enabled:
-            # legacy write path: every mutation rewrites the whole
-            # manifest (kept as the benchmark baseline and a fallback)
-            if self._batch_depth == 0:
-                with self._lock:
-                    self._save_manifest()
-            else:
-                self._dirty = True
-            return
         self._pending_records.append(record)
         if self._batch_depth == 0:
             self._flush_journal()
 
     def _flush_journal(self) -> None:
         """Durably append every pending delta in one locked write."""
-        if not self.journal_enabled:
-            if self._dirty:
-                with self._lock:
-                    self._save_manifest()
-                self._dirty = False
-            return
         if not self._pending_records:
             return
         lines = b"".join(
@@ -456,9 +446,7 @@ class TraceStore:
         what *would* go, so operators of a shared fleet store can audit a
         collection before running it.  Returns ``{"removed": n,
         "reclaimed_bytes": b, "kept": k, "candidates": [(digest, bytes),
-        ...], "layout": {...}}`` where sizes are compressed on-disk bytes
-        and ``layout`` reports the blob-directory layout version (legacy
-        flat stores are walked too — see :meth:`BlobStore.layout`).
+        ...]}`` where sizes are compressed on-disk bytes.
         """
         referenced = {entry.blob for entry in self._entries.values()}
         candidates: List = []
@@ -468,7 +456,6 @@ class TraceStore:
                 kept += 1
                 continue
             candidates.append((digest, self.blobs.disk_bytes(digest)))
-        layout = self.blobs.layout()
         removed = 0
         if dry_run:
             reclaimed = sum(size for _digest, size in candidates)
@@ -479,7 +466,7 @@ class TraceStore:
                 removed += 1
             self.blobs.sweep_tmp()
         return {"removed": removed, "reclaimed_bytes": reclaimed,
-                "kept": kept, "candidates": candidates, "layout": layout}
+                "kept": kept, "candidates": candidates}
 
     def quarantine(self, key: str) -> List[str]:
         """Isolate the damaged blob behind *key* and drop every entry it
@@ -502,11 +489,10 @@ class TraceStore:
             for k in dropped:
                 del self._entries[k]
                 self._record({"op": "del", "key": k})
-        for blob_path in (self.blobs.path_for(digest),
-                          self.blobs.flat_path_for(digest)):
-            if blob_path.exists():
-                self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-                os.replace(blob_path, self.quarantine_dir / digest)
+        blob_path = self.blobs.path_for(digest)
+        if blob_path.exists():
+            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(blob_path, self.quarantine_dir / digest)
         return dropped
 
     def verify(self, repair: bool = False) -> List[str]:

@@ -158,6 +158,23 @@ class TestStoreMaintenanceSubcommands:
             assert code == 2
             assert "owl:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", [
+        ["run", "dummy", *RUN_ARGS], ["serve", "--workers", "0"],
+        ["worker", "--queue", "QUEUE"]])
+    def test_unreadable_store_is_one_line_and_exit_2(self, verb, tmp_path,
+                                                     capsys):
+        """Like ls/gc/verify, the verbs that open a store for work print
+        an open failure as one line and exit 2, not 1 ("leaks found")."""
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "manifest.json").write_text("{not json")
+        argv = [str(tmp_path / "queue") if arg == "QUEUE" else arg
+                for arg in verb]
+        assert main([*argv, "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("owl: cannot read store manifest")
+        assert err.count("\n") == 1
+
 
 class TestResumeSubcommand:
     def test_resume_with_nothing_pending(self, tmp_path, capsys):

@@ -1,117 +1,183 @@
-"""Legacy flat blob layout: transparent reads, lazy migration, tooling."""
+"""Stores written before blob sharding (``objects/<64 hex>``): every
+opener refuses with a one-line ``owl verify`` hint and touches nothing;
+``owl verify`` migrates them once, after which warm runs hit the cache."""
 
+import contextlib
+import io
+import shutil
 import zlib
 
+import pytest
+
+from repro.apps.registry import resolve
 from repro.cli import main
-from repro.store.blobs import LAYOUT_VERSION, BlobStore, sha256_hex
-from repro.store.store import TraceStore
+from repro.core import Owl, OwlConfig
+from repro.store.blobs import BlobStore, migrate_flat, sha256_hex
+from repro.store.store import StoreError, TraceStore
+
+WORKLOADS = ("aes", "dummy")
+RUN_ARGS = ["--fixed-runs", "4", "--random-runs", "4", "--seed", "11"]
 
 
-def _flatten(store: TraceStore) -> int:
-    """Rewrite every sharded blob into the legacy flat layout (v1)."""
-    moved = 0
-    for digest in list(store.blobs.iter_digests()):
-        sharded = store.blobs.path_for(digest)
-        if sharded.exists():
-            sharded.replace(store.blobs.flat_path_for(digest))
-            if not any(sharded.parent.iterdir()):
-                sharded.parent.rmdir()
-            moved += 1
-    return moved
+def _flatten(root, every=1) -> int:
+    """Move every *every*-th sharded blob back to the flat layout."""
+    objects = root / "objects"
+    blobs = sorted(path for shard in objects.iterdir() if shard.is_dir()
+                   for path in shard.iterdir())
+    for path in blobs[::every]:
+        path.replace(objects / (path.parent.name + path.name))
+        if not any(path.parent.iterdir()):
+            path.parent.rmdir()
+    return len(blobs[::every])
 
 
-def _legacy_store(tmp_path, count=4):
-    store = TraceStore(tmp_path)
-    for index in range(count):
-        store.put_bytes(f"trace/t/{index}", "trace", f"body-{index}".encode())
-    assert _flatten(store) == count
-    return store
+def _snapshot(root):
+    """Bytes of the manifest, the journal and every blob file, by path."""
+    files = [root / "manifest.json", root / "manifest.journal"]
+    files += [path for path in (root / "objects").rglob("*")
+              if path.is_file()]
+    return {str(path.relative_to(root)): path.read_bytes() for path in files}
+
+
+def _flat_names(root):
+    return [path.name for path in (root / "objects").iterdir()
+            if path.is_file()]
+
+
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    """A sharded store holding cold aes and dummy campaigns, and their
+    ``--json`` reports."""
+    root = tmp_path_factory.mktemp("cold") / "store"
+    return root, {name: _run(root, name, "--json") for name in WORKLOADS}
+
+
+def _run(root, name, *extra):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["run", name, "--store", str(root), *RUN_ARGS, *extra])
+    assert code == 1  # both workloads leak
+    return out.getvalue()
+
+
+@pytest.fixture(params=["flat", "mixed"])
+def old_store(request, cold, tmp_path):
+    """A copy of the cold store with all (flat) or every other (mixed)
+    blob moved back to the pre-sharding layout."""
+    root = tmp_path / "store"
+    shutil.copytree(cold[0], root)
+    assert _flatten(root, every=1 if request.param == "flat" else 2)
+    return root
+
+
+def _hint(root):
+    return f"owl verify --store {root}"
 
 
 class TestFlatLayoutReads:
-    def test_flat_blobs_are_readable(self, tmp_path):
-        store = _legacy_store(tmp_path)
-        assert store.get_bytes("trace/t/2") == b"body-2"
+    def test_trace_store_refuses_and_touches_nothing(self, old_store):
+        before = _snapshot(old_store)
+        for create in (True, False):
+            with pytest.raises(StoreError) as info:
+                TraceStore(old_store, create=create)
+            message = str(info.value)
+            assert _hint(old_store) in message and "\n" not in message
+        assert _snapshot(old_store) == before
 
-    def test_layout_reports_v1_then_mixed_then_v2(self, tmp_path):
-        store = _legacy_store(tmp_path, count=3)
-        assert store.blobs.layout() == {
-            "version": 1, "sharded_blobs": 0, "flat_blobs": 3}
-        store.get_bytes("trace/t/0")  # touch one: lazy migration
-        layout = store.blobs.layout()
-        assert layout["version"] == "1+2"
-        assert layout == {"version": "1+2", "sharded_blobs": 1,
-                          "flat_blobs": 2}
-        store.blobs.migrate_flat()
-        assert store.blobs.layout() == {
-            "version": LAYOUT_VERSION, "sharded_blobs": 3, "flat_blobs": 0}
-
-    def test_read_migrates_blob_to_sharded_path(self, tmp_path):
-        store = _legacy_store(tmp_path, count=1)
-        digest = next(store.blobs.iter_digests())
-        assert store.blobs.flat_path_for(digest).exists()
-        store.get_bytes("trace/t/0")
-        assert store.blobs.path_for(digest).exists()
-        assert not store.blobs.flat_path_for(digest).exists()
-        # and the migrated copy round-trips
-        assert store.get_bytes("trace/t/0") == b"body-0"
-
-    def test_put_of_existing_flat_payload_migrates_not_duplicates(
-            self, tmp_path):
-        store = _legacy_store(tmp_path, count=1)
-        digest = store.put_bytes("trace/t/again", "trace", b"body-0").blob
-        assert store.blobs.path_for(digest).exists()
-        assert not store.blobs.flat_path_for(digest).exists()
+    def test_detect_refuses_and_touches_nothing(self, old_store):
+        before = _snapshot(old_store)
+        program, fixed_inputs, random_input = resolve("dummy")
+        owl = Owl(program, name="dummy",
+                  config=OwlConfig(fixed_runs=4, random_runs=4, seed=11))
+        with pytest.raises(StoreError, match="owl verify --store"):
+            owl.detect(fixed_inputs(), random_input=random_input,
+                       store=str(old_store))
+        assert _snapshot(old_store) == before
 
     def test_migrate_flat_bulk(self, tmp_path):
-        store = _legacy_store(tmp_path, count=5)
-        assert store.blobs.migrate_flat() == 5
-        assert store.blobs.layout()["flat_blobs"] == 0
+        store = TraceStore(tmp_path)
+        for index in range(5):
+            store.put_bytes(f"trace/t/{index}", "trace",
+                            f"body-{index}".encode())
+        _flatten(tmp_path, every=2)  # a mixed store: 3 flat, 2 sharded
+        before = sorted(_snapshot(tmp_path).values())
+        assert migrate_flat(tmp_path) == 3
+        assert _flat_names(tmp_path) == []
+        assert migrate_flat(tmp_path) == 0  # idempotent
+        # every blob kept its bytes; only its path moved
+        assert sorted(_snapshot(tmp_path).values()) == before
+        store = TraceStore(tmp_path, create=False)
         for index in range(5):
             assert store.get_bytes(f"trace/t/{index}") == \
                 f"body-{index}".encode()
 
 
 class TestToolingWalksBothLayouts:
+    @pytest.mark.parametrize("verb", [
+        ["run", "dummy", *RUN_ARGS], ["ls"], ["gc"], ["gc", "--dry-run"],
+        ["serve", "--workers", "0"], ["worker", "--queue", "QUEUE"]])
+    def test_verbs_refuse_with_one_line(self, verb, old_store, tmp_path,
+                                        capsys):
+        before = _snapshot(old_store)
+        argv = [str(tmp_path / "queue") if arg == "QUEUE" else arg
+                for arg in verb]
+        assert main([*argv, "--store", str(old_store)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and _hint(old_store) in err
+        assert _snapshot(old_store) == before
+        assert not (tmp_path / "queue").exists()
+
+    def test_verify_migrates_then_warm_runs_hit_the_cache(
+            self, old_store, cold, tmp_path, capsys):
+        flat = len(_flat_names(old_store))
+        assert main(["verify", "--store", str(old_store)]) == 0
+        out = capsys.readouterr().out
+        assert f"migrated {flat} flat blob(s)" in out
+        assert "entries verified" in out
+        assert _flat_names(old_store) == []
+        for name in WORKLOADS:
+            log = tmp_path / f"{name}.jsonl"
+            warm = _run(old_store, name, "--json",
+                        "--degradation-log", str(log))
+            assert warm == cold[1][name]
+            assert log.read_text() == ""  # no quarantine, no degradation
+            assert f"report cache hit for {name}" in _run(old_store, name)
+
     def test_verify_checks_flat_blobs(self, tmp_path, capsys):
-        _legacy_store(tmp_path, count=2)
+        store = TraceStore(tmp_path)
+        for index in range(2):
+            store.put_bytes(f"trace/t/{index}", "trace",
+                            f"body-{index}".encode())
+        _flatten(tmp_path)
         assert main(["verify", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "layout v1" in out
+        assert "migrated 2 flat blob(s)" in out
         assert "all 2 entries verified" in out
 
     def test_verify_detects_flat_corruption(self, tmp_path, capsys):
-        store = _legacy_store(tmp_path, count=1)
-        digest = next(store.blobs.iter_flat_digests())
-        store.blobs.flat_path_for(digest).write_bytes(
+        store = TraceStore(tmp_path)
+        digest = store.put_bytes("trace/t/0", "trace", b"body-0").blob
+        _flatten(tmp_path)
+        (tmp_path / "objects" / digest).write_bytes(
             zlib.compress(b"tampered"))
         assert main(["verify", "--store", str(tmp_path)]) == 1
-        assert "corrupt" in capsys.readouterr().out
-
-    def test_gc_collects_unreferenced_flat_blobs(self, tmp_path, capsys):
-        store = _legacy_store(tmp_path, count=3)
-        store.delete("trace/t/1")
-        assert main(["gc", "--store", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "removed 1 unreferenced blobs" in out
-        assert store.blobs.layout()["flat_blobs"] == 2
+        assert "corrupt: trace/t/0" in capsys.readouterr().out
 
     def test_gc_dry_run_lists_candidates_without_deleting(self, tmp_path,
                                                           capsys):
-        store = _legacy_store(tmp_path, count=3)
+        store = TraceStore(tmp_path)
+        for index in range(3):
+            store.put_bytes(f"trace/t/{index}", "trace",
+                            f"body-{index}".encode())
         doomed = store.get("trace/t/1").blob
         store.delete("trace/t/1")
+        _flatten(tmp_path)
+        assert main(["verify", "--store", str(tmp_path)]) == 0
         assert main(["gc", "--store", str(tmp_path), "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "dry run: would remove 1" in out
         assert doomed in out  # the candidate digest is printed with size
-        assert store.blobs.has(doomed)  # nothing actually deleted
-
-    def test_mixed_layout_rendered_in_gc_output(self, tmp_path, capsys):
-        store = _legacy_store(tmp_path, count=2)
-        store.get_bytes("trace/t/0")  # migrate one
-        assert main(["gc", "--store", str(tmp_path)]) == 0
-        assert "layout v1+v2 (mixed" in capsys.readouterr().out
+        assert TraceStore(tmp_path).blobs.has(doomed)  # nothing deleted
 
 
 class TestShardedWriteLayout:

@@ -2,6 +2,7 @@
 incremental refresh."""
 
 import json
+import os
 import tempfile
 from unittest import mock
 
@@ -47,12 +48,6 @@ class TestJournalWriteAmplification:
                 _fill(store, 5, prefix="trace/b")
             assert store.journal_appends == 0
         assert store.journal_appends == 10
-
-    def test_legacy_mode_rewrites_manifest_per_put(self, tmp_path):
-        store = TraceStore(tmp_path, journal=False)
-        baseline = store.manifest_saves
-        _fill(store, 10)
-        assert store.manifest_saves == baseline + 10
 
 
 class TestJournalReplay:
@@ -112,6 +107,41 @@ class TestJournalCrashTolerance:
             TraceStore(tmp_path, create=False)
 
 
+class TestSnapshotDurability:
+    def test_compaction_publishes_a_durable_snapshot_before_truncating(
+            self, tmp_path, monkeypatch):
+        """A power loss after the journal is emptied must find the whole
+        snapshot: its bytes are fsynced before the rename publishes it,
+        and the rename is made durable before the truncation."""
+        store = TraceStore(tmp_path)
+        _fill(store, 5)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def journal_bytes():
+            return store.journal_path.stat().st_size
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino, journal_bytes()))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, journal_bytes()))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "fsync", fsync)
+        monkeypatch.setattr(store_module.os, "replace", replace)
+        store.compact()
+        snapshot = store.manifest_path.stat().st_ino
+        directory = tmp_path.stat().st_ino
+        assert [call[:2] for call in calls] == [
+            ("fsync", snapshot), ("replace", snapshot),
+            ("fsync", directory)]
+        assert all(call[2] > 0 for call in calls)  # journal still intact
+        assert journal_bytes() == 0
+        assert len(TraceStore(tmp_path, create=False)) == 5
+
+
 class TestAutoCompaction:
     def test_journal_is_bounded(self, tmp_path, monkeypatch):
         import repro.store.store as store_module
@@ -163,14 +193,13 @@ def _apply(store, op):
 
 class TestIncrementalRefresh:
     @settings(max_examples=40, deadline=None)
-    @given(ops=st.lists(_OPS, max_size=24), journal=st.booleans())
-    def test_refresh_matches_a_fresh_open(self, ops, journal):
-        """Whatever a writer did — appends, batches, compactions, auto
-        compactions, or snapshot rewrites with ``journal=False`` — a
-        reader's refresh sees what a fresh open sees."""
+    @given(ops=st.lists(_OPS, max_size=24))
+    def test_refresh_matches_a_fresh_open(self, ops):
+        """Whatever a writer did — appends, batches, compactions or auto
+        compactions — a reader's refresh sees what a fresh open sees."""
         with tempfile.TemporaryDirectory() as root, mock.patch.object(
                 store_module, "JOURNAL_COMPACT_BYTES", 700):
-            writer = TraceStore(root, journal=journal)
+            writer = TraceStore(root)
             reader = TraceStore(root)
             for op in ops + [("refresh",)]:
                 if op[0] == "refresh":
