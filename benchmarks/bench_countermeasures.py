@@ -22,7 +22,7 @@ from _bench_utils import bench_runs, emit_table
 from repro.core import Owl, OwlConfig
 from repro.countermeasures import RotatedTable, masked_lookup, striped_lookup
 from repro.gpusim import Device, kernel
-from repro.gpusim.events import MemoryAccessEvent
+from repro.gpusim.events import MemoryBatchEvent
 from repro.host import CudaRuntime
 from repro.tracing import TraceRecorder
 
@@ -85,8 +85,9 @@ def rotated_program(rt, secret):
 def accesses_per_run(program):
     device = Device()
     counter = {"n": 0}
-    device.subscribe(lambda e: counter.__setitem__("n", counter["n"] + 1)
-                     if isinstance(e, MemoryAccessEvent) else None)
+    device.subscribe(lambda e: counter.__setitem__(
+        "n", counter["n"] + e.num_instructions)
+        if isinstance(e, MemoryBatchEvent) else None)
     program(CudaRuntime(device), 3)
     return counter["n"]
 

@@ -71,8 +71,8 @@ def test_parallel_scaling(benchmark):
     # worker speedups are core-count-gated: on a host with fewer cores than
     # workers the extra processes only add dispatch overhead, so read the
     # speedup column against the core count in the title.  Per-trace CPU
-    # cost reductions live in trace_hotpath.txt (columnar fast path), which
-    # helps regardless of core count.
+    # cost reductions live in trace_hotpath.txt (cohort and replica
+    # engines), which help regardless of core count.
     note = ("\nNote: speedup is bounded by the host core count above; "
             "worker counts beyond it measure overhead, not scaling. "
             "Core-count-independent per-trace gains are tracked in "

@@ -1,23 +1,17 @@
-"""Trace-recording hot path: per-event objects, columnar batches, cohorts.
+"""Trace-recording hot path: per-warp loop, cohorts, replica batches.
 
-Table IV attributes most of Owl's end-to-end cost to trace recording, and
-profiling the object path shows why: every memory instruction allocates a
-`MemoryAccessEvent`, and every one of its ~32 lane addresses takes a Python
-round trip through the scalar normaliser.  The columnar path batches each
-warp's accesses into arrays, normalises them with one ``np.searchsorted``
-per batch, and bulk-folds the result into the A-DCFG.  The warp-cohort
-engine then removes the remaining per-warp cost: the kernel body runs once
-per *launch* over a ``(num_warps, 32)`` lane grid instead of once per warp
-(DESIGN.md §10).
+Table IV attributes most of Owl's end-to-end cost to trace recording.
+Every warp ships its memory accesses as one batch of arrays, normalised
+with one ``np.searchsorted`` per launch and bulk-folded into the A-DCFG.
+The warp-cohort engine removes the per-warp cost on top: the kernel body
+runs once per *launch* over a ``(num_warps, 32)`` lane grid instead of
+once per warp (DESIGN.md §10).
 
 This bench times the ladder rungs on single-trace recording (AES and
 RSA) and on a small end-to-end ``Owl.detect`` (AES):
 
-* per-event objects vs columnar batches (both on the per-warp loop — the
-  PR 2 comparison, asserted ≥3× on AES record);
-* the columnar per-warp loop vs the cohort engine (the PR 4 comparison,
-  asserted ≥2× on AES record);
-* the pre-cohort columnar pipeline vs replica-cohort batching — every
+* the per-warp loop vs the cohort engine (asserted ≥2× on AES record);
+* the pre-cohort pipeline vs replica-cohort batching — every
   fixed/random repetition fused into one cohort grid, equal inputs
   recorded once (the PR 6 comparison, asserted ≥5× on AES detect e2e at
   64+64 runs);
@@ -73,12 +67,12 @@ def bench_records(default: int = 6) -> int:
     return int(os.environ.get("OWL_BENCH_RECORDS", default))
 
 
-def seconds_per_record(program, value, columnar: bool, cohort: bool,
-                       records: int, reps: int) -> float:
+def seconds_per_record(program, value, cohort: bool, records: int,
+                       reps: int) -> float:
     """Best-of-*reps* mean recording time over *records* traces."""
     best = float("inf")
     for _ in range(reps):
-        recorder = TraceRecorder(columnar=columnar, cohort=cohort)
+        recorder = TraceRecorder(cohort=cohort)
         started = time.perf_counter()
         for _ in range(records):
             recorder.record(program, value)
@@ -86,15 +80,13 @@ def seconds_per_record(program, value, columnar: bool, cohort: bool,
     return best
 
 
-def detect_seconds(columnar: bool, cohort: bool, runs: int,
-                   replica_batch: bool = False, replica_dedup: bool = False,
-                   analyzer: str = "ks", adaptive: bool = False,
-                   reps: int = 1) -> float:
+def detect_seconds(cohort: bool, runs: int, replica_batch: bool = False,
+                   replica_dedup: bool = False, analyzer: str = "ks",
+                   adaptive: bool = False, reps: int = 1) -> float:
     """Best-of-*reps* end-to-end ``Owl.detect`` wall clock."""
     best = float("inf")
     for _ in range(reps):
-        config = OwlConfig(fixed_runs=runs, random_runs=runs,
-                           columnar=columnar, cohort=cohort,
+        config = OwlConfig(fixed_runs=runs, random_runs=runs, cohort=cohort,
                            always_analyze=True, replica_batch=replica_batch,
                            replica_dedup=replica_dedup, analyzer=analyzer,
                            adaptive=adaptive)
@@ -108,27 +100,17 @@ def detect_seconds(columnar: bool, cohort: bool, runs: int,
 def profile(records: int, reps: int, detect_runs: int):
     """{row name: (baseline seconds, fast-path seconds)}.
 
-    The object-vs-columnar rows pin ``cohort=False`` on both sides so they
-    keep measuring exactly the PR 2 transport comparison; the cohort rows
-    hold the columnar transport fixed and flip only the execution engine.
+    The cohort rows flip only the execution engine.
     """
     measurements = {}
     for name, program, value in (("AES record", aes_program, AES_INPUT),
                                  ("RSA record", rsa_program, RSA_INPUT)):
-        measurements[name] = tuple(
-            seconds_per_record(program, value, columnar, False, records,
-                               reps)
-            for columnar in (False, True))
         measurements[f"{name} (cohort)"] = tuple(
-            seconds_per_record(program, value, True, cohort, records, reps)
+            seconds_per_record(program, value, cohort, records, reps)
             for cohort in (False, True))
-    measurements["AES detect (e2e)"] = tuple(
-        detect_seconds(columnar, False, detect_runs)
-        for columnar in (False, True))
     measurements["AES detect (cohort e2e)"] = tuple(
-        detect_seconds(True, cohort, detect_runs)
-        for cohort in (False, True))
-    # replica-cohort batching: the pre-cohort columnar pipeline vs fused
+        detect_seconds(cohort, detect_runs) for cohort in (False, True))
+    # replica-cohort batching: the pre-cohort pipeline vs fused
     # fixed/random replica cohorts with equal-input dedup (AES is a pure
     # function of its input, the documented dedup soundness envelope).
     # Repetition counts matter here — replica batching amortises per-run
@@ -136,8 +118,8 @@ def profile(records: int, reps: int, detect_runs: int):
     # full mode, so the perf-regression check compares like with like)
     # and uses best-of-*reps* on both columns to damp machine noise.
     measurements["AES detect (replica e2e)"] = (
-        detect_seconds(True, False, REPLICA_DETECT_RUNS, reps=reps),
-        detect_seconds(True, True, REPLICA_DETECT_RUNS, replica_batch=True,
+        detect_seconds(False, REPLICA_DETECT_RUNS, reps=reps),
+        detect_seconds(True, REPLICA_DETECT_RUNS, replica_batch=True,
                        replica_dedup=True, reps=reps))
     # the dual-detector budget: analyzer="both" replays ONE recorded fold
     # under both batched tests, so running KS and MI together costs far
@@ -147,18 +129,18 @@ def profile(records: int, reps: int, detect_runs: int):
     # bar, both ≤ 1.3x ks-only, is equivalent to this ratio ≥ ~1.5 when
     # the detectors cost alike; asserted ≥ 1.3 to leave noise headroom)
     measurements["AES detect (both e2e)"] = (
-        detect_seconds(True, True, detect_runs, analyzer="ks", reps=reps)
-        + detect_seconds(True, True, detect_runs, analyzer="mi", reps=reps),
-        detect_seconds(True, True, detect_runs, analyzer="both", reps=reps))
+        detect_seconds(True, detect_runs, analyzer="ks", reps=reps)
+        + detect_seconds(True, detect_runs, analyzer="mi", reps=reps),
+        detect_seconds(True, detect_runs, analyzer="both", reps=reps))
     # adaptive early stopping: the full-budget pipeline vs the
     # group-sequential scheduler at the same run cap.  AES's leak is
     # decisive by the second look (32 replicas per side), so most of the
     # recording budget is never spent; run counts matter, so the row
     # pins ADAPTIVE_DETECT_RUNS (identical in smoke and full mode)
     measurements["AES detect (adaptive e2e)"] = (
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
                        reps=reps),
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
                        adaptive=True, reps=reps))
     return measurements
 
@@ -169,13 +151,9 @@ def check_equality() -> None:
     tests/tracing/test_cohort.py and tests/tracing/test_replica.py)."""
     for program, value in ((aes_program, AES_INPUT),
                            (rsa_program, RSA_INPUT)):
-        reference = TraceRecorder(columnar=False, cohort=False).record(
-            program, value)
-        for columnar, cohort in ((True, False), (False, True), (True, True)):
-            fast = TraceRecorder(columnar=columnar, cohort=cohort).record(
-                program, value)
-            assert fast.signature() == reference.signature(), (
-                program, columnar, cohort)
+        reference = TraceRecorder(cohort=False).record(program, value)
+        fast = TraceRecorder(cohort=True).record(program, value)
+        assert fast.signature() == reference.signature(), program
     # replica-batched recording of repeated runs matches run-at-a-time
     from repro.tracing.replica import record_grouped
     values = [AES_INPUT, AES_INPUT, bytes(range(1, 17))]
@@ -197,7 +175,7 @@ def report(measurements, records: int, smoke: bool):
     mode = "smoke" if smoke else f"best-of-reps, {records} records"
     emit_table(
         "trace_hotpath",
-        "Trace hot path: objects vs columnar, per-warp vs cohort "
+        "Trace hot path: per-warp vs cohort, serial vs replica batches "
         f"({mode})",
         ["Workload", "Baseline s", "Fast s", "Speedup"],
         rows)
@@ -213,15 +191,10 @@ def run(smoke: bool) -> None:
     speedups = report(measurements, records, smoke)
     if smoke:
         return
-    # the bar that justifies columnar-by-default
-    assert speedups["AES record"] >= 3.0, speedups
-    assert speedups["RSA record"] >= 1.2, speedups
-    # recording dominates detect, so the end-to-end wall clock must move too
-    assert speedups["AES detect (e2e)"] >= 1.5, speedups
-    # the bar that justifies cohort-by-default, over the columnar baseline
+    # the bar that justifies cohort-by-default, over the per-warp loop
     assert speedups["AES record (cohort)"] >= 2.0, speedups
     # the bar that justifies replica-batching-by-default: fused replica
-    # cohorts + equal-input dedup vs the pre-cohort columnar pipeline
+    # cohorts + equal-input dedup vs the pre-cohort pipeline
     assert speedups["AES detect (replica e2e)"] >= 5.0, speedups
     # the dual-detector budget: one both-run must clearly beat running
     # the ks and mi campaigns separately

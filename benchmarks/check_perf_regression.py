@@ -42,28 +42,25 @@ TOLERANCE = 0.25
 
 #: gated row → (committed artefact, re-measurement at full-mode params)
 GATED_ROWS = {
-    "AES detect (e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(False, False, 8, reps=reps),
-        detect_seconds(True, False, 8, reps=reps))),
     "AES detect (cohort e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, False, 8, reps=reps),
-        detect_seconds(True, True, 8, reps=reps))),
+        detect_seconds(False, 8, reps=reps),
+        detect_seconds(True, 8, reps=reps))),
     "AES detect (replica e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, False, REPLICA_DETECT_RUNS, reps=reps),
-        detect_seconds(True, True, REPLICA_DETECT_RUNS,
+        detect_seconds(False, REPLICA_DETECT_RUNS, reps=reps),
+        detect_seconds(True, REPLICA_DETECT_RUNS,
                        replica_batch=True, replica_dedup=True, reps=reps))),
     # catches the dual-detector path losing its shared-fold amortisation
     # and drifting toward the cost of two separate campaigns
     "AES detect (both e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, True, 8, analyzer="ks", reps=reps)
-        + detect_seconds(True, True, 8, analyzer="mi", reps=reps),
-        detect_seconds(True, True, 8, analyzer="both", reps=reps))),
+        detect_seconds(True, 8, analyzer="ks", reps=reps)
+        + detect_seconds(True, 8, analyzer="mi", reps=reps),
+        detect_seconds(True, 8, analyzer="both", reps=reps))),
     # catches the adaptive scheduler losing its early stop (or its
     # interim looks growing expensive enough to eat the saved replicas)
     "AES detect (adaptive e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
                        reps=reps),
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
                        adaptive=True, reps=reps))),
     "service multi-tenant (e2e)": (SERVICE_ARTIFACT, lambda reps: (
         service_speedup(workers=0, reps=reps))),

@@ -26,7 +26,7 @@ from repro import Owl, OwlConfig, kernel
 from repro.adcfg.export import to_dot
 from repro.countermeasures import masked_lookup, striped_lookup
 from repro.gpusim import Device
-from repro.gpusim.events import MemoryAccessEvent
+from repro.gpusim.events import MemoryBatchEvent
 from repro.host import CudaRuntime
 from repro.store import TraceStore, diff_reports
 from repro.tracing import TraceRecorder
@@ -75,8 +75,9 @@ def make_program(kern):
 def accesses(program):
     device = Device()
     count = [0]
-    device.subscribe(lambda e: count.__setitem__(0, count[0] + 1)
-                     if isinstance(e, MemoryAccessEvent) else None)
+    device.subscribe(lambda e: count.__setitem__(
+        0, count[0] + e.num_instructions)
+        if isinstance(e, MemoryBatchEvent) else None)
     program(CudaRuntime(device), 3)
     return count[0]
 

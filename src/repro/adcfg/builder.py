@@ -11,6 +11,12 @@ bracketed with the virtual :data:`~repro.adcfg.graph.START_LABEL` /
 :data:`~repro.adcfg.graph.END_LABEL` blocks (the paper treats the first
 ``src`` and last ``dst`` as a special basic-block type).
 
+Memory arrives as one batch per warp, buffered and folded kernel-wide in
+one vectorised pass (:meth:`ADCFGBuilder.fold_pending_batches`).
+:meth:`ADCFGBuilder.on_memory_access` folds one instruction at a time;
+the monitor's degradation rung replays batches through it, and the tests
+use it as the batched fold's oracle.
+
 :func:`fold_lane_grid` builds the same graphs without any events: it reads
 a fused replica launch's cohort records (one lane grid holding every
 member's warps) and folds them once for all members.
@@ -77,7 +83,7 @@ class ADCFGBuilder:
         self._key_id_normalizer = key_id_normalizer
         # per-warp control-flow context: (prev_prev_label, prev_label)
         self._warp_state: Dict[Tuple[int, int], Tuple[str, str]] = {}
-        # columnar batches buffered for the kernel-wide fold
+        # per-warp memory batches buffered for the kernel-wide fold
         self._pending_batches: List[MemoryBatchEvent] = []
 
     # ------------------------------------------------------------------
@@ -96,7 +102,11 @@ class ADCFGBuilder:
         self._warp_state[warp_key] = (prev, event.label)
 
     def on_memory_access(self, event: MemoryAccessEvent) -> None:
-        """Record a warp's memory instruction into its (visit, instr) slot."""
+        """Record a warp's memory instruction into its (visit, instr) slot.
+
+        The per-event fold, fed by
+        :meth:`~repro.gpusim.events.MemoryBatchEvent.iter_events`.
+        """
         node = self.graph.node(event.label)
         keys = [self._normalizer(address) for address in event.addresses]
         node.record_access(visit=event.visit, instr=event.instr,
@@ -104,7 +114,7 @@ class ADCFGBuilder:
                            keys=keys)
 
     def on_memory_batch(self, event: MemoryBatchEvent) -> None:
-        """Buffer one warp's columnar memory batch for the kernel-wide fold.
+        """Buffer one warp's memory batch for the kernel-wide fold.
 
         Batches are not folded as they arrive: they accumulate until
         :meth:`fold_pending_batches` (called by :meth:`finish`) collapses
@@ -140,7 +150,9 @@ class ADCFGBuilder:
         failure happens before the graph is touched (packing, sorting and
         normalisation all precede the apply loop), so the caller can fall
         back to per-event replay from a clean slate; the buffer is cleared
-        only on success.
+        only on success.  Slot or key packing that would overflow int64
+        (absurd visit, instruction or key counts) raises
+        :class:`OverflowError` the same way.
         """
         batches = [event for event in self._pending_batches
                    if event.addresses.shape[0] > 0]
@@ -172,12 +184,9 @@ class ADCFGBuilder:
         visit_span = int(visits.max()) + 1
         instr_span = int(instrs.max()) + 1
         if len(label_table) * visit_span * instr_span >= 2 ** 63:
-            # slot packing would overflow int64 (absurd visit/instr counts);
-            # fall back to folding each batch separately
-            for event in batches:
-                self._fold_single_batch(event)
-            self._pending_batches = []
-            return
+            raise OverflowError(
+                f"{len(label_table)} labels x {visit_span} visits x "
+                f"{instr_span} instructions overflow the int64 slot packing")
         packed_slot = (glabels * visit_span + visits) * instr_span + instrs
         slot_keys, slot_ids = np.unique(packed_slot, return_inverse=True)
         n_slots = int(slot_keys.shape[0])
@@ -244,10 +253,9 @@ class ADCFGBuilder:
             pair_key_ids = val_key_ids[val_inv]
         n_keys = len(key_objects)
         if n_slots * n_keys >= 2 ** 63:
-            for event in batches:
-                self._fold_single_batch(event)
-            self._pending_batches = []
-            return
+            raise OverflowError(
+                f"{n_slots} slots x {n_keys} keys overflow the int64 "
+                "(slot, key) packing")
         pair_packed = unique_slot * n_keys + pair_key_ids
         order = np.argsort(pair_packed)
         sorted_pairs = pair_packed[order]
@@ -270,75 +278,6 @@ class ADCFGBuilder:
                 keys=[key_objects[k] for k in agg_key_ids[lo:hi]],
                 counts=agg_counts[lo:hi])
         self._pending_batches = []
-
-    def _fold_single_batch(self, event: MemoryBatchEvent) -> None:
-        """Fold one warp's batch immediately (kernel-wide fold fallback).
-
-        The original per-batch fold: one ``lexsort`` over
-        ``(instruction, address)`` groups every instruction's repeated
-        addresses into runs, the run starts yield unique pairs with
-        multiplicities, and the unique addresses are normalised with a
-        single batch-normaliser call.
-        """
-        addresses = event.addresses
-        extents = event.extents
-        n_instr = event.num_instructions
-        total = addresses.shape[0]
-        if total == 0:
-            return
-        instr_of_addr = np.repeat(np.arange(n_instr), np.diff(extents))
-        low = int(addresses.min())
-        span = int(addresses.max()) - low + 1
-        if n_instr * span < 2 ** 63:
-            # Pack (instruction, address) into one int64 and sort the packed
-            # values directly — one non-stable value sort instead of
-            # lexsort's two stable argsorts (equal keys are identical pairs,
-            # so stability is irrelevant), and the unique pairs unpack
-            # straight from the sorted keys.
-            packed = instr_of_addr * span + (addresses - low)
-            packed.sort()
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = packed[1:] != packed[:-1]
-            starts = np.flatnonzero(run_start)
-            unique_packed = packed[starts]
-            unique_instr = unique_packed // span
-            unique_addr = unique_packed % span + low
-        else:
-            order = np.lexsort((addresses, instr_of_addr))
-            sorted_addr = addresses[order]
-            sorted_instr = instr_of_addr[order]
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = ((sorted_addr[1:] != sorted_addr[:-1])
-                             | (sorted_instr[1:] != sorted_instr[:-1]))
-            starts = np.flatnonzero(run_start)
-            unique_addr = sorted_addr[starts]
-            unique_instr = sorted_instr[starts]
-        counts = np.diff(starts, append=total).tolist()
-        if self._batch_normalizer is not None:
-            keys = self._batch_normalizer(unique_addr)
-        else:
-            keys = [self._normalizer(address)
-                    for address in unique_addr.tolist()]
-        # slice boundaries of each instruction's unique keys
-        bounds = np.searchsorted(unique_instr,
-                                 np.arange(n_instr + 1)).tolist()
-
-        labels = event.labels
-        label_ids = event.label_ids.tolist()
-        visits = event.visits.tolist()
-        instrs = event.instrs.tolist()
-        spaces = event.spaces.tolist()
-        stores = event.is_stores.tolist()
-        node = self.graph.node
-        # one node lookup per distinct label, not per instruction
-        nodes = [node(label) for label in labels]
-        for i, label_id in enumerate(label_ids):
-            lo, hi = bounds[i], bounds[i + 1]
-            nodes[label_id].record_access_bulk(
-                visit=visits[i], instr=instrs[i], space=spaces[i],
-                is_store=stores[i], keys=keys[lo:hi], counts=counts[lo:hi])
 
     # ------------------------------------------------------------------
     # finalisation

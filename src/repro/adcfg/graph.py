@@ -52,7 +52,7 @@ class MemoryRecord:
                    counts: Sequence[int]) -> None:
         """Bulk variant of :meth:`add`: fold pre-aggregated key counts.
 
-        The columnar pipeline collapses one instruction's address vector
+        The batched fold collapses one instruction's address vector
         into unique keys with multiplicities and lands the result here in
         one call instead of one :meth:`add` per lane.  *keys* must not
         contain duplicates (the empty-record fast path folds them with a

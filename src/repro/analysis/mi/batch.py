@@ -23,6 +23,7 @@ from repro.analysis.mi.estimator import (
     DEFAULT_CONFIDENCE,
     MIEstimationError,
     MIResult,
+    _xlog2x_step,
     chi2_sf,
 )
 
@@ -57,13 +58,9 @@ def _jackknife_entropy_rows(cells: np.ndarray, total: np.ndarray,
     ``cells`` holds each request's count vector zero-padded along axis 1;
     mirrors :func:`repro.analysis.mi.estimator._jackknife_entropy`.
     """
-    s = _xlog2x(cells).sum(axis=1)
-    reduced = cells - 1.0
-    h_k = (np.log2(np.maximum(total - 1.0, 1.0))[:, None]
-           - (s[:, None] - _xlog2x(cells) + _xlog2x(reduced))
-           / np.maximum(total - 1.0, 1.0)[:, None])
-    mean_loo = np.where(cells > 0, cells * h_k, 0.0).sum(axis=1) / total
-    jackknifed = total * h_ml - (total - 1.0) * mean_loo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jackknifed = (_xlog2x_step(total)
+                      - (cells * _xlog2x_step(cells)).sum(axis=1) / total)
     return np.where(total < 2, h_ml, jackknifed)
 
 

@@ -27,7 +27,7 @@ from repro.gpusim.events import (
     BasicBlockEvent,
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
+    MemoryBatchEvent,
     SyncEvent,
     TraceEvent,
 )
@@ -113,6 +113,9 @@ class PerThreadTraceRecorder:
         #: thread id → list of entries ("bb:<label>" or "mem:<addr>")
         self.threads: Dict[int, List[str]] = {}
         self._launch = None
+        #: the current warp's block entries, held until its memory batch
+        #: arrives so each access lands after the block visit issuing it
+        self._blocks: List[BasicBlockEvent] = []
 
     # -- device event intake ------------------------------------------------
 
@@ -120,22 +123,50 @@ class PerThreadTraceRecorder:
         if isinstance(event, KernelBeginEvent):
             self._launch = event
         elif isinstance(event, KernelEndEvent):
+            self._flush_warp(None)
             self._launch = None
         elif isinstance(event, BasicBlockEvent):
-            # every thread of the warp logs the block entry separately —
-            # the redundancy Owl aggregates away
-            for thread_id in self._warp_threads(event.block_id, event.warp_id,
-                                                event.active_lanes):
-                self._entry(thread_id).append(f"bb:{event.label}")
-        elif isinstance(event, MemoryAccessEvent):
-            threads = self._warp_threads(event.block_id, event.warp_id,
-                                         len(event.addresses))
-            for thread_id, address in zip(threads, event.addresses):
-                self._entry(thread_id).append(f"mem:{address:#x}")
+            if self._blocks and (self._blocks[0].block_id,
+                                 self._blocks[0].warp_id) != (
+                                     event.block_id, event.warp_id):
+                self._flush_warp(None)
+            self._blocks.append(event)
+        elif isinstance(event, MemoryBatchEvent):
+            self._flush_warp(event)
         elif isinstance(event, SyncEvent):
             pass
         else:
             raise TypeError(f"unknown trace event {event!r}")
+
+    def _flush_warp(self, batch) -> None:
+        """Log the held warp's block entries, each followed by the
+        accesses its visit issued (*batch*: the warp's memory, or None).
+
+        A device emits a warp's block and sync events, then its one batch,
+        warp after warp; a batch's instructions are in issue order, and
+        each belongs to the latest block visit entered before it.
+        """
+        blocks, self._blocks = self._blocks, []
+        accesses = iter(() if batch is None else batch.iter_events())
+        access = next(accesses, None)
+        for block in blocks:
+            # every thread of the warp logs the block entry separately —
+            # the redundancy Owl aggregates away
+            for thread_id in self._warp_threads(block.block_id,
+                                                block.warp_id,
+                                                block.active_lanes):
+                self._entry(thread_id).append(f"bb:{block.label}")
+            while access is not None and (access.label, access.visit) \
+                    == (block.label, block.visit):
+                threads = self._warp_threads(access.block_id, access.warp_id,
+                                             len(access.addresses))
+                for thread_id, address in zip(threads, access.addresses):
+                    self._entry(thread_id).append(f"mem:{address:#x}")
+                access = next(accesses, None)
+        if access is not None:
+            raise RuntimeError(
+                f"memory access of {access.label!r} visit {access.visit} "
+                "outside the warp's block entries")
 
     def _warp_threads(self, block_id: int, warp_id: int,
                       count: int) -> List[int]:

@@ -126,10 +126,6 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
                         help="trace-recording worker processes: a positive "
                              "int or 'auto' for one per CPU core; any value "
                              "yields bit-identical reports (default: 1)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="record traces through the per-event object "
-                             "pipeline instead of the (default) columnar "
-                             "fast path; both produce identical traces")
     parser.add_argument("--no-cohort", action="store_true",
                         help="execute kernels with the per-warp reference "
                              "loop instead of the (default) warp-cohort "
@@ -482,7 +478,6 @@ def _config_from_args(parser: argparse.ArgumentParser,
         analyze_all_representatives=args.all_representatives,
         offset_granularity=args.granularity, quantify=args.quantify,
         workers=_resolve_workers(parser, args.workers),
-        columnar=not args.no_columnar,
         cohort=not args.no_cohort,
         replica_batch=not args.no_replica_batch,
         replica_dedup=args.replica_dedup,
@@ -707,7 +702,7 @@ def _cmd_resume(parser: argparse.ArgumentParser,
             exit_code = max(exit_code, 2)
             continue
         program, fixed_inputs, random_input = workloads[name]
-        config = OwlConfig(**body["config"])
+        config = OwlConfig.from_stored(body["config"])
         if config.fault_plan is not None:
             # an interrupted *injected* campaign must not re-crash on
             # resume: the stored artifacts are sound (bit-identity holds

@@ -159,8 +159,7 @@ class ChunkStats:
 
 def _record_grouped_batch(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], columnar: bool, cohort: bool,
-        dedup: bool,
+        values: Sequence[object], cohort: bool, dedup: bool,
         stats: ChunkStats) -> List[Tuple[ProgramTrace, int, float]]:
     """Record a chunk as one replica batch: ``(trace, count,
     per_run_seconds)`` per group of equal runs."""
@@ -168,8 +167,8 @@ def _record_grouped_batch(
 
     started = time.perf_counter()
     groups, replica_stats = record_grouped(
-        program, values, device_config=device_config,
-        columnar=columnar, cohort=cohort, dedup=dedup)
+        program, values, device_config=device_config, cohort=cohort,
+        dedup=dedup)
     elapsed = time.perf_counter() - started
     stats.add_replica_stats(replica_stats)
     total_runs = sum(count for _trace, count in groups)
@@ -179,7 +178,7 @@ def _record_grouped_batch(
 
 def _record_trace_chunk(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], columnar: bool, cohort: bool,
+        values: Sequence[object], cohort: bool,
         replica_batch: bool = False, replica_dedup: bool = False,
 ) -> Tuple[List[ProgramTrace], ChunkStats]:
     """Worker body for phase 1: record and return the raw traces.
@@ -191,16 +190,15 @@ def _record_trace_chunk(
     traces: List[ProgramTrace] = []
     if replica_batch and len(values) > 1:
         for trace, count, per_run in _record_grouped_batch(
-                program, device_config, values, columnar, cohort,
-                replica_dedup, stats):
+                program, device_config, values, cohort, replica_dedup,
+                stats):
             stats.add_trace(trace, per_run, count=count)
             # pre-compute the digest so the phase-2 grouping in the parent
             # reuses it instead of re-serialising every A-DCFG
             trace.signature()
             traces.extend([trace] * count)
         return traces, stats
-    recorder = TraceRecorder(device_config=device_config,
-                             columnar=columnar, cohort=cohort)
+    recorder = TraceRecorder(device_config=device_config, cohort=cohort)
     for value in values:
         started = time.perf_counter()
         trace = recorder.record(program, value)
@@ -214,9 +212,8 @@ def _record_trace_chunk(
 
 def _record_evidence_chunk(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], keep_per_run: bool, columnar: bool,
-        cohort: bool, replica_batch: bool = False,
-        replica_dedup: bool = False,
+        values: Sequence[object], keep_per_run: bool, cohort: bool,
+        replica_batch: bool = False, replica_dedup: bool = False,
 ) -> Tuple[Evidence, ChunkStats]:
     """Worker body for phase 3: fold the chunk's runs into partial evidence.
 
@@ -235,22 +232,20 @@ def _record_evidence_chunk(
 
         started = time.perf_counter()
         folded = fold_grouped(program, values, evidence,
-                              device_config=device_config,
-                              columnar=columnar, cohort=cohort,
+                              device_config=device_config, cohort=cohort,
                               dedup=replica_dedup)
         stats.add_folded(folded, time.perf_counter() - started)
         return evidence, stats
     if batched:
         for trace, count, per_run in _record_grouped_batch(
-                program, device_config, values, columnar, cohort,
-                replica_dedup, stats):
+                program, device_config, values, cohort, replica_dedup,
+                stats):
             stats.add_trace(trace, per_run, count=count)
             folded = time.perf_counter()
             evidence.add_segment(trace, count)
             stats.evidence_seconds += time.perf_counter() - folded
         return evidence, stats
-    recorder = TraceRecorder(device_config=device_config,
-                             columnar=columnar, cohort=cohort)
+    recorder = TraceRecorder(device_config=device_config, cohort=cohort)
     for value in values:
         started = time.perf_counter()
         trace = recorder.record(program, value)
@@ -278,8 +273,7 @@ class TraceRecordingPool:
 
     def __init__(self, program: Program,
                  device_config: Optional[DeviceConfig] = None,
-                 workers: WorkerSpec = 1,
-                 columnar: bool = True, cohort: bool = True, *,
+                 workers: WorkerSpec = 1, cohort: bool = True, *,
                  replica_batch: bool = False, replica_dedup: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
@@ -287,7 +281,6 @@ class TraceRecordingPool:
         self.program = program
         self.device_config = device_config
         self.workers = resolve_workers(workers)
-        self.columnar = columnar
         self.cohort = cohort
         self.replica_batch = replica_batch
         self.replica_dedup = replica_dedup
@@ -304,8 +297,7 @@ class TraceRecordingPool:
         """Record one trace per value (phase 1: traces are kept)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_trace_chunk, values,
-                                      (self.columnar, self.cohort,
-                                       self.replica_batch,
+                                      (self.cohort, self.replica_batch,
                                        self.replica_dedup))
         traces: List[ProgramTrace] = []
         stats = ChunkStats()
@@ -321,8 +313,7 @@ class TraceRecordingPool:
         """Record runs and fold them straight into one evidence (phase 3)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_evidence_chunk, values,
-                                      (keep_per_run, self.columnar,
-                                       self.cohort,
+                                      (keep_per_run, self.cohort,
                                        self.replica_batch,
                                        self.replica_dedup))
         evidence: Optional[Evidence] = None

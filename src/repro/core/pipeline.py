@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,6 +61,11 @@ from repro.tracing.recorder import Program, ProgramTrace, TraceRecorder
 
 #: Produces a fresh random secret input from a seeded generator.
 RandomInputFn = Callable[[np.random.Generator], object]
+
+#: Retired OwlConfig fields that stored configs may still name:
+#: ``columnar`` chose the per-event memory path, which devices no longer
+#: emit.
+_RETIRED_FIELDS = frozenset({"columnar"})
 
 
 @dataclass(frozen=True)
@@ -108,17 +113,11 @@ class OwlConfig:
     #: per-feature scalar calls (identical verdicts; the scalar path stays
     #: available as the reference implementation)
     vectorized: bool = True
-    #: record traces through the columnar fast path: per-warp batched
-    #: memory events, one vectorized address normalisation per instruction,
-    #: and bulk A-DCFG folding.  Produces byte-identical traces to the
-    #: per-event object path (``columnar=False``), which stays as the
-    #: reference implementation.
-    columnar: bool = True
     #: execute every warp of a kernel launch in one NumPy pass over a
     #: ``(num_warps, 32)`` lane grid (the warp-cohort engine), replaying
     #: byte-identical per-warp event streams at retirement.
     #: ``cohort=False`` keeps the per-warp execution loop as the
-    #: reference.  Excluded from store fingerprints, like ``columnar``.
+    #: reference.  Excluded from store fingerprints, like ``workers``.
     cohort: bool = True
     #: replica-cohort batching for the phase-3 repetition loops: runs with
     #: equal inputs on a deterministic device are deduplicated into
@@ -256,6 +255,18 @@ class OwlConfig:
         if self.fault_plan is not None:
             object.__setattr__(self, "fault_plan",
                                FaultPlan.coerce(self.fault_plan))
+
+    @classmethod
+    def from_stored(cls, fields: Dict) -> "OwlConfig":
+        """Rebuild a config from the ``dataclasses.asdict`` form that
+        campaign manifests and service queue specs keep on disk.
+
+        Dicts written before a field was retired still carry it; those
+        keys are dropped here so stored campaigns resume.  A fresh
+        ``OwlConfig(**fields)`` still rejects them.
+        """
+        return cls(**{key: value for key, value in fields.items()
+                      if key not in _RETIRED_FIELDS})
 
     def leakage_config(self) -> LeakageConfig:
         return LeakageConfig(confidence=self.confidence,
@@ -414,12 +425,10 @@ class Owl:
                 self.device_config,
                 cohort_step_budget=self.config.cohort_step_budget)
         self.recorder = TraceRecorder(device_config=self.device_config,
-                                      columnar=self.config.columnar,
                                       cohort=self.config.cohort)
         self.pool = TraceRecordingPool(program,
                                        device_config=self.device_config,
                                        workers=self.config.workers,
-                                       columnar=self.config.columnar,
                                        cohort=self.config.cohort,
                                        replica_batch=self.config.replica_batch,
                                        replica_dedup=self.config.replica_dedup,

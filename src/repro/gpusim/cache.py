@@ -3,7 +3,7 @@
 §IV-B grants the attacker fine-grained observation of "the memory hierarchy
 (e.g., caches)".  This module makes that concrete: a set-associative LRU
 cache (L1 per the Ampere description in §II-A, L2 shared) that consumes the
-simulator's memory-access events and exposes
+simulator's per-warp memory batches and exposes
 
 * hit/miss/cycle statistics per kernel (the timing side channel), and
 * the set of cache lines touched per allocation (the access-pattern side
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.gpusim.events import (
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
+    MemoryBatchEvent,
     TraceEvent,
 )
 from repro.gpusim.memory import DeviceMemory
@@ -174,10 +174,12 @@ class CacheSimulator:
             self.per_kernel.append(self._current)
         elif isinstance(event, KernelEndEvent):
             self._current = None
-        elif isinstance(event, MemoryAccessEvent):
+        elif isinstance(event, MemoryBatchEvent):
             if self._current is None:
                 return
-            for address in event.addresses:
+            # a batch's addresses are its instructions' lanes in issue
+            # order, so the hierarchy sees the order the warp issued them
+            for address in event.addresses.tolist():
                 level, cycles = self.hierarchy.access(address)
                 self._current.accesses += 1
                 self._current.cycles += cycles

@@ -48,8 +48,7 @@ from repro.errors import CohortEnvelopeError
 from repro.gpusim.context import _BALLOT_WEIGHTS, SimtDivergenceError
 from repro.gpusim.events import (
     BasicBlockEvent,
-    MemoryAccessEvent,
-    MemoryBatchEvent,
+    MemoryBatchBuilder,
     SyncEvent,
 )
 from repro.gpusim.kernel import LaunchConfig
@@ -202,8 +201,7 @@ class CohortContext:
 
     def __init__(self, launch: LaunchConfig, rows: np.ndarray,
                  block_ids: np.ndarray, warp_ids: np.ndarray,
-                 shared_alloc: Callable, columnar: bool,
-                 journal: WriteJournal,
+                 shared_alloc: Callable, journal: WriteJournal,
                  step_budget: Optional[int] = None,
                  replica_slots: Optional[np.ndarray] = None) -> None:
         self._launch = launch
@@ -216,7 +214,6 @@ class CohortContext:
         self._block_id_col = self._block_ids.reshape(num, 1)
         self._warp_id_col = self._warp_ids.reshape(num, 1)
         self._shared_alloc = shared_alloc
-        self._columnar = columnar
         self._journal = journal
         #: replica slot of each row (replica-cohort batching); ``None``
         #: for an ordinary single-execution cohort
@@ -909,47 +906,22 @@ class CohortContext:
 
         Returns ``{global_schedule_position: (events, batch)}`` for every
         row of the cohort.  ``events`` is the warp's in-order list of
-        :class:`BasicBlockEvent` / :class:`SyncEvent` (plus
-        :class:`MemoryAccessEvent` when not columnar); ``batch`` is the
-        warp's single :class:`MemoryBatchEvent` (columnar mode, None when
-        the warp issued no memory instruction).  Emitting row streams in
-        schedule order reproduces the per-warp loop's global event stream
-        byte for byte.
+        :class:`BasicBlockEvent` / :class:`SyncEvent`; ``batch`` is the
+        warp's single :class:`~repro.gpusim.events.MemoryBatchEvent` (None
+        when the warp issued no memory instruction).  Emitting row streams
+        in schedule order reproduces the per-warp loop's global event
+        stream byte for byte.
         """
         num = self._num
         labels = self._labels
         block_ids = self._block_ids
         warp_ids = self._warp_ids
-        columnar = self._columnar
         events: List[List] = [[] for _ in range(num)]
-        if columnar:
-            col_label_index: List[Dict[str, int]] = [{} for _ in range(num)]
-            col_labels: List[List[str]] = [[] for _ in range(num)]
-            col_rows: List[List[tuple]] = [[] for _ in range(num)]
-            col_addresses: List[List[np.ndarray]] = [[] for _ in range(num)]
-            # while only uniform memory records have been replayed, every
-            # row's label table is identical, so uniform records can share
-            # one interning step and one row tuple across all rows
-            shared_tables = num > 0
-
-        def add_mem(r: int, label: str, visit: int, instr: int,
-                    space_value: int, is_store: bool,
-                    addresses: np.ndarray) -> None:
-            if columnar:
-                lidx = col_label_index[r].get(label)
-                if lidx is None:
-                    lidx = len(col_labels[r])
-                    col_label_index[r][label] = lidx
-                    col_labels[r].append(label)
-                col_rows[r].append((lidx, visit, instr, space_value,
-                                    is_store))
-                col_addresses[r].append(addresses)
-            else:
-                events[r].append(MemoryAccessEvent.from_array(
-                    block_id=int(block_ids[r]), warp_id=int(warp_ids[r]),
-                    label=label, visit=visit, instr=instr,
-                    space=MemorySpace(space_value), is_store=is_store,
-                    addresses=addresses))
+        batches = [MemoryBatchBuilder() for _ in range(num)]
+        # while only uniform memory records have been replayed, every
+        # row's label table is identical, so uniform records can share
+        # one interning step and one row tuple across all rows
+        shared_tables = num > 0
 
         for record in self._records:
             tag = record[0]
@@ -964,21 +936,19 @@ class CohortContext:
             elif tag == REC_MEM_U:
                 _, lid, visit, instr, space_value, is_store, addrs = record
                 label = labels[lid]
-                if columnar and shared_tables:
-                    lidx = col_label_index[0].get(label)
+                if shared_tables:
+                    lidx = batches[0].label_index.get(label)
                     if lidx is None:
-                        lidx = len(col_labels[0])
-                        for r in range(num):
-                            col_label_index[r][label] = lidx
-                            col_labels[r].append(label)
+                        for batch in batches:
+                            lidx = batch.label_id(label)
                     row = (lidx, visit, instr, space_value, is_store)
                     for r in range(num):
-                        col_rows[r].append(row)
-                        col_addresses[r].append(addrs[r])
+                        batches[r].rows.append(row)
+                        batches[r].chunks.append(addrs[r])
                 else:
                     for r in range(num):
-                        add_mem(r, label, visit, instr, space_value,
-                                is_store, addrs[r])
+                        batches[r].add(label, visit, instr, space_value,
+                                       is_store, addrs[r])
             elif tag == REC_BB:
                 _, part, lid, visits, counts = record
                 label = labels[lid]
@@ -992,14 +962,14 @@ class CohortContext:
             elif tag == REC_MEM:
                 (_, part, lids, visits, instrs, space_value, is_store,
                  addrs) = record
-                if columnar:
-                    # member rows intern labels the others do not see; the
-                    # per-row tables may diverge from here on
-                    shared_tables = False
+                # member rows intern labels the others do not see; the
+                # per-row tables may diverge from here on
+                shared_tables = False
                 for i in range(part.shape[0]):
                     r = int(part[i])
-                    add_mem(r, labels[int(lids[i])], int(visits[i]),
-                            int(instrs[i]), space_value, is_store, addrs[i])
+                    batches[r].add(labels[int(lids[i])], int(visits[i]),
+                                   int(instrs[i]), space_value, is_store,
+                                   addrs[i])
             elif tag == REC_SYNC_U:
                 for r in range(num):
                     events[r].append(SyncEvent(
@@ -1013,25 +983,7 @@ class CohortContext:
                         block_id=int(block_ids[r]),
                         warp_id=int(warp_ids[r])))
 
-        payloads: Dict[int, tuple] = {}
-        for r in range(num):
-            batch = None
-            if columnar and col_rows[r]:
-                label_ids, visits, instrs, spaces, stores = zip(*col_rows[r])
-                chunks = col_addresses[r]
-                sizes = np.fromiter((chunk.shape[0] for chunk in chunks),
-                                    dtype=np.int64, count=len(chunks))
-                extents = np.zeros(sizes.size + 1, dtype=np.int64)
-                np.cumsum(sizes, out=extents[1:])
-                batch = MemoryBatchEvent(
-                    block_id=int(block_ids[r]), warp_id=int(warp_ids[r]),
-                    labels=tuple(col_labels[r]),
-                    label_ids=np.asarray(label_ids, dtype=np.int32),
-                    visits=np.asarray(visits, dtype=np.int32),
-                    instrs=np.asarray(instrs, dtype=np.int32),
-                    spaces=np.asarray(spaces, dtype=np.uint8),
-                    is_stores=np.asarray(stores, dtype=bool),
-                    addresses=np.concatenate(chunks),
-                    extents=extents)
-            payloads[int(self._rows[r])] = (events[r], batch)
-        return payloads
+        return {int(self._rows[r]): (
+                    events[r],
+                    batches[r].build(int(block_ids[r]), int(warp_ids[r])))
+                for r in range(num)}

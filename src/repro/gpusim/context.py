@@ -15,9 +15,9 @@ is a NumPy vector of 32 lanes, and control flow is expressed through the
 * ``k.while_(label, cond_fn)`` is a divergent loop: lanes retire as their
   condition goes false and the warp iterates while any lane is live;
 * ``k.range_(label, n)`` is a warp-uniform counted loop;
-* ``k.load`` / ``k.store`` issue per-active-lane memory accesses that are
-  reported as :class:`~repro.gpusim.events.MemoryAccessEvent` with NVBit
-  memory-space types.
+* ``k.load`` / ``k.store`` issue per-active-lane memory accesses, tagged
+  with NVBit memory-space types and reported once per warp, at
+  retirement, as one :class:`~repro.gpusim.events.MemoryBatchEvent`.
 
 Bodies of ``then`` / ``otherwise`` / loops are written as ``for _ in ...:``
 so that a region whose mask is empty is skipped without executing Python
@@ -33,14 +33,14 @@ kernel that cannot keep its NumPy shape-polymorphic, is what
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.gpusim.events import (
     BasicBlockEvent,
-    MemoryAccessEvent,
+    MemoryBatchBuilder,
     MemoryBatchEvent,
     SyncEvent,
 )
@@ -103,21 +103,15 @@ class WarpContext:
     """
 
     def __init__(self, launch: LaunchConfig, block_id: int, warp_id: int,
-                 emit: Callable, shared_alloc: Callable,
-                 columnar: bool = False) -> None:
+                 emit: Callable, shared_alloc: Callable) -> None:
         self._launch = launch
         self._block_id = block_id
         self._warp_id = warp_id
         self._emit = emit
         self._shared_alloc = shared_alloc
-        self._columnar = columnar
-        if columnar:
-            # per-warp columnar buffers: one row per memory instruction,
-            # flushed as a single MemoryBatchEvent at warp retirement
-            self._col_label_index: Dict[str, int] = {}
-            self._col_labels: List[str] = []
-            self._col_rows: List[Tuple[int, int, int, int, bool]] = []
-            self._col_addresses: List[np.ndarray] = []
+        #: the warp's memory instructions, flushed as a single
+        #: MemoryBatchEvent at warp retirement
+        self._batch = MemoryBatchBuilder()
 
         self.lane = np.arange(WARP_SIZE, dtype=np.int64)
         thread_in_block = warp_id * WARP_SIZE + self.lane
@@ -381,7 +375,7 @@ class WarpContext:
         if self._active.any():
             active_idx = idx[self._active]
             buf.check_bounds(active_idx)
-            self._emit_mem(buf, active_idx, space, is_store=False)
+            self._record_mem(buf, active_idx, space, is_store=False)
             out[self._active] = buf.data.reshape(-1)[active_idx]
         return out
 
@@ -399,7 +393,7 @@ class WarpContext:
             return
         active_idx = idx[self._active]
         buf.check_bounds(active_idx)
-        self._emit_mem(buf, active_idx, space, is_store=True)
+        self._record_mem(buf, active_idx, space, is_store=True)
         flat = buf.data.reshape(-1)
         flat[active_idx] = vals[self._active].astype(buf.data.dtype)
 
@@ -411,60 +405,28 @@ class WarpContext:
             return
         active_idx = idx[self._active]
         buf.check_bounds(active_idx)
-        self._emit_mem(buf, active_idx, None, is_store=True)
+        self._record_mem(buf, active_idx, None, is_store=True)
         flat = buf.data.reshape(-1)
         np.add.at(flat, active_idx, vals[self._active].astype(buf.data.dtype))
 
-    def _emit_mem(self, buf: DeviceBuffer, active_idx: np.ndarray,
+    def _record_mem(self, buf: DeviceBuffer, active_idx: np.ndarray,
                   space: Optional[MemorySpace], is_store: bool) -> None:
         if self._current_label is None:
             raise SimtDivergenceError(
                 "memory access outside any basic block: call k.block() first")
-        addresses = buf.addresses_for(active_idx)
         resolved_space = space if space is not None else buf.space
-        if self._columnar:
-            label = self._current_label
-            label_id = self._col_label_index.get(label)
-            if label_id is None:
-                label_id = len(self._col_labels)
-                self._col_label_index[label] = label_id
-                self._col_labels.append(label)
-            self._col_rows.append((label_id, self._current_visit,
-                                   self._instr_ordinal, resolved_space.value,
-                                   is_store))
-            self._col_addresses.append(addresses)
-        else:
-            self._emit(MemoryAccessEvent.from_array(
-                block_id=self._block_id, warp_id=self._warp_id,
-                label=self._current_label, visit=self._current_visit,
-                instr=self._instr_ordinal, space=resolved_space,
-                is_store=is_store, addresses=addresses))
+        self._batch.add(self._current_label, self._current_visit,
+                        self._instr_ordinal, resolved_space.value, is_store,
+                        buf.addresses_for(active_idx))
         self._instr_ordinal += 1
 
-    def flush_columnar(self) -> Optional[MemoryBatchEvent]:
+    def flush_batch(self) -> Optional[MemoryBatchEvent]:
         """Package the warp's buffered memory instructions into one batch.
 
-        Called by the device at warp retirement in columnar mode; returns
-        None when the warp issued no memory instruction.  The buffers are
-        cleared so a context could in principle be flushed mid-launch.
+        Called by the device at warp retirement; returns None when the
+        warp issued no memory instruction.  The buffer is cleared so a
+        context could in principle be flushed mid-launch.
         """
-        if not self._columnar or not self._col_rows:
-            return None
-        label_ids, visits, instrs, spaces, stores = zip(*self._col_rows)
-        sizes = np.fromiter((chunk.shape[0] for chunk in self._col_addresses),
-                            dtype=np.int64, count=len(self._col_addresses))
-        extents = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=extents[1:])
-        event = MemoryBatchEvent(
-            block_id=self._block_id, warp_id=self._warp_id,
-            labels=tuple(self._col_labels),
-            label_ids=np.asarray(label_ids, dtype=np.int32),
-            visits=np.asarray(visits, dtype=np.int32),
-            instrs=np.asarray(instrs, dtype=np.int32),
-            spaces=np.asarray(spaces, dtype=np.uint8),
-            is_stores=np.asarray(stores, dtype=bool),
-            addresses=np.concatenate(self._col_addresses),
-            extents=extents)
-        self._col_rows = []
-        self._col_addresses = []
+        event = self._batch.build(self._block_id, self._warp_id)
+        self._batch = MemoryBatchBuilder()
         return event

@@ -3,7 +3,10 @@
 A :class:`Device` owns a :class:`~repro.gpusim.memory.DeviceMemory` and runs
 kernel launches warp by warp.  Trace listeners (the NVBit-like channel in
 :mod:`repro.tracing`) subscribe to receive every
-:class:`~repro.gpusim.events.TraceEvent`.
+:class:`~repro.gpusim.events.TraceEvent`: per launch a begin event, each
+warp's basic-block and sync events followed by its one
+:class:`~repro.gpusim.events.MemoryBatchEvent`, warp after warp in
+schedule order, then an end event.
 
 Scheduling: warps of all blocks run to completion in sequence.  With
 ``shuffle_schedule=True`` the (block, warp) execution order is randomised per
@@ -75,15 +78,12 @@ class Device:
     """A simulated CUDA-capable GPU."""
 
     def __init__(self, config: Optional[DeviceConfig] = None,
-                 columnar: bool = False, cohort: bool = False) -> None:
+                 cohort: bool = False) -> None:
         self.config = config or DeviceConfig()
         self.memory = DeviceMemory(aslr=self.config.aslr, seed=self.config.seed)
         self._listeners: List[Callable[[TraceEvent], None]] = []
         self._rng = np.random.default_rng(self.config.seed)
         self.launch_count = 0
-        #: columnar tracing: warps buffer memory accesses and emit one
-        #: MemoryBatchEvent at retirement instead of per-instruction events
-        self.columnar = columnar
         #: warp-cohort execution: run all warps of a launch in one NumPy
         #: pass (see repro.gpusim.cohort); the per-warp loop stays as the
         #: byte-identical reference path
@@ -233,13 +233,11 @@ class Device:
         for block_id, warp_id in schedule:
             ctx = WarpContext(launch=launch, block_id=block_id,
                               warp_id=warp_id, emit=self._emit,
-                              shared_alloc=shared_alloc,
-                              columnar=self.columnar)
+                              shared_alloc=shared_alloc)
             kern(ctx, *args)
-            if self.columnar:
-                batch = ctx.flush_columnar()
-                if batch is not None:
-                    self._emit(batch)
+            batch = ctx.flush_batch()
+            if batch is not None:
+                self._emit(batch)
 
     def _launch_cohort(self, kern: Kernel, launch: LaunchConfig, args,
                        shared_alloc: Callable, schedule) -> None:
@@ -287,7 +285,7 @@ class Device:
                 ctx = CohortContext(
                     launch=launch, rows=rows, block_ids=block_ids[rows],
                     warp_ids=warp_ids[rows], shared_alloc=shared_alloc,
-                    columnar=self.columnar, journal=journal,
+                    journal=journal,
                     step_budget=self.config.cohort_step_budget)
                 try:
                     kern(ctx, *args)

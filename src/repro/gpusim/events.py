@@ -8,14 +8,18 @@ vocabulary of the NVBit-like tracing layer (:mod:`repro.tracing`):
 * :class:`BasicBlockEvent` is sent when a *warp* enters a basic block — the
   paper records warp-level control flow because predicated execution makes
   per-thread control flow within a warp unobservable;
-* :class:`MemoryAccessEvent` carries the byte addresses touched by the active
-  lanes of one memory instruction, together with the NVBit memory-space type.
+* :class:`MemoryBatchEvent` carries every memory instruction of one warp —
+  the byte addresses touched by the active lanes of each, together with
+  the NVBit memory-space type — and is the only memory event a device
+  emits.  :meth:`MemoryBatchEvent.iter_events` expands it into one
+  :class:`MemoryAccessEvent` per instruction for consumers that want the
+  per-instruction view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +74,9 @@ class MemoryAccessEvent(TraceEvent):
     basic-block visit; together with ``label`` and ``visit`` it identifies
     the A-DCFG memory record slot ``m_j`` of the paper.
     ``addresses`` holds the byte addresses of the active lanes only.
+
+    Devices never emit this event: it is the per-instruction view of a
+    :class:`MemoryBatchEvent`, built by :meth:`MemoryBatchEvent.iter_events`.
     """
 
     block_id: int
@@ -81,25 +88,16 @@ class MemoryAccessEvent(TraceEvent):
     is_store: bool
     addresses: Tuple[int, ...]
 
-    @staticmethod
-    def from_array(block_id: int, warp_id: int, label: str, visit: int,
-                   instr: int, space: MemorySpace, is_store: bool,
-                   addresses: np.ndarray) -> "MemoryAccessEvent":
-        return MemoryAccessEvent(
-            block_id=block_id, warp_id=warp_id, label=label, visit=visit,
-            instr=instr, space=space, is_store=is_store,
-            addresses=tuple(int(a) for a in addresses))
-
 
 @dataclass(frozen=True)
 class MemoryBatchEvent(TraceEvent):
     """All memory instructions of one warp, in columnar form.
 
-    The columnar fast path (``columnar=True``) replaces the per-instruction
-    :class:`MemoryAccessEvent` stream with a single batch per warp, emitted
-    at warp retirement — the same move MicroWalk makes from per-event
-    callbacks to bulk trace preprocessing.  One batch carries every memory
-    instruction the warp executed, as parallel arrays indexed by instruction:
+    A warp's memory instructions reach listeners as one batch, emitted at
+    warp retirement after the warp's basic-block and sync events — the
+    same move MicroWalk makes from per-event callbacks to bulk trace
+    preprocessing.  One batch carries every memory instruction the warp
+    executed, as parallel arrays indexed by instruction:
 
     * ``labels`` is the warp's interned basic-block label table and
       ``label_ids[i]`` indexes into it;
@@ -113,7 +111,8 @@ class MemoryBatchEvent(TraceEvent):
 
     Instruction order within the batch is the warp's emission order, so
     folding a batch is equivalent to folding its expansion into individual
-    events (the equality tests assert byte-identical A-DCFGs).
+    events (the equality tests assert byte-identical A-DCFGs).  Both
+    execution engines build batches with :class:`MemoryBatchBuilder`.
     """
 
     block_id: int
@@ -132,20 +131,78 @@ class MemoryBatchEvent(TraceEvent):
         return int(self.label_ids.shape[0])
 
     def iter_events(self):
-        """Expand back into per-instruction :class:`MemoryAccessEvent`s.
+        """Expand into per-instruction :class:`MemoryAccessEvent`s.
 
-        Reference-path helper (tests and any consumer that predates the
-        columnar pipeline): yields events in the original emission order.
+        The per-instruction view, in emission order: the monitor's
+        per-event fold (the degradation rung and the batched fold's test
+        oracle) and listeners that walk one instruction at a time read it.
         """
         for i in range(self.num_instructions):
             lo, hi = int(self.extents[i]), int(self.extents[i + 1])
-            yield MemoryAccessEvent.from_array(
+            yield MemoryAccessEvent(
                 block_id=self.block_id, warp_id=self.warp_id,
                 label=self.labels[int(self.label_ids[i])],
                 visit=int(self.visits[i]), instr=int(self.instrs[i]),
                 space=MemorySpace(int(self.spaces[i])),
                 is_store=bool(self.is_stores[i]),
-                addresses=self.addresses[lo:hi])
+                addresses=tuple(self.addresses[lo:hi].tolist()))
+
+
+class MemoryBatchBuilder:
+    """Accumulates one warp's memory instructions into a
+    :class:`MemoryBatchEvent`.
+
+    The per-warp engine appends as the warp executes and the cohort
+    engine as it replays each row's records; both build the warp's batch
+    here.  Callers on a hot path may append to :attr:`rows` and
+    :attr:`chunks` directly with a label id from :meth:`label_id`.
+    """
+
+    __slots__ = ("label_index", "labels", "rows", "chunks")
+
+    def __init__(self) -> None:
+        #: interned basic-block labels: label -> id, and id -> label
+        self.label_index: Dict[str, int] = {}
+        self.labels: List[str] = []
+        #: one ``(label id, visit, instr, space value, is_store)`` row and
+        #: one active-lane address array per instruction
+        self.rows: List[Tuple[int, int, int, int, bool]] = []
+        self.chunks: List[np.ndarray] = []
+
+    def label_id(self, label: str) -> int:
+        """The warp-local id of *label*, interning it on first use."""
+        lidx = self.label_index.get(label)
+        if lidx is None:
+            lidx = self.label_index[label] = len(self.labels)
+            self.labels.append(label)
+        return lidx
+
+    def add(self, label: str, visit: int, instr: int, space_value: int,
+            is_store: bool, addresses: np.ndarray) -> None:
+        """Append one memory instruction."""
+        self.rows.append((self.label_id(label), visit, instr, space_value,
+                          is_store))
+        self.chunks.append(addresses)
+
+    def build(self, block_id: int, warp_id: int
+              ) -> Optional[MemoryBatchEvent]:
+        """The warp's batch, or None when it issued no memory instruction."""
+        if not self.rows:
+            return None
+        label_ids, visits, instrs, spaces, stores = zip(*self.rows)
+        chunks = self.chunks
+        sizes = np.fromiter((chunk.shape[0] for chunk in chunks),
+                            dtype=np.int64, count=len(chunks))
+        extents = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=extents[1:])
+        return MemoryBatchEvent(
+            block_id=block_id, warp_id=warp_id, labels=tuple(self.labels),
+            label_ids=np.asarray(label_ids, dtype=np.int32),
+            visits=np.asarray(visits, dtype=np.int32),
+            instrs=np.asarray(instrs, dtype=np.int32),
+            spaces=np.asarray(spaces, dtype=np.uint8),
+            is_stores=np.asarray(stores, dtype=bool),
+            addresses=np.concatenate(chunks), extents=extents)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ class HostTracer:
 
         One ``np.searchsorted`` over the base-sorted allocation table maps
         every address to its ``(allocation label, offset)`` key in a single
-        shot — the columnar replacement for calling :meth:`normalize` once
+        shot — the batched replacement for calling :meth:`normalize` once
         per address.  Keys are memoised across calls: one kernel's warps
         hit the same tables and buffers, so after the first warp's batch
         most addresses resolve from the dictionary instead of re-deriving

@@ -13,9 +13,9 @@ a degraded campaign produces the same report bytes as a healthy one:
   execution while completed chunks are kept (pool → serial);
 * **graceful degradation** (:mod:`repro.resilience.events`) — cohort
   launches that leave the race-free envelope re-execute on the per-warp
-  reference engine (cohort → warp), and batch-fold errors replay the batch
-  through the per-event object path (columnar → object), each recorded as
-  a structured :class:`DegradationEvent`;
+  reference engine (cohort → warp), and batch-fold errors replay each
+  warp's memory batch through the per-event fold (columnar → object), each
+  recorded as a structured :class:`DegradationEvent`;
 * **store self-healing** — ``TraceStore.verify(repair=True)`` quarantines
   corrupt blobs, and the campaign engine transparently re-records what was
   lost;

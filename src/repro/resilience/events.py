@@ -47,7 +47,7 @@ class DegradationEvent:
 
     ``kind`` is a rung of the degradation ladder (see the module constants),
     ``subsystem`` names the layer that degraded (``pool`` / ``cohort`` /
-    ``columnar`` / ``store``), ``reason`` is the one-line human cause, and
+    ``monitor`` / ``store``, …), ``reason`` is the one-line human cause, and
     ``context`` carries the machine-readable coordinates (chunk index,
     attempt number, launch ordinal, store key, ...).
     """

@@ -34,9 +34,10 @@ Supported fault kinds:
                           back to per-replica execution; param ``launch``
                           (per-execution launch ordinal, default: every
                           launch)
-``batch_fold_error``      folding a columnar memory batch raises, forcing
-                          the columnar → object downgrade; param ``kernel``
-                          (name substring, default: every batch)
+``batch_fold_error``      folding a warp's memory batch raises, forcing
+                          the columnar → object downgrade to the per-event
+                          fold; param ``kernel`` (name substring, default:
+                          every batch)
 ========================  ====================================================
 
 Worker-directed faults (crash / timeout) fire only inside real pool worker

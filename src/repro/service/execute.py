@@ -57,7 +57,7 @@ def materialize(spec: Dict, store: TraceStore
                 ) -> Tuple[Owl, Campaign, List[object], object]:
     """Spec dict → (owl, campaign, fixed inputs, random-input fn)."""
     program, fixed_inputs, random_input = resolve(spec["workload"])
-    config = OwlConfig(**spec["config"])
+    config = OwlConfig.from_stored(spec["config"])
     owl = Owl(program, name=spec["workload"], config=config)
     campaign = Campaign(store, owl.name, config, owl.device_config)
     return owl, campaign, list(fixed_inputs()), random_input

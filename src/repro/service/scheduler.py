@@ -100,7 +100,7 @@ def campaign_identity(workload: str, config: OwlConfig) -> str:
     """The coalescing key: what makes two submissions the same detection.
 
     Built from the same fingerprints the store keys reports under —
-    operational knobs (workers, columnar, cohort, …) never enter it.
+    operational knobs (workers, cohort, …) never enter it.
     """
     from repro.apps.registry import resolve
     _program, fixed_inputs, _random = resolve(workload)
@@ -625,7 +625,7 @@ class CampaignScheduler:
             if cid in self.campaigns:
                 continue
             spec = specs[cid]
-            config = OwlConfig(**spec["config"])
+            config = OwlConfig.from_stored(spec["config"])
             state = CampaignState(
                 cid=cid, workload=spec["workload"],
                 config_dict=dataclasses.asdict(config),

@@ -18,6 +18,7 @@ every ``tick_seconds``.
 from __future__ import annotations
 
 import asyncio
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.service.address import Address
@@ -68,6 +69,11 @@ class ServiceServer:
             ticker.cancel()
             self._server.close()
             await self._server.wait_closed()
+            kind, target = self.address
+            if kind == "unix":
+                # closing the listener leaves its socket file behind; a
+                # restart probing for the file would connect to nothing
+                Path(target).unlink(missing_ok=True)
             if (self.scheduler.fleet is not None
                     or self.scheduler.config.external_workers):
                 # the STOP sentinel also reaches workers on other hosts

@@ -237,15 +237,19 @@ class TraceStore:
         """
         self._flush_journal()
         with FileLock(self._lock.path, shared=True):
-            if self._mark is not None \
-                    and self._mark[0] == self._manifest_identity():
-                appended = self._read_journal(*self._mark[1:])
-                if appended is not None:
-                    records, offset, last_line = appended
-                    self._replay(self._entries, records)
-                    self._mark = (self._mark[0], offset, last_line)
-                    return
-            self._entries, self._mark = self._read_disk_state()
+            self._refresh_locked()
+
+    def _refresh_locked(self) -> None:
+        """:meth:`refresh`'s read (caller holds a lock, nothing pending)."""
+        if self._mark is not None \
+                and self._mark[0] == self._manifest_identity():
+            appended = self._read_journal(*self._mark[1:])
+            if appended is not None:
+                records, offset, last_line = appended
+                self._replay(self._entries, records)
+                self._mark = (self._mark[0], offset, last_line)
+                return
+        self._entries, self._mark = self._read_disk_state()
 
     def _save_manifest(self) -> None:
         """Rewrite manifest.json from ``self._entries`` (caller holds lock)."""
@@ -447,24 +451,33 @@ class TraceStore:
         collection before running it.  Returns ``{"removed": n,
         "reclaimed_bytes": b, "kept": k, "candidates": [(digest, bytes),
         ...]}`` where sizes are compressed on-disk bytes.
+
+        The referenced set is every writer's, not this handle's: pending
+        records are flushed, and the manifest is re-read and the blobs
+        deleted under the writer lock, so a put that another handle has
+        journaled — even one that dedups onto a blob this handle saw
+        dropped — keeps its blob.
         """
-        referenced = {entry.blob for entry in self._entries.values()}
-        candidates: List = []
-        kept = 0
-        for digest in list(self.blobs.iter_digests()):
-            if digest in referenced:
-                kept += 1
-                continue
-            candidates.append((digest, self.blobs.disk_bytes(digest)))
-        removed = 0
-        if dry_run:
-            reclaimed = sum(size for _digest, size in candidates)
-        else:
-            reclaimed = 0
-            for digest, _size in candidates:
-                reclaimed += self.blobs.delete(digest)
-                removed += 1
-            self.blobs.sweep_tmp()
+        self._flush_journal()
+        with self._lock:
+            self._refresh_locked()
+            referenced = {entry.blob for entry in self._entries.values()}
+            candidates: List = []
+            kept = 0
+            for digest in list(self.blobs.iter_digests()):
+                if digest in referenced:
+                    kept += 1
+                    continue
+                candidates.append((digest, self.blobs.disk_bytes(digest)))
+            removed = 0
+            if dry_run:
+                reclaimed = sum(size for _digest, size in candidates)
+            else:
+                reclaimed = 0
+                for digest, _size in candidates:
+                    reclaimed += self.blobs.delete(digest)
+                    removed += 1
+                self.blobs.sweep_tmp()
         return {"removed": removed, "reclaimed_bytes": reclaimed,
                 "kept": kept, "candidates": candidates}
 

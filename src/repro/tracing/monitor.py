@@ -2,9 +2,10 @@
 
 Per §V-C of the paper, the monitor identifies warps by the pair
 *(block id, warp id)* — warp ids alone are only unique within a block — and
-maintains each warp's trace context.  Basic-block and memory events are
-folded straight into the current invocation's
-:class:`~repro.adcfg.builder.ADCFGBuilder`, so per-thread data never
+maintains each warp's trace context.  Basic-block events are folded
+straight into the current invocation's
+:class:`~repro.adcfg.builder.ADCFGBuilder` and each warp's memory batch is
+buffered for one kernel-wide fold at launch end, so per-thread data never
 accumulates.
 """
 
@@ -26,7 +27,6 @@ from repro.gpusim.events import (
     BasicBlockEvent,
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
     MemoryBatchEvent,
     SyncEvent,
     TraceEvent,
@@ -85,8 +85,6 @@ class WarpTraceMonitor:
             self._end(event)
         elif isinstance(event, BasicBlockEvent):
             self._require_builder().on_basic_block(event)
-        elif isinstance(event, MemoryAccessEvent):
-            self._require_builder().on_memory_access(event)
         elif isinstance(event, MemoryBatchEvent):
             self._fold_batch(event)
         elif isinstance(event, SyncEvent):
@@ -95,11 +93,11 @@ class WarpTraceMonitor:
             raise MonitorError(f"unknown trace event {event!r}")
 
     def _fold_batch(self, event: MemoryBatchEvent) -> None:
-        """Accept a columnar batch, downgrading to per-event replay on fault.
+        """Accept a warp's batch, downgrading to per-event replay on fault.
 
         Healthy batches are buffered on the builder and folded kernel-wide
         at :meth:`_end`.  An injected ``batch_fold_error`` degrades this
-        batch immediately: the object path (``iter_events`` through
+        batch immediately: the per-event fold (``iter_events`` through
         ``on_memory_access``) is proven identical to the batched fold, so
         the fault costs speed, never correctness — the columnar → object
         rung of the degradation ladder.
@@ -121,9 +119,10 @@ class WarpTraceMonitor:
     def _flush_batches(self, builder: ADCFGBuilder) -> None:
         """Run the kernel-wide fold, downgrading to per-event replay on error.
 
-        The vectorised fold fails before the graph is touched (packing,
-        sorting and normaliser errors all precede mutation), so the replay
-        below starts from a clean slate and produces the identical graph.
+        The vectorised fold fails before the graph is touched (packing
+        overflow, sorting and normaliser errors all precede mutation), so
+        the replay below starts from a clean slate and produces the
+        identical graph.
         """
         try:
             builder.fold_pending_batches()

@@ -170,15 +170,15 @@ class TraceRecorder:
     traces (asserted in the tests); buffered mode additionally exercises
     the transport's ordering guarantees.
 
-    ``columnar=True`` (the default) uses the columnar fast path: warps
-    buffer memory accesses and ship one
+    Warps buffer their memory accesses and ship one
     :class:`~repro.gpusim.events.MemoryBatchEvent` per warp through the
-    channel, addresses are normalised with one vectorised ``searchsorted``
-    per instruction, and the A-DCFG is folded in bulk.  ``columnar=False``
-    keeps the per-event object pipeline as the reference implementation;
-    both produce byte-identical :class:`ProgramTrace` signatures (asserted
-    in the tests, in every combination with buffering, schedule shuffling,
-    and ASLR).
+    channel; the monitor normalises each launch's unique addresses in one
+    vectorised pass and folds the A-DCFG in bulk.  The per-event fold
+    (:meth:`~repro.gpusim.events.MemoryBatchEvent.iter_events` through
+    :meth:`~repro.adcfg.builder.ADCFGBuilder.on_memory_access`) is the
+    degradation rung and the tests' oracle; traces are byte-identical
+    either way (asserted in every combination with buffering, schedule
+    shuffling, and ASLR).
 
     ``cohort=True`` (the default) executes every warp of a launch in one
     NumPy pass over a ``(num_warps, 32)`` lane grid
@@ -189,17 +189,14 @@ class TraceRecorder:
     """
 
     def __init__(self, device_config: Optional[DeviceConfig] = None,
-                 buffered: bool = False, columnar: bool = True,
-                 cohort: bool = True) -> None:
+                 buffered: bool = False, cohort: bool = True) -> None:
         self._device_config = device_config or DeviceConfig()
         self._buffered = buffered
-        self._columnar = columnar
         self._cohort = cohort
 
     def record(self, program: Program, value: object) -> ProgramTrace:
         """Execute ``program(rt, value)`` under full instrumentation."""
-        device = Device(self._device_config, columnar=self._columnar,
-                        cohort=self._cohort)
+        device = Device(self._device_config, cohort=self._cohort)
         tracer = _SessionTracer(device.memory)
         monitor = WarpTraceMonitor(
             normalizer=lambda addr: tracer.normalize(addr).as_key(),

@@ -25,9 +25,9 @@ layers:
    member's monitor would fold from its own per-warp event stream, so
    evidence, store fingerprints and degradation ladders are untouched.
    :meth:`CohortContext.replay_events` re-expands those per-run streams
-   only on the object (``columnar=False``) reference path, for a kernel
-   with a planned ``batch_fold_error`` (the columnar → object rung), and
-   for a launch the fold declines.
+   only for a kernel with a planned ``batch_fold_error`` (the columnar →
+   object rung, which folds each member's batches per event) and for a
+   launch the fold declines.
 
 Phase 1 needs every run's trace (:func:`record_grouped`).  Phase 3 needs
 only each side's evidence, so :func:`fold_grouped` builds no per-run
@@ -205,8 +205,8 @@ class _ReplicaDevice(Device):
     """
 
     def __init__(self, session: "_ReplicaSession", config: DeviceConfig,
-                 columnar: bool, cohort: bool) -> None:
-        super().__init__(config, columnar=columnar, cohort=cohort)
+                 cohort: bool) -> None:
+        super().__init__(config, cohort=cohort)
         self._session = session
 
     def launch(self, kern: Kernel, grid, block, *args) -> None:
@@ -248,10 +248,10 @@ class _ReplicaSession:
     """
 
     def __init__(self, program: Program, value: object,
-                 config: DeviceConfig, columnar: bool, cohort: bool) -> None:
+                 config: DeviceConfig, cohort: bool) -> None:
         self.value = value
         self._program = program
-        self.device = _ReplicaDevice(self, config, columnar, cohort)
+        self.device = _ReplicaDevice(self, config, cohort)
         self.tracer = _SessionTracer(self.device.memory)
         self.monitor = WarpTraceMonitor(
             normalizer=lambda addr: self.tracer.normalize(addr).as_key(),
@@ -384,10 +384,9 @@ class _ReplicaCohortEngine:
     member: each session keeps the launch's fold for :meth:`fold_batch`.
     """
 
-    def __init__(self, config: DeviceConfig, columnar: bool,
-                 cohort: bool, keep_folds: bool = False) -> None:
+    def __init__(self, config: DeviceConfig, cohort: bool,
+                 keep_folds: bool = False) -> None:
         self._config = config
-        self._columnar = columnar
         self._cohort = cohort
         self._keep_folds = keep_folds
         self.stats = ReplicaStats()
@@ -438,7 +437,7 @@ class _ReplicaCohortEngine:
              values: Sequence[object]) -> List["_ReplicaSession"]:
         """Run one session per value to completion, or abandon the batch."""
         sessions = [_ReplicaSession(program, value, self._config,
-                                    self._columnar, self._cohort)
+                                    self._cohort)
                     for value in values]
         try:
             self._drive(sessions)
@@ -647,7 +646,7 @@ class _ReplicaCohortEngine:
                 ctx = CohortContext(
                     launch=launch, rows=rows, block_ids=block_ids[rows],
                     warp_ids=warp_ids[rows], shared_alloc=shared_alloc,
-                    columnar=self._columnar, journal=journal,
+                    journal=journal,
                     step_budget=self._config.cohort_step_budget,
                     replica_slots=slots[rows])
                 try:
@@ -672,8 +671,7 @@ class _ReplicaCohortEngine:
             fused.writeback()
 
         fold = graphs = None
-        if (self._columnar
-                and fault_injection.batch_fold_fault_for(kern.name) is None):
+        if fault_injection.batch_fold_fault_for(kern.name) is None:
             fold = self._fold(group, kern, launch, contexts)
         if fold is None:
             payloads: Dict[int, tuple] = {}
@@ -876,7 +874,7 @@ def _abandoned(abandoned: _BatchAbandoned, runs: int) -> None:
 def record_grouped(
         program: Program, values: Sequence[object],
         device_config: Optional[DeviceConfig] = None,
-        columnar: bool = True, cohort: bool = True, dedup: bool = False,
+        cohort: bool = True, dedup: bool = False,
 ) -> Tuple[List[Tuple[ProgramTrace, int]], ReplicaStats]:
     """Record *values* as one replica batch.
 
@@ -896,7 +894,7 @@ def record_grouped(
     reps, counts = _replicas(values, config, dedup)
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
     if len(reps) >= 2:
-        engine = _ReplicaCohortEngine(config, columnar, cohort)
+        engine = _ReplicaCohortEngine(config, cohort)
         try:
             traces = engine.record_batch(program, reps)
         except _BatchAbandoned as abandoned:
@@ -904,7 +902,7 @@ def record_grouped(
         else:
             stats.merge(engine.stats)
             return list(zip(traces, counts)), stats
-    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+    recorder = TraceRecorder(config, cohort=cohort)
     traces = [recorder.record(program, value) for value in reps]
     return list(zip(traces, counts)), stats
 
@@ -912,7 +910,7 @@ def record_grouped(
 def fold_grouped(
         program: Program, values: Sequence[object], evidence: "Evidence",
         device_config: Optional[DeviceConfig] = None,
-        columnar: bool = True, cohort: bool = True, dedup: bool = False,
+        cohort: bool = True, dedup: bool = False,
 ) -> FoldedBatch:
     """Record *values* as one replica batch, straight into *evidence*.
 
@@ -927,8 +925,7 @@ def fold_grouped(
     reps, counts = _replicas(values, config, dedup)
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
     if len(reps) >= 2:
-        engine = _ReplicaCohortEngine(config, columnar, cohort,
-                                      keep_folds=True)
+        engine = _ReplicaCohortEngine(config, cohort, keep_folds=True)
         try:
             trace_bytes, seconds = engine.fold_batch(program, reps, counts,
                                                      evidence)
@@ -937,7 +934,7 @@ def fold_grouped(
         else:
             stats.merge(engine.stats)
             return FoldedBatch(len(values), trace_bytes, seconds, stats)
-    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+    recorder = TraceRecorder(config, cohort=cohort)
     trace_bytes, seconds = 0, 0.0
     for value, count in zip(reps, counts):
         trace = recorder.record(program, value)

@@ -1,8 +1,15 @@
 """Folding warp event streams into one A-DCFG."""
 
+import numpy as np
+import pytest
+
 from repro.adcfg.builder import ADCFGBuilder, identity_normalizer
 from repro.adcfg.graph import END_LABEL, START_LABEL
-from repro.gpusim.events import BasicBlockEvent, MemoryAccessEvent
+from repro.gpusim.events import (
+    BasicBlockEvent,
+    MemoryAccessEvent,
+    MemoryBatchBuilder,
+)
 from repro.gpusim.memory import MemorySpace
 
 
@@ -124,6 +131,45 @@ class TestMemoryFolding:
     def test_store_flag_preserved(self):
         graph = build([bb("a"), mem("a", [100], is_store=True)])
         assert graph.nodes["a"].visits[0][0].is_store
+
+
+class TestBatchedFold:
+    @staticmethod
+    def batch(rows, warp_id=0):
+        """One warp's batch from ``(label, visit, instr, addresses)``."""
+        builder = MemoryBatchBuilder()
+        for label, visit, instr, addresses in rows:
+            builder.add(label, visit, instr, MemorySpace.GLOBAL.value, False,
+                        np.asarray(addresses, dtype=np.int64))
+        return builder.build(0, warp_id)
+
+    def test_matches_the_per_event_fold(self):
+        batches = [
+            self.batch([("a", 0, 0, [100, 100, 108]), ("a", 0, 1, [116]),
+                        ("b", 0, 0, [100])], warp_id=0),
+            self.batch([("a", 0, 0, [108, 124]), ("a", 1, 0, [100])],
+                       warp_id=1),
+        ]
+        batched = ADCFGBuilder("k@1")
+        per_event = ADCFGBuilder("k@1")
+        for event in batches:
+            batched.on_memory_batch(event)
+            for item in event.iter_events():
+                per_event.on_memory_access(item)
+        assert batched.finish() == per_event.finish()
+
+    def test_packing_overflow_raises_before_touching_the_graph(self):
+        """Slot packing past int64 raises with the graph untouched and the
+        batches still pending, so the monitor can replay them per event."""
+        top = 2 ** 31 - 1  # visits and instrs travel as int32
+        event = self.batch([("a", top, top, [100]), ("b", 0, 0, [108])])
+        builder = ADCFGBuilder("k@1")
+        builder.on_memory_batch(event)
+        with pytest.raises(OverflowError):
+            builder.fold_pending_batches()
+        assert not builder.graph.nodes
+        pending = builder.take_pending_batches()
+        assert len(pending) == 1 and pending[0] is event
 
 
 class TestFinish:

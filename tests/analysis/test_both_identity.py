@@ -3,7 +3,7 @@
 One shared evidence pass feeds both detectors, so the KS component of a
 ``both`` run must be *byte-for-byte* the report a plain ``analyzer="ks"``
 run produces — cold, warm (store-backed), and across the recording-engine
-matrix (workers × columnar × cohort).  The MI component likewise matches
+matrix (workers × per-event fold × cohort).  The MI component likewise matches
 a plain ``analyzer="mi"`` run.
 """
 
@@ -55,16 +55,16 @@ class TestEngineMatrix:
     @pytest.mark.parametrize("workload", ["dummy", "aes"])
     def test_both_stable_across_recording_configs(self, workload):
         reference = run_detection(workload, analyzer="both", workers=1,
-                                  columnar=False, cohort=False) \
-            .report.to_json()
+                                  fault_plan="batch_fold_error",
+                                  cohort=False).report.to_json()
         for workers in (1, 2):
-            for columnar in (False, True):
+            for plan in ("batch_fold_error", None):
                 report = run_detection(workload, analyzer="both",
-                                       workers=workers, columnar=columnar,
+                                       workers=workers, fault_plan=plan,
                                        cohort=True).report.to_json()
                 assert report == reference, (
                     f"{workload}: both(workers={workers}, "
-                    f"columnar={columnar}, cohort) diverged")
+                    f"fault_plan={plan}, cohort) diverged")
 
 
 class TestWarmColdIdentity:

@@ -64,6 +64,16 @@ class TestBatchAgainstScalar:
         (result,) = mi_test_batch([request], sample_size_cap=cap)
         assert_matches_scalar(request, result, sample_size_cap=cap)
 
+    def test_jackknife_large_sample_agrees(self):
+        # at N = 285 the jackknife is a difference of two N-scaled
+        # entropies; rounding there must not push the two paths apart
+        request = ({0: 3, 8: 15, 10: 1, 11: 17, -2: 34, 3: 27, 1: 27,
+                    2: 0, -1: 1, 5: 3},
+                   {0: 26, 5: 4, 9: 10, -2: 27, -3: 39, 2: 0, 3: 6,
+                    4: 14, 1: 1, 6: 10, 7: 11, -4: 9})
+        (result,) = mi_test_batch([request], correction="jackknife")
+        assert_matches_scalar(request, result, correction="jackknife")
+
     def test_mixed_width_padding_is_inert(self):
         # one narrow and one wide request in the same batch: the padded
         # zero cells of the narrow row must not move any estimate

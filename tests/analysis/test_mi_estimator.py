@@ -66,6 +66,24 @@ class TestClosedForms:
         assert entropy_bits([4, 4, 4, 4], "none") == pytest.approx(2.0)
         assert entropy_bits([16], "none") == pytest.approx(0.0)
 
+    def test_jackknife_matches_leave_one_out_resampling(self):
+        # the closed form must equal the literal jackknife: recompute the
+        # plug-in entropy with each single observation left out
+        for counts in ([3, 15, 1, 17, 34, 27, 27, 0, 1, 3], [5, 5],
+                       [1, 1, 1], [40, 2], [7]):
+            total = sum(counts)
+            leave_one_out = 0.0
+            for k, count in enumerate(counts):
+                if count:
+                    reduced = list(counts)
+                    reduced[k] -= 1
+                    leave_one_out += count * entropy_bits(reduced, "none")
+            want = (total * entropy_bits(counts, "none")
+                    - (total - 1) / total * leave_one_out)
+            assert entropy_bits(counts, "jackknife") \
+                == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert entropy_bits([1], "jackknife") == 0.0
+
     def test_degenerate_inputs_raise(self):
         with pytest.raises(MIEstimationError):
             entropy_bits([0, 0])

@@ -23,7 +23,7 @@ from repro.apps.libgpucrypto.tables import (
     gf_mul,
     xtime,
 )
-from repro.gpusim import Device
+from repro.gpusim import Device, MemoryBatchEvent
 from repro.host import CudaRuntime
 
 FIPS_KEY = bytes(range(16))
@@ -158,9 +158,8 @@ class TestKernels:
         table_loads = []
 
         def listen(event):
-            addresses = getattr(event, "addresses", None)
-            if addresses:
-                table_loads.extend(addresses)
+            if isinstance(event, MemoryBatchEvent):
+                table_loads.extend(event.addresses.tolist())
 
         device.subscribe(listen)
         aes_program(CudaRuntime(device), FIPS_KEY)

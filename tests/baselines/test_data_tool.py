@@ -37,6 +37,37 @@ class TestHostOnlyAnalysis:
         assert not report.found_kernel_leak
 
 
+class TestPerThreadOrder:
+    def test_accesses_follow_the_block_visit_that_issued_them(self):
+        """Memory reaches the recorder as one batch per warp, after the
+        warp's block entries; each thread's trace still interleaves them
+        in program order."""
+        from repro.gpusim import kernel
+
+        @kernel()
+        def steps(k, data):
+            k.block("entry")
+            k.load(data, k.lane)
+            for _ in k.branch(k.lane < 2).then("low"):
+                k.store(data, k.lane, 1)
+            k.block("exit")
+
+        buffers = []
+
+        def program(rt, value):
+            data = rt.cudaMalloc(64, label="data")
+            buffers.append(data)
+            rt.cuLaunchKernel(steps, 1, 32, data)
+
+        recorder = record_per_thread(program, 0)
+        address = [f"mem:{int(a):#x}"
+                   for a in buffers[0].addresses_for(np.arange(32))]
+        assert recorder.threads[1] == [
+            "bb:entry", address[1], "bb:low", address[1], "bb:exit"]
+        assert recorder.threads[5] == ["bb:entry", address[5], "bb:exit"]
+        assert recorder.total_entries == 32 * 3 + 2 * 2
+
+
 class TestPerThreadRecording:
     def test_records_every_thread(self):
         # 100 elements launch one 128-thread block; every launched thread

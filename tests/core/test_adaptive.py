@@ -3,7 +3,7 @@
 The contract under test: an ``adaptive=True`` detection flags the same
 leak set as the full-budget run, stops early when every location is
 decisive, spends its alpha through the O'Brien–Fleming-style schedule,
-stays bit-identical across every parallel/columnar/cohort knob, and
+stays bit-identical across every parallel/per-event-fold/cohort knob, and
 resumes through the store's checkpoint path to the identical report.
 """
 
@@ -221,10 +221,11 @@ class TestAdaptiveDetect:
 
     @pytest.mark.parametrize("overrides", [
         {"workers": 2},
-        {"columnar": False},
+        {"fault_plan": "batch_fold_error"},
         {"cohort": False},
         {"replica_batch": True},
-        {"workers": 2, "replica_batch": True, "columnar": False},
+        {"workers": 2, "replica_batch": True,
+         "fault_plan": "batch_fold_error"},
     ])
     def test_bit_identical_across_parallelism_knobs(self, overrides):
         reference = detect(df_program, adaptive=True)

@@ -11,7 +11,7 @@ from repro.countermeasures import (
 )
 from repro.core import Owl, OwlConfig
 from repro.gpusim import Device, kernel
-from repro.gpusim.events import MemoryAccessEvent
+from repro.gpusim.events import MemoryBatchEvent
 from repro.host import CudaRuntime
 from repro.tracing import TraceRecorder
 
@@ -114,8 +114,9 @@ class TestAccessPatterns:
         rt = CudaRuntime(device)
 
         def listen(event):
-            if isinstance(event, MemoryAccessEvent):
-                addresses.append(tuple(event.addresses))
+            if isinstance(event, MemoryBatchEvent):
+                addresses.extend(tuple(item.addresses)
+                                 for item in event.iter_events())
 
         device.subscribe(listen)
         program(rt, secret)

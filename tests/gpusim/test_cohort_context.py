@@ -13,10 +13,11 @@ import pytest
 from repro.gpusim import Device, DeviceConfig, kernel
 from repro.gpusim.cohort import CohortContext, CohortSplit
 from repro.gpusim.context import SimtDivergenceError
-from repro.gpusim.events import BasicBlockEvent, MemoryAccessEvent, SyncEvent
+from repro.gpusim.events import BasicBlockEvent, SyncEvent
 from repro.gpusim.kernel import LaunchConfig
 from repro.gpusim.memory import WriteJournal
 from repro.gpusim.warp import WARP_SIZE
+from tests.oracle import expand, memory_events
 
 
 def run_both(kern, grid, block, alloc_specs, shuffle=False, seed=0):
@@ -25,13 +26,13 @@ def run_both(kern, grid, block, alloc_specs, shuffle=False, seed=0):
     out = {}
     for cohort in (False, True):
         config = DeviceConfig(seed=seed, shuffle_schedule=shuffle)
-        device = Device(config, columnar=False, cohort=cohort)
+        device = Device(config, cohort=cohort)
         events = []
         device.subscribe(events.append)
         buffers = [device.alloc(*spec[:-1], label=spec[-1])
                    for spec in alloc_specs]
         device.launch(kern, grid, block, *buffers)
-        out[cohort] = (events, {buf.label: buf.data.copy()
+        out[cohort] = (expand(events), {buf.label: buf.data.copy()
                                 for buf in buffers})
     return out[False], out[True]
 
@@ -113,7 +114,7 @@ class TestCohortSplitting:
         ctx = CohortContext(
             launch=launch, rows=np.arange(4), block_ids=np.arange(4),
             warp_ids=np.zeros(4, dtype=np.int64), shared_alloc=None,
-            columnar=False, journal=WriteJournal())
+            journal=WriteJournal())
         with pytest.raises(CohortSplit) as exc:
             ctx.uniform(ctx.block_id % 2)
         groups = exc.value.groups
@@ -127,7 +128,7 @@ class TestCohortSplitting:
         ctx = CohortContext(
             launch=launch, rows=np.arange(2), block_ids=np.arange(2),
             warp_ids=np.zeros(2, dtype=np.int64), shared_alloc=None,
-            columnar=False, journal=WriteJournal())
+            journal=WriteJournal())
         with pytest.raises(SimtDivergenceError):
             ctx.uniform(ctx.lane)
 
@@ -262,7 +263,7 @@ class TestBufferViewCache:
 class TestReplay:
     def test_replay_rowstreams_in_schedule_order(self):
         """Events come out grouped per warp, rows in schedule order."""
-        device = Device(DeviceConfig(seed=0), columnar=False, cohort=True)
+        device = Device(DeviceConfig(seed=0), cohort=True)
         events = []
         device.subscribe(events.append)
 
@@ -279,10 +280,34 @@ class TestReplay:
         assert ids == [(b, w) for b in range(2) for w in range(2)
                        for _ in range(3)]
 
+    def test_each_warp_retires_with_its_batch(self):
+        """Both engines emit a warp's one batch after its block and sync
+        events, warp after warp."""
+        for cohort in (False, True):
+            device = Device(DeviceConfig(seed=0), cohort=cohort)
+            events = []
+            device.subscribe(events.append)
+            buf = device.alloc(128, label="data")
+
+            @kernel()
+            def touch(k, target):
+                k.block("entry")
+                k.load(target, k.global_tid())
+                k.syncthreads()
+                k.block("exit")
+                k.store(target, k.global_tid(), k.lane)
+
+            device.launch(touch, 2, 64, buf)
+            kinds = [type(e).__name__ for e in events[1:-1]]
+            assert kinds == ["BasicBlockEvent", "SyncEvent",
+                             "BasicBlockEvent", "MemoryBatchEvent"] * 4
+            warps = [(e.block_id, e.warp_id) for e in events[1:-1]]
+            assert warps == [(b, w) for b in range(2) for w in range(2)
+                             for _ in range(4)]
+
     def test_memory_event_expansion_matches_reference(self):
         def collect(cohort):
-            device = Device(DeviceConfig(seed=0), columnar=False,
-                            cohort=cohort)
+            device = Device(DeviceConfig(seed=0), cohort=cohort)
             events = []
             device.subscribe(events.append)
             buf = device.alloc(128, label="data")
@@ -294,6 +319,6 @@ class TestReplay:
                 k.store(target, k.global_tid(), k.lane)
 
             device.launch(touch, 2, 64, buf)
-            return [e for e in events if isinstance(e, MemoryAccessEvent)]
+            return memory_events(events)
 
         assert collect(cohort=True) == collect(cohort=False)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.gpusim import Device, DeviceConfig, kernel
 from repro.gpusim.events import MemoryBatchEvent
 from repro.gpusim.warp import WARP_SIZE
+from tests.oracle import expand
 
 #: Large enough that every thread owns a private cell (max 4 blocks × 96
 #: threads); stores stay thread-disjoint, the race-free CUDA discipline.
@@ -79,10 +80,10 @@ def build_kernel(spec):
     return toy
 
 
-def run(spec, device_spec, cohort, columnar=False):
+def run(spec, device_spec, cohort):
     config = DeviceConfig(seed=device_spec["seed"],
                           shuffle_schedule=device_spec["shuffle"])
-    device = Device(config, columnar=columnar, cohort=cohort)
+    device = Device(config, cohort=cohort)
     events = []
     device.subscribe(events.append)
     data = device.alloc(DATA_SIZE, label="data")
@@ -96,27 +97,30 @@ def run(spec, device_spec, cohort, columnar=False):
 def test_cohort_matches_per_warp_events_and_memory(spec, device_spec):
     ref_events, ref_data, ref_acc = run(spec, device_spec, cohort=False)
     coh_events, coh_data, coh_acc = run(spec, device_spec, cohort=True)
-    assert coh_events == ref_events
+    assert expand(coh_events) == expand(ref_events)
     assert (coh_data == ref_data).all()
     assert (coh_acc == ref_acc).all()
 
 
 @settings(max_examples=20, deadline=None)
 @given(spec=kernel_spec_st, device_spec=device_spec_st)
-def test_cohort_matches_per_warp_columnar_batches(spec, device_spec):
-    def expanded(cohort):
-        events, data, acc = run(spec, device_spec, cohort, columnar=True)
-        flat = [event
-                for e in events
-                for event in (e.iter_events()
-                              if isinstance(e, MemoryBatchEvent) else [e])]
-        return flat, data, acc
+def test_cohort_matches_per_warp_batch_arrays(spec, device_spec):
+    """Both engines build each warp's batch the same way: the same label
+    table and the same arrays, not only the same expansion."""
+    def batches(cohort):
+        events, _data, _acc = run(spec, device_spec, cohort)
+        return [e for e in events if isinstance(e, MemoryBatchEvent)]
 
-    ref_events, ref_data, ref_acc = expanded(cohort=False)
-    coh_events, coh_data, coh_acc = expanded(cohort=True)
-    assert coh_events == ref_events
-    assert (coh_data == ref_data).all()
-    assert (coh_acc == ref_acc).all()
+    reference, cohort = batches(cohort=False), batches(cohort=True)
+    assert len(cohort) == len(reference)
+    for got, want in zip(cohort, reference):
+        assert (got.block_id, got.warp_id, got.labels) == (
+            want.block_id, want.warp_id, want.labels)
+        for field in ("label_ids", "visits", "instrs", "spaces",
+                      "is_stores", "addresses", "extents"):
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+            assert np.array_equal(getattr(got, field),
+                                  getattr(want, field)), field
 
 
 @settings(max_examples=15, deadline=None)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.gpusim.context import SimtDivergenceError, WarpContext
-from repro.gpusim.events import MemoryAccessEvent
 from repro.gpusim.kernel import LaunchConfig
 from repro.gpusim.memory import AllocationError, DeviceMemory, MemorySpace
 from repro.gpusim.warp import WARP_SIZE
@@ -23,8 +22,11 @@ def make_context(threads_per_block: int = 32):
     return ctx, events
 
 
-def mem_events(events):
-    return [e for e in events if isinstance(e, MemoryAccessEvent)]
+def mem_events(ctx):
+    """The warp's memory instructions so far, one event each (the
+    context buffers them into one batch until the warp retires)."""
+    batch = ctx.flush_batch()
+    return [] if batch is None else list(batch.iter_events())
 
 
 class TestLoad:
@@ -40,7 +42,7 @@ class TestLoad:
         buf = memory.alloc(64)
         ctx.block("b")
         ctx.load(buf, ctx.lane)
-        event = mem_events(events)[0]
+        event = mem_events(ctx)[0]
         assert len(event.addresses) == WARP_SIZE
         assert event.addresses[0] == buf.base
         assert event.addresses[1] == buf.base + buf.itemsize
@@ -52,7 +54,7 @@ class TestLoad:
         br = ctx.branch(ctx.lane < 5)
         for _ in br.then("b"):
             ctx.load(buf, ctx.lane)
-        assert len(mem_events(events)[0].addresses) == 5
+        assert len(mem_events(ctx)[0].addresses) == 5
 
     def test_inactive_lanes_get_zero_filler(self, memory):
         ctx, _ = make_context()
@@ -88,14 +90,14 @@ class TestLoad:
         buf = memory.alloc(64, space=MemorySpace.CONSTANT)
         ctx.block("b")
         ctx.load(buf, 0)
-        assert mem_events(events)[0].space is MemorySpace.CONSTANT
+        assert mem_events(ctx)[0].space is MemorySpace.CONSTANT
 
     def test_space_override(self, memory):
         ctx, events = make_context()
         buf = memory.alloc(64)
         ctx.block("b")
         ctx.load(buf, 0, space=MemorySpace.TEXTURE)
-        assert mem_events(events)[0].space is MemorySpace.TEXTURE
+        assert mem_events(ctx)[0].space is MemorySpace.TEXTURE
 
     def test_uniform_index_counts_per_lane(self, memory):
         """A broadcast load is still one access per active lane, matching
@@ -104,7 +106,7 @@ class TestLoad:
         buf = memory.alloc(64)
         ctx.block("b")
         ctx.load(buf, 3)
-        event = mem_events(events)[0]
+        event = mem_events(ctx)[0]
         assert len(event.addresses) == WARP_SIZE
         assert len(set(event.addresses)) == 1
 
@@ -130,7 +132,7 @@ class TestStore:
         buf = memory.alloc(64)
         ctx.block("b")
         ctx.store(buf, ctx.lane, 1)
-        assert mem_events(events)[0].is_store
+        assert mem_events(ctx)[0].is_store
 
     def test_store_only_active_lanes_write(self, memory):
         ctx, _ = make_context()
@@ -161,7 +163,7 @@ class TestStore:
         ctx.block("b")
         ctx._set_active(np.zeros(WARP_SIZE, dtype=bool))
         ctx.store(buf, ctx.lane, 1)
-        assert len(mem_events(events)) == 0
+        assert len(mem_events(ctx)) == 0
 
 
 class TestAtomicAdd:
@@ -185,7 +187,7 @@ class TestAtomicAdd:
         buf = memory.alloc(4)
         ctx.block("b")
         ctx.atomic_add(buf, 0, 1)
-        assert mem_events(events)[0].is_store
+        assert mem_events(ctx)[0].is_store
 
 
 class TestInstructionOrdinals:
@@ -196,14 +198,14 @@ class TestInstructionOrdinals:
         ctx.load(buf, 0)
         ctx.load(buf, 1)
         ctx.store(buf, 2, 0)
-        assert [e.instr for e in mem_events(events)] == [0, 1, 2]
+        assert [e.instr for e in mem_events(ctx)] == [0, 1, 2]
 
     def test_ordinals_reset_per_block_entry(self, memory):
         ctx, events = make_context()
         buf = memory.alloc(64)
         for _ in ctx.range_("loop", 3):
             ctx.load(buf, 0)
-        assert [(e.visit, e.instr) for e in mem_events(events)] == [
+        assert [(e.visit, e.instr) for e in mem_events(ctx)] == [
             (0, 0), (1, 0), (2, 0)]
 
     def test_events_carry_block_identity(self, memory):
@@ -214,6 +216,6 @@ class TestInstructionOrdinals:
         buf = memory.alloc(256)
         ctx.block("b")
         ctx.load(buf, 0)
-        event = mem_events(events)[0]
+        event = mem_events(ctx)[0]
         assert event.block_id == 1
         assert event.warp_id == 1

@@ -51,6 +51,18 @@ class TestExecution:
         assert code in (0, 1)
 
 
+class TestRetiredFlags:
+    @pytest.mark.parametrize("argv", [["aes", "--no-columnar"],
+                                      ["run", "aes", "--no-columnar"]])
+    def test_no_columnar_is_a_usage_error(self, argv, capsys):
+        """Devices emit memory only as batches: the per-event switch is
+        gone, and argparse rejects it like any unknown option."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--no-columnar" in capsys.readouterr().err
+
+
 class TestCohortFlag:
     def test_cohort_defaults_on(self):
         args = build_parser().parse_args(["aes"])

@@ -213,3 +213,37 @@ class TestResumeSubcommand:
         assert "resumed dummy" in out
         payload = out[out.index("{"):]
         assert json.loads(payload) == json.loads(reference)
+
+    def test_resume_reads_a_config_with_a_retired_field(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        """Campaign entries keep the config's ``dataclasses.asdict`` form;
+        one written while OwlConfig had ``columnar`` still resumes, to
+        the report a fresh run prints."""
+        from repro.core.parallel import TraceRecordingPool
+        from repro.store import TraceStore, incomplete_campaigns
+        store_dir = str(tmp_path / "store")
+        assert run_store(tmp_path / "ref", "--json") == 1
+        reference = capsys.readouterr().out
+
+        original = TraceRecordingPool.record_evidence
+
+        def crashing(self, values, keep_per_run=False):
+            raise KeyboardInterrupt("simulated crash")
+
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", crashing)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "dummy", "--store", store_dir, *RUN_ARGS])
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", original)
+        capsys.readouterr()
+
+        store = TraceStore(store_dir)
+        (entry,) = incomplete_campaigns(store)
+        body = store.get_json(entry.key)
+        body["config"]["columnar"] = True
+        store.put_json(entry.key, entry.kind, body, meta=entry.meta)
+
+        assert main(["resume", "--store", store_dir, "--json"]) == 1
+        out = capsys.readouterr().out
+        assert "resumed dummy" in out
+        assert out[out.index("{"):] == reference

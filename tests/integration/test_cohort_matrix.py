@@ -1,9 +1,10 @@
 """Detection verdicts across the full recording-engine matrix.
 
-The cohort engine composes with the columnar transport and the parallel
+The cohort engine composes with the batched memory fold and the parallel
 recording pool; every combination must produce the exact report of the
-serial per-warp per-event reference, because all three are pure recording
-optimisations with byte-identical traces.
+serial per-warp engine folding memory per event (``batch_fold_error``
+routes every batch through the per-event fold), because all three are
+pure recording optimisations with byte-identical traces.
 """
 
 import pytest
@@ -12,6 +13,9 @@ from repro.cli import _workloads
 from repro.core.pipeline import Owl, OwlConfig
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, always_analyze=True)
+
+#: fold every memory batch per event
+PER_EVENT = "batch_fold_error"
 
 
 def run_detection(workload, **overrides):
@@ -25,21 +29,20 @@ def run_detection(workload, **overrides):
 class TestEngineMatrix:
     @pytest.mark.parametrize("workload", ["dummy", "rsa", "aes"])
     def test_cohort_matrix_matches_reference(self, workload):
-        reference = run_detection(workload, cohort=False, columnar=False,
-                                  workers=1)
-        for columnar in (False, True):
+        reference = run_detection(workload, cohort=False,
+                                  fault_plan=PER_EVENT, workers=1)
+        for plan in (PER_EVENT, None):
             for workers in (1, 2):
                 report = run_detection(workload, cohort=True,
-                                       columnar=columnar, workers=workers)
+                                       fault_plan=plan, workers=workers)
                 assert report == reference, (
-                    f"{workload}: cohort(columnar={columnar}, "
+                    f"{workload}: cohort(fault_plan={plan}, "
                     f"workers={workers}) diverged from reference")
 
     @pytest.mark.parametrize("workload", ["dummy", "rsa"])
     def test_no_cohort_parallel_columnar_unchanged(self, workload):
         """The satellite paths still agree with cohort disabled."""
-        reference = run_detection(workload, cohort=False, columnar=False,
-                                  workers=1)
-        report = run_detection(workload, cohort=False, columnar=True,
-                               workers=2)
+        reference = run_detection(workload, cohort=False,
+                                  fault_plan=PER_EVENT, workers=1)
+        report = run_detection(workload, cohort=False, workers=2)
         assert report == reference

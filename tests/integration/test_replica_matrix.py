@@ -5,7 +5,7 @@ launch into extra rows of the cohort lane grid and, with ``replica_dedup``,
 collapses equal-input repetitions to one recording.  Both are pure
 recording optimisations: every report must be byte-identical to the
 serial per-run reference across all bundled workloads, and the knobs must
-compose with the columnar transport, the cohort engine and the parallel
+compose with the per-event memory fold, the cohort engine and the parallel
 recording pool.  Because replayed traces are byte-identical, the store
 fingerprints must not depend on either knob.
 """
@@ -53,16 +53,17 @@ class TestEngineMatrix:
     @pytest.mark.parametrize("workload", ["dummy", "rsa", "aes"])
     def test_replica_matrix_matches_reference(self, workload):
         reference = run_detection(workload, replica_batch=False,
-                                  cohort=False, columnar=False, workers=1)
+                                  cohort=False, fault_plan="batch_fold_error",
+                                  workers=1)
         for cohort in (False, True):
-            for columnar in (False, True):
+            for plan in ("batch_fold_error", None):
                 for workers in (1, 2):
                     report = run_detection(
                         workload, replica_batch=True, cohort=cohort,
-                        columnar=columnar, workers=workers)
+                        fault_plan=plan, workers=workers)
                     assert report == reference, (
                         f"{workload}: replica(cohort={cohort}, "
-                        f"columnar={columnar}, workers={workers}) "
+                        f"fault_plan={plan}, workers={workers}) "
                         "diverged from reference")
 
     @pytest.mark.parametrize("workload", DEDUP_SAFE)

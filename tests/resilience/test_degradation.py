@@ -1,12 +1,13 @@
 """Graceful degradation: every fallback rung is bit-identical to health.
 
 cohort -> per-warp (envelope violation or step budget), columnar -> object
-(batch-fold failure).  Each injected fault must leave the recorded trace
+(batch-fold failure: the per-event fold).  Each injected fault must leave the recorded trace
 byte-identical to a fault-free run and leave a structured event behind.
 """
 
 import pytest
 
+from repro.adcfg.builder import ADCFGBuilder
 from repro.apps import dummy
 from repro.apps.libgpucrypto import aes_program
 from repro.gpusim import DeviceConfig
@@ -20,10 +21,8 @@ from repro.resilience.faults import activated
 from repro.tracing.recorder import TraceRecorder
 
 
-def record(program, value, plan=None, device_config=None, columnar=True,
-           cohort=True):
-    recorder = TraceRecorder(device_config=device_config, columnar=columnar,
-                             cohort=cohort)
+def record(program, value, plan=None, device_config=None, cohort=True):
+    recorder = TraceRecorder(device_config=device_config, cohort=cohort)
     with activated(plan):
         with collecting_degradations() as log:
             trace = recorder.record(program, value)
@@ -87,13 +86,26 @@ class TestColumnarToObject:
         _, log = record(aes_program, value, plan=plan)
         assert log.counts_by_kind().get(COLUMNAR_TO_OBJECT) is None
 
-    def test_degraded_trace_matches_object_transport(self):
-        """The per-event replay must agree with the native object path."""
+    def test_kernel_wide_fold_error_replays_per_event(self, monkeypatch):
+        """A kernel-wide fold that raises (as int64 packing overflow
+        does, before touching the graph) degrades at launch end: the
+        monitor replays the untouched batches per event."""
         value = dummy.fixed_input()
-        object_path, _ = record(dummy.dummy_program, value, columnar=False)
-        plan = FaultPlan.parse("batch_fold_error")
-        degraded, _ = record(dummy.dummy_program, value, plan=plan)
-        assert degraded.signature() == object_path.signature()
+        healthy, _ = record(dummy.dummy_program, value)
+
+        fold = ADCFGBuilder.fold_pending_batches
+
+        def overflow(builder):
+            if builder._pending_batches:
+                raise OverflowError("slot packing overflows int64")
+            fold(builder)
+
+        monkeypatch.setattr(ADCFGBuilder, "fold_pending_batches", overflow)
+        degraded, log = record(dummy.dummy_program, value)
+        assert degraded.signature() == healthy.signature()
+        assert degraded == healthy
+        events = [e for e in log.events if e.kind == COLUMNAR_TO_OBJECT]
+        assert events and all("overflows" in e.reason for e in events)
 
 
 class TestStackedFaults:

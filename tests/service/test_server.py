@@ -93,3 +93,21 @@ class TestShutdown:
         assert not thread.is_alive()
         assert not client.ping()
         assert scheduler is not None  # scheduler outlives the server
+
+    def test_shutdown_removes_the_unix_socket(self, tmp_path):
+        """A restart that waits for the socket file must not find a dead
+        one left by the previous server."""
+        scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
+                                      ServiceConfig(workers=0))
+        path = tmp_path / "owl.sock"
+        thread = threading.Thread(target=serve_forever,
+                                  args=(scheduler, ("unix", str(path))),
+                                  daemon=True)
+        thread.start()
+        client = ServiceClient(f"unix://{path}")
+        client.wait_until_up(timeout=30)
+        assert path.is_socket()
+        client.shutdown()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not path.exists()

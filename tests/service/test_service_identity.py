@@ -8,14 +8,17 @@ through a real worker fleet, and across injected worker deaths.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.apps.registry import resolve
 from repro.core.pipeline import Owl, OwlConfig
 from repro.service import CampaignScheduler, ServiceConfig, WorkerFleet
+from repro.service.execute import materialize
 from repro.service.scheduler import (
     STAGE_COMPLETE, STAGE_FAILED, campaign_identity)
+from repro.store import TraceStore
 
 TINY = dict(fixed_runs=5, random_runs=5, seed=13, store_checkpoint_every=2)
 
@@ -107,7 +110,7 @@ class TestCoalescing:
     def test_identity_excludes_operational_knobs(self):
         base = OwlConfig(**TINY)
         assert campaign_identity("dummy", base) == campaign_identity(
-            "dummy", dataclasses.replace(base, workers=4, columnar=False))
+            "dummy", dataclasses.replace(base, workers=4, cohort=False))
         assert campaign_identity("dummy", base) != campaign_identity(
             "dummy", dataclasses.replace(base, fixed_runs=7))
         assert campaign_identity("dummy", base) != campaign_identity(
@@ -164,6 +167,46 @@ class TestRecovery:
         assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct_report_json(
             store=tmp_path / "direct")
+
+    def test_recovery_reads_specs_with_a_retired_field(self, tmp_path):
+        """Queue specs keep the config's ``dataclasses.asdict`` form; a
+        queue written while OwlConfig had ``columnar`` recovers and runs
+        its units to the direct report."""
+        config = ServiceConfig(workers=0, unit_runs=2)
+        first = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
+                                  config)
+        cid = first.submit("dummy", TINY)
+        for _ in range(3):
+            first.tick()
+        del first
+        queue = tmp_path / "queue"
+        units = sorted((queue / "units").glob("*.json"))
+        assert units  # pending units whose specs the fleet will read
+        for path in [queue / "campaigns" / f"{cid}.json", *units]:
+            data = json.loads(path.read_text())
+            spec = data.get("spec", data)
+            spec["config"]["columnar"] = True
+            path.write_text(json.dumps(data))
+        spec = json.loads(units[0].read_text())["spec"]
+        owl, _campaign, _inputs, _random = materialize(
+            spec, TraceStore(tmp_path / "store"))
+        assert owl.config == OwlConfig(**TINY)
+
+        second = CampaignScheduler(tmp_path / "store", queue, config)
+        assert second.recover() == [cid]
+        assert second.wait([cid], timeout=240)
+        results = second.results(cid)
+        assert results["stage"] == STAGE_COMPLETE
+        assert results["report_json"] == direct_report_json(
+            store=tmp_path / "direct")
+
+    def test_new_submission_naming_a_retired_field_is_rejected(
+            self, tmp_path):
+        scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
+                                      ServiceConfig(workers=0))
+        with pytest.raises(TypeError, match="columnar"):
+            scheduler.submit("dummy", {**TINY, "columnar": True})
+        assert not scheduler.campaigns
 
     def test_requeue_past_budget_degrades_to_scheduler(self, tmp_path):
         """FLEET_TO_LOCAL: a unit the fleet keeps dropping runs locally."""

@@ -70,12 +70,12 @@ class TestFingerprints:
             analysis_fingerprint(OwlConfig(confidence=0.95), device)
 
     def test_parallelism_knobs_do_not_change_any_fingerprint(self):
-        """workers / columnar / vectorized / checkpoint cadence are proven
+        """workers / cohort / vectorized / checkpoint cadence are proven
         bit-identical, so campaigns recorded under any of them share
         cache entries."""
         device = DeviceConfig()
         base = OwlConfig()
-        variant = dataclasses.replace(base, workers=4, columnar=False,
+        variant = dataclasses.replace(base, workers=4, cohort=False,
                                       vectorized=False,
                                       store_checkpoint_every=3)
         for fingerprint in (trace_fingerprint, evidence_fingerprint,

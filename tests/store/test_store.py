@@ -159,6 +159,26 @@ class TestGc:
         assert store.gc()["removed"] == 0
         assert store.get_bytes("b") == b"shared"
 
+    def test_gc_sees_another_handles_dedup_put(self, tmp_path):
+        """A handle's gc must not collect a blob that another handle
+        re-referenced after this one last read the manifest."""
+        h1 = TraceStore(tmp_path / "shared")
+        h1.put_bytes("k1", "trace", b"payload")
+        h1.delete("k1")
+        h2 = TraceStore(tmp_path / "shared")
+        h1.put_bytes("k2", "trace", b"payload")  # dedups onto k1's blob
+        assert h2.gc()["removed"] == 0
+        assert h1.get_bytes("k2") == b"payload"
+
+    def test_gc_flushes_its_own_pending_batch(self, store):
+        """A put still pending in the gc caller's batch keeps its blob."""
+        store.put_bytes("old", "trace", b"payload")
+        store.delete("old")
+        with store.batch():
+            store.put_bytes("new", "trace", b"payload")
+            assert store.gc()["removed"] == 0
+        assert TraceStore(store.root).get_bytes("new") == b"payload"
+
     def test_verify_flags_corrupt_entries(self, store):
         entry = store.put_bytes("good", "trace", b"fine")
         bad = store.put_bytes("bad", "trace", b"will corrupt" * 30)

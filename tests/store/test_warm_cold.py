@@ -46,19 +46,20 @@ class TestWarmEqualsCold:
 
     @pytest.mark.parametrize("workload", ["dummy", "aes"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("columnar", [True, False])
+    @pytest.mark.parametrize("per_event", [True, False])
     @pytest.mark.parametrize("cohort", [True, False])
     def test_store_reuse_across_recording_configs(self, workload, workers,
-                                                  columnar, cohort,
+                                                  per_event, cohort,
                                                   tmp_path):
-        """workers / columnar / cohort are excluded from fingerprints
-        (their paths are proven bit-identical), so one cold serial run
-        warms every recording configuration."""
+        """workers / cohort / the per-event memory fold are excluded from
+        fingerprints (their paths are proven bit-identical), so one cold
+        serial run warms every recording configuration."""
         store_dir = tmp_path / "shared"
         cold = run_detection(workload, store=TraceStore(store_dir))
         warm = run_detection(workload, store=TraceStore(store_dir),
                              reuse_report=False, workers=workers,
-                             columnar=columnar, cohort=cohort)
+                             fault_plan=("batch_fold_error" if per_event
+                                         else None), cohort=cohort)
         assert warm.stats.cached_traces > 0
         assert warm.stats.cached_runs > 0
         assert warm.report.to_json() == cold.report.to_json()

@@ -5,8 +5,8 @@ in one NumPy pass over a ``(num_warps, 32)`` lane grid.  It is a pure
 execution-strategy optimisation: every recorded
 :class:`~repro.tracing.recorder.ProgramTrace` must be byte-identical to
 the per-warp reference loop — across every bundled workload, under
-schedule shuffling and ASLR, with and without the columnar transport, and
-for partial final warps.
+schedule shuffling and ASLR, through the batched and the per-event fold,
+and for partial final warps.
 """
 
 import pytest
@@ -18,6 +18,7 @@ from repro.cli import _workloads
 from repro.core import Owl, OwlConfig
 from repro.gpusim import Device, DeviceConfig, kernel
 from repro.tracing.recorder import TraceRecorder
+from tests.oracle import expand, record_per_event
 
 WORKLOADS = [
     pytest.param(aes_program, bytes(range(16)), id="aes"),
@@ -27,14 +28,11 @@ WORKLOADS = [
 ]
 
 
-def record_pair(program, value, device_config=None, buffered=False,
-                columnar=True):
+def record_pair(program, value, device_config=None, buffered=False):
     reference = TraceRecorder(device_config=device_config, buffered=buffered,
-                              columnar=columnar, cohort=False
-                              ).record(program, value)
+                              cohort=False).record(program, value)
     cohort = TraceRecorder(device_config=device_config, buffered=buffered,
-                           columnar=columnar, cohort=True
-                           ).record(program, value)
+                           cohort=True).record(program, value)
     return reference, cohort
 
 
@@ -61,9 +59,10 @@ class TestAllWorkloads:
 
 class TestTraceEquality:
     @pytest.mark.parametrize("program, value", WORKLOADS)
-    def test_object_event_path(self, program, value):
-        """Cohort replay is exact on the per-event (non-columnar) path too."""
-        reference, cohort = record_pair(program, value, columnar=False)
+    def test_per_event_fold(self, program, value):
+        """Cohort replay is exact through the per-event fold too."""
+        reference = record_per_event(program, value, cohort=False)
+        cohort = record_per_event(program, value, cohort=True)
         assert cohort.signature() == reference.signature()
         assert cohort == reference
 
@@ -86,7 +85,7 @@ class TestTraceEquality:
 class TestPartialWarps:
     def run_events(self, total_threads, cohort, shuffle=False):
         config = DeviceConfig(seed=3, shuffle_schedule=shuffle)
-        device = Device(config, columnar=False, cohort=cohort)
+        device = Device(config, cohort=cohort)
         events = []
         device.subscribe(events.append)
         buf = device.alloc(256, label="data")
@@ -100,7 +99,7 @@ class TestPartialWarps:
                 k.load(target, k.lane)
 
         device.launch(ragged, 1, total_threads, buf)
-        return events, buf.data.copy()
+        return expand(events), buf.data.copy()
 
     @pytest.mark.parametrize("total_threads", [33, 48, 63, 65, 97])
     def test_partial_final_warp_identical(self, total_threads):

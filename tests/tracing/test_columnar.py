@@ -1,12 +1,16 @@
-"""Columnar fast path ≡ per-event object path.
+"""Batched fold ≡ per-event fold.
 
-The columnar pipeline (per-warp batched memory events, vectorised address
-normalisation, bulk A-DCFG folding) is a pure transport/folding optimisation:
-every recorded :class:`~repro.tracing.recorder.ProgramTrace` must be
-byte-identical to the reference per-event path — including under schedule
-shuffling, ASLR, and the buffered channel configuration.
+Devices emit one :class:`~repro.gpusim.events.MemoryBatchEvent` per warp,
+and the monitor folds a launch's batches kernel-wide in one vectorised
+pass.  That is a pure folding optimisation: every recorded
+:class:`~repro.tracing.recorder.ProgramTrace` must be byte-identical to
+folding each batch one instruction at a time (``iter_events`` through
+``ADCFGBuilder.on_memory_access``, the monitor's degradation rung) —
+including under schedule shuffling, ASLR, and the buffered channel
+configuration.
 """
 
+import numpy as np
 import pytest
 
 from repro.apps import dummy
@@ -14,8 +18,10 @@ from repro.apps.libgpucrypto import aes_program, rsa_program
 from repro.apps.nvjpeg import encode_program, synthetic_image
 from repro.core import Owl, OwlConfig
 from repro.gpusim import Device, DeviceConfig, MemoryBatchEvent, kernel
-from repro.gpusim.events import MemoryAccessEvent
+from repro.gpusim.events import BasicBlockEvent, MemoryAccessEvent
+from repro.gpusim.memory import MemorySpace
 from repro.tracing.recorder import TraceRecorder
+from tests.oracle import expand, record_per_event
 
 WORKLOADS = [
     pytest.param(aes_program, bytes(range(16)), id="aes"),
@@ -26,67 +32,68 @@ WORKLOADS = [
 
 
 def record_pair(program, value, device_config=None, buffered=False):
-    reference = TraceRecorder(device_config=device_config, buffered=buffered,
-                              columnar=False).record(program, value)
-    columnar = TraceRecorder(device_config=device_config, buffered=buffered,
-                             columnar=True).record(program, value)
-    return reference, columnar
+    reference = record_per_event(program, value, device_config=device_config,
+                                 buffered=buffered)
+    batched = TraceRecorder(device_config=device_config,
+                            buffered=buffered).record(program, value)
+    return reference, batched
 
 
 class TestTraceEquality:
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_signatures_identical(self, program, value):
-        reference, columnar = record_pair(program, value)
-        assert columnar.signature() == reference.signature()
-        assert columnar == reference
+        reference, batched = record_pair(program, value)
+        assert batched.signature() == reference.signature()
+        assert batched == reference
 
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_buffered_channel(self, program, value):
-        reference, columnar = record_pair(program, value, buffered=True)
-        assert columnar.signature() == reference.signature()
+        reference, batched = record_pair(program, value, buffered=True)
+        assert batched.signature() == reference.signature()
 
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_shuffled_schedule(self, program, value):
         config = DeviceConfig(seed=11, shuffle_schedule=True)
-        reference, columnar = record_pair(program, value, device_config=config)
-        assert columnar.signature() == reference.signature()
+        reference, batched = record_pair(program, value, device_config=config)
+        assert batched.signature() == reference.signature()
 
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_aslr(self, program, value):
         config = DeviceConfig(seed=11, aslr=True)
-        reference, columnar = record_pair(program, value, device_config=config)
-        assert columnar.signature() == reference.signature()
+        reference, batched = record_pair(program, value, device_config=config)
+        assert batched.signature() == reference.signature()
 
     def test_shuffle_aslr_buffered_combined(self):
         config = DeviceConfig(seed=5, shuffle_schedule=True, aslr=True)
-        reference, columnar = record_pair(aes_program, bytes(range(16)),
-                                          device_config=config, buffered=True)
-        assert columnar.signature() == reference.signature()
+        reference, batched = record_pair(aes_program, bytes(range(16)),
+                                         device_config=config, buffered=True)
+        assert batched.signature() == reference.signature()
 
     def test_trace_size_accounting_identical(self):
-        reference, columnar = record_pair(aes_program, bytes(range(16)))
-        assert columnar.trace_size_bytes() == reference.trace_size_bytes()
+        reference, batched = record_pair(aes_program, bytes(range(16)))
+        assert batched.trace_size_bytes() == reference.trace_size_bytes()
 
 
 class TestPipelineEquality:
     def test_detect_reports_identical(self):
-        """End to end: columnar and object paths yield the same verdicts."""
+        """End to end: the batched and per-event folds yield the same
+        report."""
         reports = {}
-        for columnar in (False, True):
-            config = OwlConfig(fixed_runs=4, random_runs=4,
-                               columnar=columnar, always_analyze=True)
+        for plan in (None, "batch_fold_error"):
+            config = OwlConfig(fixed_runs=4, random_runs=4, fault_plan=plan,
+                               always_analyze=True)
             owl = Owl(aes_program, name="aes", config=config)
             result = owl.detect(
                 inputs=[bytes(range(16)), bytes(range(1, 17))],
                 random_input=lambda rng: bytes(
                     int(b) for b in rng.integers(0, 256, size=16)))
-            reports[columnar] = result.report.to_json()
-        assert reports[True] == reports[False]
+            reports[plan] = result.report.to_json()
+        assert reports["batch_fold_error"] == reports[None]
 
 
 class TestBatchEvent:
     def test_batches_replace_per_instruction_events(self):
-        device = Device(DeviceConfig(seed=0), columnar=True)
+        device = Device(DeviceConfig(seed=0))
         events = []
         device.subscribe(events.append)
         buf = device.alloc(64, label="data")
@@ -110,33 +117,41 @@ class TestBatchEvent:
         assert batch.is_stores.tolist() == [False, True]
 
     def test_iter_events_round_trip(self):
-        """Expanding a batch reproduces the object path's event stream."""
-        def trace_events(columnar):
-            device = Device(DeviceConfig(seed=0), columnar=columnar)
-            events = []
-            device.subscribe(events.append)
-            buf = device.alloc(64, label="data")
+        """Expanding a batch yields one event per instruction, in issue
+        order, each carrying its slot and its active lanes' addresses."""
+        device = Device(DeviceConfig(seed=0))
+        events = []
+        device.subscribe(events.append)
+        buf = device.alloc(64, label="data")
 
-            @kernel()
-            def touch(k, target):
-                k.block("entry")
-                k.load(target, k.lane % 4)
+        @kernel()
+        def touch(k, target):
+            k.block("entry")
+            k.load(target, k.lane % 4)
+            for _ in k.branch(k.lane < 8).then("low"):
                 k.store(target, k.lane, 1)
 
-            device.launch(touch, 1, 32, buf)
-            return events
+        device.launch(touch, 1, 32, buf)
+        lanes = np.arange(32)
 
-        expanded = [
-            event
-            for e in trace_events(columnar=True)
-            for event in (e.iter_events()
-                          if isinstance(e, MemoryBatchEvent) else [e])
+        def access(label, instr, is_store, index):
+            return MemoryAccessEvent(
+                block_id=0, warp_id=0, label=label, visit=0, instr=instr,
+                space=MemorySpace.GLOBAL, is_store=is_store,
+                addresses=tuple(int(a) for a in buf.addresses_for(index)))
+
+        def entry(label, lanes_active):
+            return BasicBlockEvent(block_id=0, warp_id=0, label=label,
+                                   visit=0, active_lanes=lanes_active)
+
+        assert expand(events[1:-1]) == [
+            entry("entry", 32), entry("low", 8),
+            access("entry", 0, False, lanes % 4),
+            access("low", 0, True, lanes[:8]),
         ]
-        reference = trace_events(columnar=False)
-        assert expanded == reference
 
     def test_empty_warp_emits_no_batch(self):
-        device = Device(DeviceConfig(seed=0), columnar=True)
+        device = Device(DeviceConfig(seed=0))
         events = []
         device.subscribe(events.append)
 
@@ -151,13 +166,12 @@ class TestBatchEvent:
 class TestDeterminism:
     def test_columnar_is_deterministic(self):
         sigs = {
-            TraceRecorder(columnar=True).record(
-                aes_program, bytes(range(16))).signature()
+            TraceRecorder().record(aes_program, bytes(range(16))).signature()
             for _ in range(3)
         }
         assert len(sigs) == 1
 
     def test_different_secrets_still_differ(self):
-        a = TraceRecorder(columnar=True).record(aes_program, bytes(range(16)))
-        b = TraceRecorder(columnar=True).record(aes_program, bytes(range(1, 17)))
+        a = TraceRecorder().record(aes_program, bytes(range(16)))
+        b = TraceRecorder().record(aes_program, bytes(range(1, 17)))
         assert a.signature() != b.signature()

@@ -2,11 +2,13 @@
 
 import pytest
 
+import numpy as np
+
 from repro.gpusim.events import (
     BasicBlockEvent,
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
+    MemoryBatchBuilder,
     SyncEvent,
 )
 from repro.gpusim.memory import MemorySpace
@@ -25,10 +27,11 @@ def bb(label, warp_id=0, block_id=0, visit=0):
 
 
 def mem(label, addresses, instr=0, visit=0, warp_id=0):
-    return MemoryAccessEvent(block_id=0, warp_id=warp_id, label=label,
-                             visit=visit, instr=instr,
-                             space=MemorySpace.GLOBAL, is_store=False,
-                             addresses=tuple(addresses))
+    """A one-instruction memory batch of warp (0, *warp_id*)."""
+    batch = MemoryBatchBuilder()
+    batch.add(label, visit, instr, MemorySpace.GLOBAL.value, False,
+              np.asarray(addresses, dtype=np.int64))
+    return batch.build(0, warp_id)
 
 
 class TestStreamValidation:
@@ -121,6 +124,15 @@ class TestGraphProduction:
         graph = monitor.finish()[0]
         record = graph.nodes["a"].visits[0][0]
         assert record.counts == {("buf", 0): 1, ("buf", 8): 1}
+
+    def test_per_instruction_event_rejected(self):
+        """Devices emit memory only as batches; a per-instruction event on
+        the stream is malformed."""
+        monitor = WarpTraceMonitor()
+        monitor.on_event(begin())
+        event = next(mem("a", [1000]).iter_events())
+        with pytest.raises(MonitorError):
+            monitor.on_event(event)
 
     def test_unknown_event_type_rejected(self):
         class Bogus:

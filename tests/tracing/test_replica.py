@@ -36,6 +36,7 @@ from repro.tracing.replica import (
     group_values,
     record_grouped,
 )
+from tests.oracle import PER_EVENT_FOLD
 
 DATA_SIZE = 256
 
@@ -149,17 +150,15 @@ def swapped_labels_program(rt, value):
     divergent_program(rt, value)
 
 
-def serial_signatures(program, values, config=None, columnar=True,
-                      cohort=True):
-    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+def serial_signatures(program, values, config=None, cohort=True):
+    recorder = TraceRecorder(config, cohort=cohort)
     return [recorder.record(program, value).signature() for value in values]
 
 
-def replica_signatures(program, values, config=None, columnar=True,
-                       cohort=True, dedup=False):
+def replica_signatures(program, values, config=None, cohort=True,
+                       dedup=False):
     groups, stats = record_grouped(program, values, device_config=config,
-                                   columnar=columnar, cohort=cohort,
-                                   dedup=dedup)
+                                   cohort=cohort, dedup=dedup)
     signatures = [trace.signature()
                   for trace, count in groups for _ in range(count)]
     return signatures, stats
@@ -221,12 +220,15 @@ class TestRecordGroupedEquivalence:
         replica, _stats = replica_signatures(shared_program, values)
         assert replica == serial_signatures(shared_program, values)
 
-    def test_object_event_path_matches_serial(self):
+    def test_per_event_fold_matches_serial(self):
+        """Split fused launches replayed through the per-event fold match
+        serial runs folded either way."""
         values = [1, 4]
-        replica, _stats = replica_signatures(divergent_program, values,
-                                             columnar=False)
-        assert replica == serial_signatures(divergent_program, values,
-                                            columnar=False)
+        with activated(PER_EVENT_FOLD):
+            replica, _stats = replica_signatures(divergent_program, values)
+            per_event = serial_signatures(divergent_program, values)
+        assert replica == per_event
+        assert replica == serial_signatures(divergent_program, values)
 
     def test_no_cohort_falls_back_per_replica(self):
         values = [1, 4]

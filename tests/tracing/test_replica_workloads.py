@@ -102,8 +102,8 @@ def folded_side(program, values, config, replica_batch):
     """Evidence bytes, run count and trace bytes of one recorded side,
     and its fused launch count."""
     evidence, stats = _record_evidence_chunk(
-        program, config, values, keep_per_run=False, columnar=True,
-        cohort=True, replica_batch=replica_batch)
+        program, config, values, keep_per_run=False, cohort=True,
+        replica_batch=replica_batch)
     return ((serialize_evidence(evidence), stats.trace_count,
              stats.trace_bytes_total), stats.replica_fused_launches)
 
