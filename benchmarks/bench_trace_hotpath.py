@@ -11,10 +11,12 @@ This bench times the ladder rungs on single-trace recording (AES and
 RSA) and on a small end-to-end ``Owl.detect`` (AES):
 
 * the per-warp loop vs the cohort engine (asserted ≥2× on AES record);
-* the pre-cohort pipeline vs replica-cohort batching — every
-  fixed/random repetition fused into one cohort grid, equal inputs
-  recorded once (the PR 6 comparison, asserted ≥5× on AES detect e2e at
-  64+64 runs);
+* end to end, the reference recorder (``cohort=False``: per-warp, one
+  run at a time) vs the cohort engine with fused replica batches;
+* the reference recorder vs replica-cohort batching with equal-input
+  dedup — every fixed/random repetition fused into one cohort grid,
+  equal inputs recorded once (asserted ≥5× on AES detect e2e at 64+64
+  runs);
 * separate ks + mi campaigns vs one ``analyzer="both"`` run over a
   shared evidence fold (the PR 8 comparison, asserted ≥1.3×);
 * the full-budget pipeline vs adaptive group-sequential early stopping
@@ -80,16 +82,16 @@ def seconds_per_record(program, value, cohort: bool, records: int,
     return best
 
 
-def detect_seconds(cohort: bool, runs: int, replica_batch: bool = False,
-                   replica_dedup: bool = False, analyzer: str = "ks",
-                   adaptive: bool = False, reps: int = 1) -> float:
-    """Best-of-*reps* end-to-end ``Owl.detect`` wall clock."""
+def detect_seconds(cohort: bool, runs: int, replica_dedup: bool = False,
+                   analyzer: str = "ks", adaptive: bool = False,
+                   reps: int = 1) -> float:
+    """Best-of-*reps* end-to-end ``Owl.detect`` wall clock; ``cohort=False``
+    is the reference recorder (per-warp engine, one run at a time)."""
     best = float("inf")
     for _ in range(reps):
         config = OwlConfig(fixed_runs=runs, random_runs=runs, cohort=cohort,
-                           always_analyze=True, replica_batch=replica_batch,
-                           replica_dedup=replica_dedup, analyzer=analyzer,
-                           adaptive=adaptive)
+                           always_analyze=True, replica_dedup=replica_dedup,
+                           analyzer=analyzer, adaptive=adaptive)
         owl = Owl(aes_program, name="libgpucrypto/AES", config=config)
         started = time.perf_counter()
         owl.detect(inputs=AES_INPUTS, random_input=random_key)
@@ -100,7 +102,9 @@ def detect_seconds(cohort: bool, runs: int, replica_batch: bool = False,
 def profile(records: int, reps: int, detect_runs: int):
     """{row name: (baseline seconds, fast-path seconds)}.
 
-    The cohort rows flip only the execution engine.
+    The record rows flip only the execution engine; the ``cohort e2e``
+    row flips the whole recorder, so its fast side also fuses each
+    side's runs into replica batches.
     """
     measurements = {}
     for name, program, value in (("AES record", aes_program, AES_INPUT),
@@ -108,9 +112,11 @@ def profile(records: int, reps: int, detect_runs: int):
         measurements[f"{name} (cohort)"] = tuple(
             seconds_per_record(program, value, cohort, records, reps)
             for cohort in (False, True))
+    # the serial per-warp reference recorder vs the cohort engine plus
+    # fused replica batches (the default recorder)
     measurements["AES detect (cohort e2e)"] = tuple(
         detect_seconds(cohort, detect_runs) for cohort in (False, True))
-    # replica-cohort batching: the pre-cohort pipeline vs fused
+    # replica-cohort batching: the reference recorder vs fused
     # fixed/random replica cohorts with equal-input dedup (AES is a pure
     # function of its input, the documented dedup soundness envelope).
     # Repetition counts matter here — replica batching amortises per-run
@@ -119,8 +125,8 @@ def profile(records: int, reps: int, detect_runs: int):
     # and uses best-of-*reps* on both columns to damp machine noise.
     measurements["AES detect (replica e2e)"] = (
         detect_seconds(False, REPLICA_DETECT_RUNS, reps=reps),
-        detect_seconds(True, REPLICA_DETECT_RUNS, replica_batch=True,
-                       replica_dedup=True, reps=reps))
+        detect_seconds(True, REPLICA_DETECT_RUNS, replica_dedup=True,
+                       reps=reps))
     # the dual-detector budget: analyzer="both" replays ONE recorded fold
     # under both batched tests, so running KS and MI together costs far
     # less than running the two detectors as separate campaigns.  The
@@ -138,10 +144,9 @@ def profile(records: int, reps: int, detect_runs: int):
     # recording budget is never spent; run counts matter, so the row
     # pins ADAPTIVE_DETECT_RUNS (identical in smoke and full mode)
     measurements["AES detect (adaptive e2e)"] = (
-        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       reps=reps),
-        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       adaptive=True, reps=reps))
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, reps=reps),
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, adaptive=True,
+                       reps=reps))
     return measurements
 
 
@@ -194,7 +199,7 @@ def run(smoke: bool) -> None:
     # the bar that justifies cohort-by-default, over the per-warp loop
     assert speedups["AES record (cohort)"] >= 2.0, speedups
     # the bar that justifies replica-batching-by-default: fused replica
-    # cohorts + equal-input dedup vs the pre-cohort pipeline
+    # cohorts + equal-input dedup vs the reference recorder
     assert speedups["AES detect (replica e2e)"] >= 5.0, speedups
     # the dual-detector budget: one both-run must clearly beat running
     # the ks and mi campaigns separately

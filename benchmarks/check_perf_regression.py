@@ -42,13 +42,16 @@ TOLERANCE = 0.25
 
 #: gated row → (committed artefact, re-measurement at full-mode params)
 GATED_ROWS = {
+    # the serial per-warp reference recorder vs the cohort engine plus
+    # fused replica batches
     "AES detect (cohort e2e)": (HOTPATH_ARTIFACT, lambda reps: (
         detect_seconds(False, 8, reps=reps),
         detect_seconds(True, 8, reps=reps))),
+    # the same reference vs fused replica batches with equal-input dedup
     "AES detect (replica e2e)": (HOTPATH_ARTIFACT, lambda reps: (
         detect_seconds(False, REPLICA_DETECT_RUNS, reps=reps),
-        detect_seconds(True, REPLICA_DETECT_RUNS,
-                       replica_batch=True, replica_dedup=True, reps=reps))),
+        detect_seconds(True, REPLICA_DETECT_RUNS, replica_dedup=True,
+                       reps=reps))),
     # catches the dual-detector path losing its shared-fold amortisation
     # and drifting toward the cost of two separate campaigns
     "AES detect (both e2e)": (HOTPATH_ARTIFACT, lambda reps: (
@@ -58,10 +61,9 @@ GATED_ROWS = {
     # catches the adaptive scheduler losing its early stop (or its
     # interim looks growing expensive enough to eat the saved replicas)
     "AES detect (adaptive e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       reps=reps),
-        detect_seconds(True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       adaptive=True, reps=reps))),
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, reps=reps),
+        detect_seconds(True, ADAPTIVE_DETECT_RUNS, adaptive=True,
+                       reps=reps))),
     "service multi-tenant (e2e)": (SERVICE_ARTIFACT, lambda reps: (
         service_speedup(workers=0, reps=reps))),
 }

@@ -1,11 +1,12 @@
 """The mutual-information detector over aligned evidence.
 
 :class:`MIAnalyzer` subclasses the KS detector and overrides only the
-detector hooks: the per-feature statistical test becomes
-:func:`~repro.analysis.mi.estimator.mi_test` (G-test significance, bias-
-corrected bits), the batched pass becomes
-:func:`~repro.analysis.mi.batch.mi_test_batch`, and flagged leaks carry
-``mi_bits``.  The evidence traversal — Myers alignment, the single fold
+detector hooks: the batched pass becomes
+:func:`~repro.analysis.mi.batch.mi_test_batch` (G-test significance,
+bias-corrected bits), and flagged leaks carry ``mi_bits``.  Every MI
+analysis batches; the scalar
+:func:`~repro.analysis.mi.estimator.mi_test` stays public as the batched
+pass's oracle.  The evidence traversal — Myers alignment, the single fold
 over kernel/control-flow/data-flow features, emission order — is
 inherited unchanged, which is what lets ``analyzer="both"`` replay one
 recorded fold under both detectors.
@@ -13,12 +14,10 @@ recorded fold under both detectors.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.mi.batch import mi_test_batch
-from repro.analysis.mi.estimator import mi_test
-from repro.core.kstest import DistributionTestError, TestResult
+from repro.core.kstest import TestResult
 from repro.core.leakage import LeakageAnalyzer
 
 
@@ -36,8 +35,8 @@ class MIAnalyzer(LeakageAnalyzer):
 
     def _defer(self) -> bool:
         # MI ignores the `test` knob (it replaces the distribution test
-        # outright), so only `vectorized` decides batching
-        return self.config.vectorized
+        # outright), so it always batches
+        return True
 
     # ------------------------------------------------------------------
     # detector hooks
@@ -60,28 +59,3 @@ class MIAnalyzer(LeakageAnalyzer):
                              correction=self.config.mi_bias_correction,
                              min_bits=self.config.mi_min_bits,
                              sample_size_cap=self.config.sample_size_cap)
-
-    # ------------------------------------------------------------------
-    # scalar test dispatch (inline mode, vectorized=False)
-    # ------------------------------------------------------------------
-
-    def _plain_test(self, x: List[float], y: List[float]) -> TestResult:
-        # a weighted MI table over a sample's value counts is the sample's
-        # contingency table, mirroring the KS plain-to-weighted reduction
-        return mi_test(Counter(x), Counter(y),
-                       confidence=self.config.confidence,
-                       correction=self.config.mi_bias_correction,
-                       min_bits=self.config.mi_min_bits,
-                       sample_size_cap=self.config.sample_size_cap)
-
-    def _categorical_test(self, hist_x: Dict, hist_y: Dict,
-                          order: Optional[Dict] = None
-                          ) -> Optional[TestResult]:
-        try:
-            return mi_test(hist_x, hist_y,
-                           confidence=self.config.confidence, order=order,
-                           correction=self.config.mi_bias_correction,
-                           min_bits=self.config.mi_min_bits,
-                           sample_size_cap=self.config.sample_size_cap)
-        except DistributionTestError:
-            return None

@@ -7,8 +7,9 @@ is replayed under each detector's batched test
 Replaying guarantees the KS component of a ``both`` run is *identical* —
 same requests, same ``ks_test_batch`` call, same emission order — to a
 plain ``analyzer="ks"`` run over the same evidence, which the test suite
-asserts byte-for-byte.  When a detector cannot defer (``vectorized=False``
-or the Welch ablation), each detector traverses the pairs itself instead.
+asserts byte-for-byte.  When a detector cannot defer (the KS detector
+under the Welch ablation, which has no batched test), each detector
+traverses the pairs itself instead.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def deferred_analysis(
         if not analyzer._defer():
             raise ConfigError(
                 f"analyzer {analyzer.mode!r} cannot defer its tests "
-                f"(vectorized=False or a non-ks test ablation); the "
-                f"shared-fold deferred pass requires batched testing")
+                f"(the non-ks test ablation); the shared-fold deferred "
+                f"pass requires batched testing")
     prof = profiling.profiler()
     started = time.perf_counter()
     pairs = align_evidence(fixed, random)

@@ -74,8 +74,9 @@ def _workloads() -> Dict[str, Tuple[Callable, Callable, Callable]]:
     return workloads()
 
 
-def _add_detect_options(parser: argparse.ArgumentParser) -> None:
-    """The detection options shared by the flat form and ``owl run``."""
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    """The analysis options of one campaign, shared by the flat form,
+    ``owl run`` and ``owl submit`` (see :func:`_campaign_fields`)."""
     parser.add_argument("--fixed-runs", type=int, default=40,
                         help="fixed-input executions (paper: 100)")
     parser.add_argument("--random-runs", type=int, default=40,
@@ -122,26 +123,6 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
                              "alpha early (default: 0.5)")
     parser.add_argument("--seed", type=int, default=2024,
                         help="seed for the random-input generator")
-    parser.add_argument("--workers", default="1", metavar="N|auto",
-                        help="trace-recording worker processes: a positive "
-                             "int or 'auto' for one per CPU core; any value "
-                             "yields bit-identical reports (default: 1)")
-    parser.add_argument("--no-cohort", action="store_true",
-                        help="execute kernels with the per-warp reference "
-                             "loop instead of the (default) warp-cohort "
-                             "engine that runs all warps of a launch in one "
-                             "NumPy pass; both produce identical traces")
-    parser.add_argument("--no-replica-batch", action="store_true",
-                        help="record each repetition of a launch "
-                             "separately instead of (the default) fusing "
-                             "fixed-input replicas into one cohort grid; "
-                             "both produce identical reports")
-    parser.add_argument("--replica-dedup", action="store_true",
-                        help="record each group of equal inputs once and "
-                             "reuse the trace for the whole group; only "
-                             "sound for programs that are pure functions "
-                             "of their input (no per-run randomness), so "
-                             "it is opt-in")
     parser.add_argument("--all-representatives", action="store_true",
                         help="analyze every input class, not just the first")
     parser.add_argument("--granularity", type=int, default=1,
@@ -151,6 +132,29 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quantify", action="store_true",
                         help="estimate each leak's strength in bits per "
                              "observation")
+
+
+def _add_detect_options(parser: argparse.ArgumentParser) -> None:
+    """The detection options shared by the flat form and ``owl run``:
+    the campaign options plus those of a local run."""
+    _add_campaign_options(parser)
+    parser.add_argument("--workers", default="1", metavar="N|auto",
+                        help="trace-recording worker processes: a positive "
+                             "int or 'auto' for one per CPU core; any value "
+                             "yields bit-identical reports (default: 1)")
+    parser.add_argument("--no-cohort", action="store_true",
+                        help="record with the reference recorder: one run "
+                             "at a time on the per-warp execution loop, "
+                             "instead of (the default) the warp-cohort "
+                             "engine running all warps of a launch, and "
+                             "the launches of a batch of runs, in one "
+                             "NumPy pass; both produce identical reports")
+    parser.add_argument("--replica-dedup", action="store_true",
+                        help="record each group of equal inputs once and "
+                             "reuse the trace for the whole group; only "
+                             "sound for programs that are pure functions "
+                             "of their input (no per-run randomness), so "
+                             "it is opt-in")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")
     parser.add_argument("--save-report", metavar="PATH", default=None,
@@ -324,28 +328,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     submit.add_argument("workload", help="workload name (see 'owl run "
                                          "--list')")
     _add_service_connection(submit)
-    submit.add_argument("--fixed-runs", type=int, default=40)
-    submit.add_argument("--random-runs", type=int, default=40)
-    submit.add_argument("--confidence", type=float, default=0.95)
-    submit.add_argument("--test", choices=("ks", "welch"), default="ks")
-    submit.add_argument("--analyzer", choices=("ks", "mi", "both"),
-                        default="ks")
-    submit.add_argument("--mi-bias",
-                        choices=("none", "miller_madow", "jackknife",
-                                 "shrinkage"),
-                        default="miller_madow")
-    submit.add_argument("--mi-min-bits", type=float, default=0.0,
-                        metavar="BITS")
-    submit.add_argument("--adaptive", action="store_true")
-    submit.add_argument("--adaptive-rounds", metavar="N|B1,B2,...",
-                        default=None)
-    submit.add_argument("--adaptive-alpha-spend", type=float, default=0.5,
-                        metavar="RHO")
-    submit.add_argument("--seed", type=int, default=2024)
-    submit.add_argument("--granularity", type=int, default=1,
-                        metavar="BYTES")
-    submit.add_argument("--quantify", action="store_true")
-    submit.add_argument("--all-representatives", action="store_true")
+    _add_campaign_options(submit)
     submit.add_argument("--wait", action="store_true",
                         help="block until the campaign completes and print "
                              "its report (exit 1 if it found leaks)")
@@ -442,6 +425,22 @@ def _parse_adaptive_rounds(parser: argparse.ArgumentParser, value):
                      f"replica boundaries, got {value!r}")
 
 
+def _campaign_fields(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> Dict:
+    """The analysis fields of :func:`_add_campaign_options`' values — the
+    one field map ``owl run`` and ``owl submit`` both configure from."""
+    return dict(
+        fixed_runs=args.fixed_runs, random_runs=args.random_runs,
+        confidence=args.confidence, test=args.test, seed=args.seed,
+        analyzer=args.analyzer, mi_bias_correction=args.mi_bias,
+        mi_min_bits=args.mi_min_bits,
+        adaptive=args.adaptive,
+        adaptive_rounds=_parse_adaptive_rounds(parser, args.adaptive_rounds),
+        adaptive_alpha_spend=args.adaptive_alpha_spend,
+        offset_granularity=args.granularity, quantify=args.quantify,
+        analyze_all_representatives=args.all_representatives)
+
+
 def _config_from_args(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> OwlConfig:
     fault_plan = None
@@ -467,19 +466,9 @@ def _config_from_args(parser: argparse.ArgumentParser,
         except (ConfigError, TypeError) as error:
             parser.error(f"--retry: {error}")
     return OwlConfig(
-        adaptive=getattr(args, "adaptive", False),
-        adaptive_rounds=_parse_adaptive_rounds(
-            parser, getattr(args, "adaptive_rounds", None)),
-        adaptive_alpha_spend=getattr(args, "adaptive_alpha_spend", 0.5),
-        fixed_runs=args.fixed_runs, random_runs=args.random_runs,
-        confidence=args.confidence, test=args.test, seed=args.seed,
-        analyzer=args.analyzer, mi_bias_correction=args.mi_bias,
-        mi_min_bits=args.mi_min_bits,
-        analyze_all_representatives=args.all_representatives,
-        offset_granularity=args.granularity, quantify=args.quantify,
+        **_campaign_fields(parser, args),
         workers=_resolve_workers(parser, args.workers),
         cohort=not args.no_cohort,
-        replica_batch=not args.no_replica_batch,
         replica_dedup=args.replica_dedup,
         retry=retry, fault_plan=fault_plan)
 
@@ -1022,18 +1011,9 @@ def _cmd_submit(parser: argparse.ArgumentParser,
     from repro.errors import CampaignError
 
     client = _service_client(parser, args)
-    overrides = dict(
-        fixed_runs=args.fixed_runs, random_runs=args.random_runs,
-        confidence=args.confidence, test=args.test, seed=args.seed,
-        analyzer=args.analyzer, mi_bias_correction=args.mi_bias,
-        mi_min_bits=args.mi_min_bits,
-        adaptive=args.adaptive,
-        adaptive_rounds=_parse_adaptive_rounds(parser, args.adaptive_rounds),
-        adaptive_alpha_spend=args.adaptive_alpha_spend,
-        offset_granularity=args.granularity, quantify=args.quantify,
-        analyze_all_representatives=args.all_representatives)
     try:
-        receipt = client.submit(args.workload, config=overrides)
+        receipt = client.submit(args.workload,
+                                config=_campaign_fields(parser, args))
         if not args.wait:
             print(json.dumps({"campaign": receipt.campaign,
                               "tenant": receipt.tenant})

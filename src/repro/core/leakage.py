@@ -18,11 +18,14 @@ feature whether the two sides follow the same distribution:
   matrices already capture) and skipped here.
 
 The analysis walks the aligned evidence **once**: the traversal folds every
-feature's histogram pair and hands it to a :class:`_TestSink`, which either
-tests it on the spot (the scalar reference path) or defers it into a single
-batched test call covering the whole A-DCFG — one NumPy pass over every
-kernel/control-flow/data-flow feature, with the leak emission order
-identical on both paths.
+feature's histogram pair and hands it to a :class:`_TestSink`, which defers
+it into a single batched test call covering the whole A-DCFG — one NumPy
+pass over every kernel/control-flow/data-flow feature.  Only the Welch
+ablation, which has no batched form, tests each feature on the spot; the
+leak emission order is the same either way.  The scalar
+:func:`~repro.core.kstest.ks_test` and
+:func:`~repro.core.kstest.ks_test_weighted` stay public as the batched
+pass's oracles.
 
 The statistical test itself is pluggable: :class:`LeakageAnalyzer` is the
 KS detector, and subclasses (the mutual-information detector in
@@ -47,9 +50,7 @@ from repro.core.kstest import (
     DEFAULT_CONFIDENCE,
     DistributionTestError,
     TestResult,
-    ks_test,
     ks_test_batch,
-    ks_test_weighted,
     welch_t_test,
     welch_t_test_weighted,
 )
@@ -85,10 +86,6 @@ class LeakageConfig:
     #: feature sample per run — requires evidence built with
     #: ``keep_per_run=True``; immune to correlated-lane over-dispersion)
     sampling: str = "pooled"
-    #: evaluate all KS features in one vectorized NumPy pass
-    #: (:func:`~repro.core.kstest.ks_test_batch`); False forces the scalar
-    #: per-feature reference path.  Only affects ``test="ks"``.
-    vectorized: bool = True
     #: entropy bias correction for the MI detector
     #: (:mod:`repro.analysis.mi`): "miller_madow" (default), "jackknife",
     #: "shrinkage", or "none" (raw plug-in estimate)
@@ -130,13 +127,15 @@ class _TestSink:
 
     The traversal emits definite leaks directly and submits *groups* — a
     list of feature requests plus a resolver turning their results into
-    leaks.  Deferred mode (vectorized) accumulates every request across
-    the whole traversal and evaluates them in one batched test call
-    (:meth:`LeakageAnalyzer._batch_test`) before running the resolvers in
-    traversal order; inline mode (Welch, or ``vectorized=False``) tests
-    and resolves each group on the spot.  The leak emission order is
-    identical on both paths because groups resolve in submission order
-    either way.
+    leaks.  Deferred mode (every KS and MI analysis) accumulates every
+    request across the whole traversal and evaluates them in one batched
+    test call (:meth:`LeakageAnalyzer._batch_test`) before running the
+    resolvers in traversal order; inline mode (the Welch ablation, which
+    has no batched test) tests and resolves each group on the spot
+    through :meth:`LeakageAnalyzer._plain_test` and
+    :meth:`LeakageAnalyzer._categorical_test`.  The leak emission order
+    is identical on both paths because groups resolve in submission
+    order either way.
 
     A deferred sink records analyzer-*independent* emissions (the
     statistical fields come from the analyzer hooks at finish time), so
@@ -251,10 +250,11 @@ class LeakageAnalyzer:
 
     This class is the KS detector; the traversal is detector-agnostic and
     subclasses swap the statistical test by overriding the hooks ``mode``,
-    ``batch_phase``, :meth:`_defer`, :meth:`_plain_test`,
-    :meth:`_categorical_test`, :meth:`_batch_test`,
+    ``batch_phase``, :meth:`_defer`, :meth:`_batch_test`,
     :meth:`_definite_fields` and :meth:`_flagged_fields` — see
-    :class:`repro.analysis.mi.MIAnalyzer`.
+    :class:`repro.analysis.mi.MIAnalyzer`.  An inline analysis
+    (:meth:`_defer` false: the Welch ablation) tests each feature through
+    :meth:`_plain_test` and :meth:`_categorical_test` instead.
     """
 
     #: analyzer name recorded in report metadata
@@ -321,8 +321,9 @@ class LeakageAnalyzer:
                 self._device_tests(pair, sink)
 
     def _defer(self) -> bool:
-        """Whether this detector's tests batch into one vectorized pass."""
-        return self.config.test == "ks" and self.config.vectorized
+        """Whether this detector's tests batch into one vectorized pass
+        (every test but the Welch ablation)."""
+        return self.config.test == "ks"
 
     # ------------------------------------------------------------------
     # kernel leakage
@@ -679,25 +680,19 @@ class LeakageAnalyzer:
                              sample_size_cap=self.config.sample_size_cap)
 
     # ------------------------------------------------------------------
-    # test dispatch
+    # inline test dispatch (the Welch ablation)
     # ------------------------------------------------------------------
 
     def _plain_test(self, x: List[float], y: List[float]) -> TestResult:
-        if self.config.test == "welch":
-            return welch_t_test(x, y, confidence=self.config.confidence)
-        return ks_test(x, y, confidence=self.config.confidence)
+        return welch_t_test(x, y, confidence=self.config.confidence)
 
     def _categorical_test(self, hist_x: Dict, hist_y: Dict,
                           order: Optional[Dict] = None
                           ) -> Optional[TestResult]:
         try:
-            if self.config.test == "welch":
-                return welch_t_test_weighted(
-                    _numeric_keys(hist_x), _numeric_keys(hist_y),
-                    confidence=self.config.confidence)
-            return ks_test_weighted(
-                hist_x, hist_y, confidence=self.config.confidence, order=order,
-                sample_size_cap=self.config.sample_size_cap)
+            return welch_t_test_weighted(
+                _numeric_keys(hist_x), _numeric_keys(hist_y),
+                confidence=self.config.confidence)
         except DistributionTestError:
             return None
 

@@ -50,7 +50,7 @@ from repro.resilience.events import DegradationEvent, collecting_degradations
 from repro.resilience.faults import FaultPlan, activated
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.supervisor import ChunkSupervisor
-from repro.tracing.recorder import Program, ProgramTrace, TraceRecorder
+from repro.tracing.recorder import Program, ProgramTrace
 
 #: Worker-count specification: a positive int, ``"auto"`` (one worker per
 #: available core), or None (serial).
@@ -125,7 +125,7 @@ class ChunkStats:
     degradations: List[DegradationEvent] = field(default_factory=list)
 
     def add_trace(self, trace: ProgramTrace, seconds: float,
-                  count: int = 1) -> None:
+                  count: int) -> None:
         self.trace_count += count
         self.trace_bytes_total += trace.trace_size_bytes() * count
         self.trace_seconds_total += seconds * count
@@ -160,74 +160,59 @@ class ChunkStats:
 def _record_grouped_batch(
         program: Program, device_config: Optional[DeviceConfig],
         values: Sequence[object], cohort: bool, dedup: bool,
-        stats: ChunkStats) -> List[Tuple[ProgramTrace, int, float]]:
-    """Record a chunk as one replica batch: ``(trace, count,
-    per_run_seconds)`` per group of equal runs."""
+        stats: ChunkStats) -> List[Tuple[ProgramTrace, int]]:
+    """Record a chunk as one replica batch, accounted in *stats*:
+    ``(trace, count)`` per group of equal runs."""
     from repro.tracing.replica import record_grouped
 
     started = time.perf_counter()
     groups, replica_stats = record_grouped(
         program, values, device_config=device_config, cohort=cohort,
         dedup=dedup)
-    elapsed = time.perf_counter() - started
+    per_run = (time.perf_counter() - started) / max(len(values), 1)
     stats.add_replica_stats(replica_stats)
-    total_runs = sum(count for _trace, count in groups)
-    per_run = elapsed / total_runs if total_runs else 0.0
-    return [(trace, count, per_run) for trace, count in groups]
+    for trace, count in groups:
+        stats.add_trace(trace, per_run, count=count)
+    return groups
 
 
 def _record_trace_chunk(
         program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], cohort: bool,
-        replica_batch: bool = False, replica_dedup: bool = False,
+        values: Sequence[object], cohort: bool, replica_dedup: bool = False,
 ) -> Tuple[List[ProgramTrace], ChunkStats]:
-    """Worker body for phase 1: record and return the raw traces.
-
-    With ``replica_batch`` a chunk of two or more runs records as one
-    replica batch; otherwise each run records on its own (the reference).
-    """
+    """Worker body for phase 1: record the chunk as one replica batch and
+    return the raw traces (:func:`repro.tracing.replica.record_grouped`
+    records a one-run chunk, or any chunk with ``cohort=False``, one run
+    at a time)."""
     stats = ChunkStats()
     traces: List[ProgramTrace] = []
-    if replica_batch and len(values) > 1:
-        for trace, count, per_run in _record_grouped_batch(
-                program, device_config, values, cohort, replica_dedup,
-                stats):
-            stats.add_trace(trace, per_run, count=count)
-            # pre-compute the digest so the phase-2 grouping in the parent
-            # reuses it instead of re-serialising every A-DCFG
-            trace.signature()
-            traces.extend([trace] * count)
-        return traces, stats
-    recorder = TraceRecorder(device_config=device_config, cohort=cohort)
-    for value in values:
-        started = time.perf_counter()
-        trace = recorder.record(program, value)
-        stats.add_trace(trace, time.perf_counter() - started)
+    for trace, count in _record_grouped_batch(
+            program, device_config, values, cohort, replica_dedup, stats):
         # pre-compute the digest worker-side so the phase-2 grouping in the
         # parent reuses it instead of re-serialising every A-DCFG
         trace.signature()
-        traces.append(trace)
+        traces.extend([trace] * count)
     return traces, stats
 
 
 def _record_evidence_chunk(
         program: Program, device_config: Optional[DeviceConfig],
         values: Sequence[object], keep_per_run: bool, cohort: bool,
-        replica_batch: bool = False, replica_dedup: bool = False,
+        replica_dedup: bool = False,
 ) -> Tuple[Evidence, ChunkStats]:
     """Worker body for phase 3: fold the chunk's runs into partial evidence.
 
-    Each trace is dropped as soon as it is merged, so worker peak RAM is one
-    trace plus the growing partial evidence — the streaming fold that keeps
-    the Table IV memory column flat at high run counts.  A replica batch
-    (``replica_batch`` and two or more runs) builds no per-run trace at
-    all (:func:`repro.tracing.replica.fold_grouped`) unless the evidence
-    keeps per-run graphs.
+    The chunk records as one replica batch straight into the evidence
+    (:func:`repro.tracing.replica.fold_grouped`), building no per-run
+    trace; its serial rung folds each trace as soon as it is recorded, so
+    worker peak RAM stays one trace plus the growing partial evidence —
+    the streaming fold that keeps the Table IV memory column flat at high
+    run counts.  Evidence that keeps per-run graphs needs every run's
+    trace, so it folds the batch's traces instead.
     """
     stats = ChunkStats()
     evidence = Evidence(keep_per_run=keep_per_run)
-    batched = replica_batch and len(values) > 1
-    if batched and not keep_per_run:
+    if not keep_per_run:
         from repro.tracing.replica import fold_grouped
 
         started = time.perf_counter()
@@ -236,23 +221,11 @@ def _record_evidence_chunk(
                               dedup=replica_dedup)
         stats.add_folded(folded, time.perf_counter() - started)
         return evidence, stats
-    if batched:
-        for trace, count, per_run in _record_grouped_batch(
-                program, device_config, values, cohort, replica_dedup,
-                stats):
-            stats.add_trace(trace, per_run, count=count)
-            folded = time.perf_counter()
-            evidence.add_segment(trace, count)
-            stats.evidence_seconds += time.perf_counter() - folded
-        return evidence, stats
-    recorder = TraceRecorder(device_config=device_config, cohort=cohort)
-    for value in values:
-        started = time.perf_counter()
-        trace = recorder.record(program, value)
-        recorded = time.perf_counter()
-        stats.add_trace(trace, recorded - started)
-        evidence.add_trace(trace)
-        stats.evidence_seconds += time.perf_counter() - recorded
+    for trace, count in _record_grouped_batch(
+            program, device_config, values, cohort, replica_dedup, stats):
+        folded = time.perf_counter()
+        evidence.add_segment(trace, count)
+        stats.evidence_seconds += time.perf_counter() - folded
     return evidence, stats
 
 
@@ -274,7 +247,7 @@ class TraceRecordingPool:
     def __init__(self, program: Program,
                  device_config: Optional[DeviceConfig] = None,
                  workers: WorkerSpec = 1, cohort: bool = True, *,
-                 replica_batch: bool = False, replica_dedup: bool = False,
+                 replica_dedup: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  seed: int = 0) -> None:
@@ -282,7 +255,6 @@ class TraceRecordingPool:
         self.device_config = device_config
         self.workers = resolve_workers(workers)
         self.cohort = cohort
-        self.replica_batch = replica_batch
         self.replica_dedup = replica_dedup
         self.retry = retry or RetryPolicy()
         self.fault_plan = fault_plan
@@ -297,8 +269,7 @@ class TraceRecordingPool:
         """Record one trace per value (phase 1: traces are kept)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_trace_chunk, values,
-                                      (self.cohort, self.replica_batch,
-                                       self.replica_dedup))
+                                      (self.cohort, self.replica_dedup))
         traces: List[ProgramTrace] = []
         stats = ChunkStats()
         for chunk_traces, chunk_stats in chunks:
@@ -314,7 +285,6 @@ class TraceRecordingPool:
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_evidence_chunk, values,
                                       (keep_per_run, self.cohort,
-                                       self.replica_batch,
                                        self.replica_dedup))
         evidence: Optional[Evidence] = None
         stats = ChunkStats()

@@ -57,15 +57,17 @@ from repro.gpusim.device import DeviceConfig
 from repro.resilience.events import DegradationEvent, collecting_degradations
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
-from repro.tracing.recorder import Program, ProgramTrace, TraceRecorder
+from repro.tracing.recorder import Program, ProgramTrace
 
 #: Produces a fresh random secret input from a seeded generator.
 RandomInputFn = Callable[[np.random.Generator], object]
 
 #: Retired OwlConfig fields that stored configs may still name:
 #: ``columnar`` chose the per-event memory path, which devices no longer
-#: emit.
-_RETIRED_FIELDS = frozenset({"columnar"})
+#: emit; ``replica_batch`` chose per-run recording (``cohort=False`` now
+#: selects the whole per-run reference recorder); ``vectorized`` chose
+#: the scalar KS and MI tests, which the analysis no longer dispatches.
+_RETIRED_FIELDS = frozenset({"columnar", "replica_batch", "vectorized"})
 
 
 @dataclass(frozen=True)
@@ -109,28 +111,17 @@ class OwlConfig:
     #: contiguous chunks, so any worker count produces bit-identical
     #: evidence and reports (see repro.core.parallel).
     workers: Union[int, str] = 1
-    #: evaluate all KS features in one vectorized NumPy pass instead of
-    #: per-feature scalar calls (identical verdicts; the scalar path stays
-    #: available as the reference implementation)
-    vectorized: bool = True
     #: execute every warp of a kernel launch in one NumPy pass over a
-    #: ``(num_warps, 32)`` lane grid (the warp-cohort engine), replaying
-    #: byte-identical per-warp event streams at retirement.
-    #: ``cohort=False`` keeps the per-warp execution loop as the
-    #: reference.  Excluded from store fingerprints, like ``workers``.
-    cohort: bool = True
-    #: replica-cohort batching for the phase-3 repetition loops: runs with
-    #: equal inputs on a deterministic device are deduplicated into
-    #: ``(trace, count)`` groups, and the remaining distinct runs execute
-    #: their kernel launches as extra rows of the warp-cohort lane grid —
-    #: one NumPy pass per group of compatible launches.  ``True`` batches
-    #: each recorded chunk of a side's runs together, and ``False`` keeps
-    #: the per-run recording loop as the reference.  Reports are
+    #: ``(num_warps, 32)`` lane grid (the warp-cohort engine), and record
+    #: each chunk of a side's runs as one replica batch whose compatible
+    #: launches run as extra rows of that grid (repro.tracing.replica).
+    #: ``cohort=False`` selects the whole reference recorder: the
+    #: per-warp execution loop, one run at a time.  Reports are
     #: byte-identical either way; excluded from store fingerprints, like
-    #: ``cohort``.
-    replica_batch: bool = True
-    #: additionally collapse consecutive equal-input runs into a single
-    #: recording (O(1) work for the whole fixed side).  Only sound when
+    #: ``workers``.
+    cohort: bool = True
+    #: collapse consecutive equal-input runs into a single recording
+    #: (O(1) work for the whole fixed side).  Only sound when
     #: the program is a pure function of ``(rt, value)``: a program that
     #: draws its own per-run randomness (input-independent nondeterminism,
     #: which the kernel-leakage test is designed to cancel) yields
@@ -162,7 +153,7 @@ class OwlConfig:
     #: Near-threshold locations force the full budget, so the flagged
     #: leak set matches the full-budget run's; the replica counts (and
     #: hence report byte content) legitimately differ.  Requires the
-    #: batched deferred tests (``vectorized=True`` and ``test="ks"``).
+    #: batched deferred tests (``test="ks"``).
     #: Fingerprints as analysis scope: adaptive and classic campaigns
     #: share traces and evidence but cache reports separately.
     adaptive: bool = False
@@ -214,9 +205,6 @@ class OwlConfig:
             raise ConfigError(
                 f"sample_size_cap must be a positive int or None, got "
                 f"{self.sample_size_cap!r}")
-        if not isinstance(self.replica_batch, bool):
-            raise ConfigError(
-                f"replica_batch must be a bool, got {self.replica_batch!r}")
         if not isinstance(self.replica_dedup, bool):
             raise ConfigError(
                 f"replica_dedup must be a bool, got {self.replica_dedup!r}")
@@ -237,11 +225,10 @@ class OwlConfig:
             raise ConfigError(
                 f"adaptive_alpha_spend must be a number in (0, 4], got "
                 f"{self.adaptive_alpha_spend!r}")
-        if self.adaptive and (not self.vectorized or self.test != "ks"):
+        if self.adaptive and self.test != "ks":
             raise ConfigError(
                 "adaptive early stopping needs the per-location p-values "
-                "of the batched deferred tests; it requires "
-                "vectorized=True and test='ks'")
+                "of the batched deferred tests; it requires test='ks'")
         resolve_workers(self.workers)  # raises ConfigError on bad specs
         # campaign manifests round-trip these nested configs through
         # dataclasses.asdict; coerce the dict (or spec-string) forms back
@@ -275,7 +262,6 @@ class OwlConfig:
                              offset_granularity=self.offset_granularity,
                              quantify=self.quantify,
                              sampling=self.sampling,
-                             vectorized=self.vectorized,
                              mi_bias_correction=self.mi_bias_correction,
                              mi_min_bits=self.mi_min_bits)
 
@@ -314,7 +300,7 @@ class PhaseStats:
     cached_runs: int = 0
     #: the final report itself came straight from the store
     report_cache_hit: bool = False
-    #: replica-batching counters (all 0 with ``replica_batch=False``):
+    #: replica-batching counters (fused ones 0 with ``cohort=False``):
     #: runs served by deduplicating equal inputs, fused cohort groups
     #: executed, launches retired from fused groups, and launches that
     #: fell back to the per-run engine
@@ -424,13 +410,10 @@ class Owl:
             self.device_config = replace(
                 self.device_config,
                 cohort_step_budget=self.config.cohort_step_budget)
-        self.recorder = TraceRecorder(device_config=self.device_config,
-                                      cohort=self.config.cohort)
         self.pool = TraceRecordingPool(program,
                                        device_config=self.device_config,
                                        workers=self.config.workers,
                                        cohort=self.config.cohort,
-                                       replica_batch=self.config.replica_batch,
                                        replica_dedup=self.config.replica_dedup,
                                        retry=self.config.retry,
                                        fault_plan=self.config.fault_plan,

@@ -9,14 +9,14 @@ addresses are off the table — values are folded into SHA-256 through an
 explicit, tagged, canonical encoding instead.
 
 Configuration fingerprints are *scoped*: only the fields that can change
-the artifact's bytes participate.  ``workers``, ``cohort``,
-``vectorized``, ``replica_batch`` and ``replica_dedup`` are deliberately
-excluded everywhere — the parallel, warp-cohort, batched-KS and
-replica-batching paths are proven bit-identical to their reference
-implementations, so a store warmed under one of those settings is valid
-under any other.  Fingerprints name the fields they include, so a
-retired field (``columnar``, once the per-event memory path's switch)
-leaves every key unchanged.
+the artifact's bytes participate.  ``workers``, ``cohort`` and
+``replica_dedup`` are deliberately excluded everywhere — the parallel
+pool, the warp-cohort and replica-batching recorder (``cohort=False`` is
+its per-warp, one-run-at-a-time reference) and equal-input dedup are
+proven bit-identical to their references, so a store warmed under one of
+those settings is valid under any other.  Fingerprints name the fields
+they include, so a retired field (``columnar``, ``replica_batch``,
+``vectorized``) leaves every key unchanged.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ A :class:`TraceStore` is one directory::
       manifest.json     # logical index: key -> {kind, blob, meta, ...}
       manifest.journal  # JSONL deltas not yet compacted into the manifest
       manifest.lock     # advisory flock serializing writers (see locks.py)
+      gc.lock           # advisory flock: unjournaled puts vs gc
       objects/aa/<62x>  # zlib blobs addressed by SHA-256 (see blobs.py)
       tmp/              # staging for atomic writes
 
@@ -34,7 +35,12 @@ continues where the handle stopped reading, which reload everything.
 Both layers write atomically (temp file + ``os.replace``), verify content
 hashes on load, and fail closed with :class:`StoreCorruptionError` rather
 than hand back damaged artifacts.  ``gc()`` drops blobs no manifest entry
-references — deleting entries is what makes blobs collectable.
+references — deleting entries is what makes blobs collectable.  A put
+writes its blob (or dedups onto an existing one) before its journal
+record lands, so every handle holds ``gc.lock`` shared from its first
+unjournaled put until the flush that journals it, and ``gc`` takes it
+exclusive: a collection never sees a blob whose record is still pending
+in another handle's batch, nor sweeps a put's staging file.
 """
 
 from __future__ import annotations
@@ -120,6 +126,9 @@ class TraceStore:
         self.manifest_saves = 0
         self.journal_appends = 0
         self._lock = FileLock(self.root / "manifest.lock")
+        #: held (shared) while this handle has blob writes whose journal
+        #: records are not yet flushed; gc() takes the lock exclusive
+        self._put_hold = FileLock(self.root / "gc.lock", shared=True)
         self._batch_depth = 0
         self._pending_records: List[Dict] = []
         self._entries: Dict[str, Entry] = {}
@@ -287,21 +296,23 @@ class TraceStore:
             self._flush_journal()
 
     def _flush_journal(self) -> None:
-        """Durably append every pending delta in one locked write."""
-        if not self._pending_records:
-            return
-        lines = b"".join(
-            json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-            for record in self._pending_records)
-        with self._lock:
-            with open(self.journal_path, "ab") as handle:
-                handle.write(lines)
-                handle.flush()
-                os.fsync(handle.fileno())
-            self.journal_appends += len(self._pending_records)
-            self._pending_records = []
-            if self.journal_path.stat().st_size > JOURNAL_COMPACT_BYTES:
-                self._compact_locked()
+        """Durably append every pending delta in one locked write; then no
+        put of this handle is unjournaled, so its gc hold is dropped."""
+        if self._pending_records:
+            lines = b"".join(
+                json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+                for record in self._pending_records)
+            with self._lock:
+                with open(self.journal_path, "ab") as handle:
+                    handle.write(lines)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                self.journal_appends += len(self._pending_records)
+                self._pending_records = []
+                if self.journal_path.stat().st_size > JOURNAL_COMPACT_BYTES:
+                    self._compact_locked()
+        if self._put_hold.held:
+            self._put_hold.release()
 
     def _compact_locked(self) -> None:
         """Fold the journal into manifest.json (caller holds the lock)."""
@@ -359,8 +370,20 @@ class TraceStore:
 
     def put_bytes(self, key: str, kind: str, payload: bytes,
                   meta: Optional[Dict] = None) -> Entry:
-        """Store *payload* under *key* (blob write + manifest update)."""
-        blob = self.blobs.put(payload)
+        """Store *payload* under *key* (blob write + manifest update).
+
+        From the blob write until the record is journaled (at once, or
+        when the enclosing batch flushes) the handle holds ``gc.lock``
+        shared, so no gc() collects the blob in between.
+        """
+        if not self._put_hold.held:
+            self._put_hold.acquire()
+        try:
+            blob = self.blobs.put(payload)
+        except BaseException:
+            if not self._pending_records:
+                self._put_hold.release()
+            raise
         entry = Entry(key=key, kind=kind, blob=blob, size=len(payload),
                       created_at=time.time(), meta=dict(meta or {}))
         self._entries[key] = entry
@@ -456,10 +479,13 @@ class TraceStore:
         records are flushed, and the manifest is re-read and the blobs
         deleted under the writer lock, so a put that another handle has
         journaled — even one that dedups onto a blob this handle saw
-        dropped — keeps its blob.
+        dropped — keeps its blob.  A put another handle has not journaled
+        yet (one inside its open batch) holds ``gc.lock`` shared, which
+        gc() takes exclusive first: the collection waits until that
+        handle flushes, and never sweeps a put's staging file.
         """
-        self._flush_journal()
-        with self._lock:
+        self._flush_journal()  # also releases this handle's own hold
+        with FileLock(self._put_hold.path), self._lock:
             self._refresh_locked()
             referenced = {entry.blob for entry in self._entries.values()}
             candidates: List = []

@@ -25,9 +25,9 @@ layers:
    member's monitor would fold from its own per-warp event stream, so
    evidence, store fingerprints and degradation ladders are untouched.
    :meth:`CohortContext.replay_events` re-expands those per-run streams
-   only for a kernel with a planned ``batch_fold_error`` (the columnar →
-   object rung, which folds each member's batches per event) and for a
-   launch the fold declines.
+   only for a kernel with a planned ``batch_fold_error`` (the per-event
+   rung, which folds each member's batches one instruction at a time) and
+   for a launch the fold declines.
 
 Phase 1 needs every run's trace (:func:`record_grouped`).  Phase 3 needs
 only each side's evidence, so :func:`fold_grouped` builds no per-run
@@ -48,6 +48,9 @@ geometry, injected faults, envelope violations, program exceptions) falls
 back down the degradation ladder: fused → per-replica
 (:data:`~repro.resilience.events.REPLICA_TO_RUN`) → plain serial
 re-recording of the whole batch, each rung byte-identical by contract.
+That serial rung is also the reference recorder: ``cohort=False`` takes
+it directly, one run at a time on the per-warp engine, and the
+equivalence tests hold every fused batch to it.
 """
 
 from __future__ import annotations
@@ -204,9 +207,9 @@ class _ReplicaDevice(Device):
     serial path raises and the device RNG stream matches serial runs.
     """
 
-    def __init__(self, session: "_ReplicaSession", config: DeviceConfig,
-                 cohort: bool) -> None:
-        super().__init__(config, cohort=cohort)
+    def __init__(self, session: "_ReplicaSession",
+                 config: DeviceConfig) -> None:
+        super().__init__(config, cohort=True)
         self._session = session
 
     def launch(self, kern: Kernel, grid, block, *args) -> None:
@@ -248,10 +251,10 @@ class _ReplicaSession:
     """
 
     def __init__(self, program: Program, value: object,
-                 config: DeviceConfig, cohort: bool) -> None:
+                 config: DeviceConfig) -> None:
         self.value = value
         self._program = program
-        self.device = _ReplicaDevice(self, config, cohort)
+        self.device = _ReplicaDevice(self, config)
         self.tracer = _SessionTracer(self.device.memory)
         self.monitor = WarpTraceMonitor(
             normalizer=lambda addr: self.tracer.normalize(addr).as_key(),
@@ -384,10 +387,8 @@ class _ReplicaCohortEngine:
     member: each session keeps the launch's fold for :meth:`fold_batch`.
     """
 
-    def __init__(self, config: DeviceConfig, cohort: bool,
-                 keep_folds: bool = False) -> None:
+    def __init__(self, config: DeviceConfig, keep_folds: bool = False) -> None:
         self._config = config
-        self._cohort = cohort
         self._keep_folds = keep_folds
         self.stats = ReplicaStats()
 
@@ -436,8 +437,7 @@ class _ReplicaCohortEngine:
     def _run(self, program: Program,
              values: Sequence[object]) -> List["_ReplicaSession"]:
         """Run one session per value to completion, or abandon the batch."""
-        sessions = [_ReplicaSession(program, value, self._config,
-                                    self._cohort)
+        sessions = [_ReplicaSession(program, value, self._config)
                     for value in values]
         try:
             self._drive(sessions)
@@ -515,7 +515,7 @@ class _ReplicaCohortEngine:
     def _execute_group(self, group: List["_ReplicaSession"]) -> None:
         pending = group[0].pending
         kern = pending.kern
-        fusible = (len(group) > 1 and self._cohort and kern.cohort
+        fusible = (len(group) > 1 and kern.cohort
                    and len(group) * pending.launch.total_warps > 1)
         if fusible:
             for session in group:
@@ -882,6 +882,12 @@ def record_grouped(
     expanding every trace ``count`` times in order reproduces the serial
     ``[record(program, v) for v in values]`` byte for byte.
 
+    The serial rung records one run at a time with a
+    :class:`~repro.tracing.recorder.TraceRecorder`: it takes a batch of
+    fewer than two distinct runs, an abandoned batch and, since fusion
+    needs the cohort engine, every batch with ``cohort=False`` — the
+    reference recorder, per-warp engine included.
+
     ``dedup=True`` additionally collapses consecutive equal values into
     one recording on a deterministic device.  That is only sound when the
     program is a pure function of ``(rt, value)`` — a program drawing
@@ -893,8 +899,8 @@ def record_grouped(
     values = list(values)
     reps, counts = _replicas(values, config, dedup)
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
-    if len(reps) >= 2:
-        engine = _ReplicaCohortEngine(config, cohort)
+    if cohort and len(reps) >= 2:
+        engine = _ReplicaCohortEngine(config)
         try:
             traces = engine.record_batch(program, reps)
         except _BatchAbandoned as abandoned:
@@ -917,15 +923,17 @@ def fold_grouped(
     Leaves *evidence* exactly as folding the serial traces of *values*
     one by one with :meth:`~repro.core.evidence.Evidence.add_trace`
     would, and reports their summed trace size, without building a trace
-    per run.  ``dedup`` is as for :func:`record_grouped`.  *evidence*
-    must not keep per-run graphs: those need every run's trace.
+    per run.  ``cohort`` and ``dedup`` are as for :func:`record_grouped`;
+    the serial rung folds each run's trace as soon as it is recorded.
+    *evidence* must not keep per-run graphs: those need every run's
+    trace.
     """
     config = device_config or DeviceConfig()
     values = list(values)
     reps, counts = _replicas(values, config, dedup)
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
-    if len(reps) >= 2:
-        engine = _ReplicaCohortEngine(config, cohort, keep_folds=True)
+    if cohort and len(reps) >= 2:
+        engine = _ReplicaCohortEngine(config, keep_folds=True)
         try:
             trace_bytes, seconds = engine.fold_batch(program, reps, counts,
                                                      evidence)

@@ -13,14 +13,17 @@ from repro.analysis import ks_view, mi_view
 from repro.cli import _workloads
 from repro.core.pipeline import Owl, OwlConfig
 from repro.store import TraceStore
+from tests.oracle import scalar_analyzers
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, always_analyze=True)
 
 
-def run_detection(workload, store=None, **overrides):
+def run_detection(workload, store=None, scalar=False, **overrides):
     program, fixed_inputs, random_input = _workloads()[workload]
     config = OwlConfig(**{**TINY, **overrides})
     owl = Owl(program, name=workload, config=config)
+    if scalar:
+        owl.analyzers = scalar_analyzers(config)
     return owl.detect(inputs=fixed_inputs(), random_input=random_input,
                       store=store)
 
@@ -43,12 +46,23 @@ class TestBothEqualsEach:
                                 "ks_report", "mi_report"}
 
     def test_scalar_fallback_keeps_identity(self):
-        """vectorized=False forces the per-analyzer traversal; the
-        identity must hold through that fallback too."""
-        both = run_detection("aes", analyzer="both",
-                             vectorized=False).report
-        ks = run_detection("aes", analyzer="ks", vectorized=False).report
+        """The scalar oracle detectors cannot defer, which forces the
+        per-analyzer traversal; the identity must hold through it too."""
+        both = run_detection("aes", analyzer="both", scalar=True).report
+        ks = run_detection("aes", analyzer="ks", scalar=True).report
+        mi = run_detection("aes", analyzer="mi", scalar=True).report
         assert ks_view(both).to_json() == ks.to_json()
+        assert mi_view(both).to_json() == mi.to_json()
+
+    @pytest.mark.parametrize("workload", ["aes", "dummy"])
+    def test_welch_ablation_keeps_identity(self, workload):
+        """Welch cannot defer either: the KS detector tests inline while
+        the MI detector still batches, over one alignment."""
+        both = run_detection(workload, analyzer="both", test="welch").report
+        ks = run_detection(workload, analyzer="ks", test="welch").report
+        mi = run_detection(workload, analyzer="mi", test="welch").report
+        assert ks_view(both).to_json() == ks.to_json()
+        assert mi_view(both).to_json() == mi.to_json()
 
 
 class TestEngineMatrix:

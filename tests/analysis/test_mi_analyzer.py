@@ -3,7 +3,8 @@
 Mirrors the KS suite in ``tests/core/test_leakage.py``: the MI analyzer
 consumes the same evidence, so the planted data-flow and control-flow
 leaks must surface with positive ``mi_bits`` and ``analyzer="mi"``
-metadata, and the scalar fallback must agree with the vectorized fold.
+metadata, and the batched pass must agree with the scalar ``mi_test``
+oracle (``tests/oracle.py``).
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.leakage import LeakageAnalyzer, LeakageConfig
 from repro.core.report import LeakType
 from repro.gpusim import kernel
 from repro.tracing import TraceRecorder
+from tests.oracle import ScalarMI
 
 TABLE_SIZE = 64
 
@@ -143,12 +145,13 @@ class TestKernelLeak:
 
 class TestConfig:
     def test_scalar_fallback_matches_vectorized(self):
+        """The batched MI pass equals the scalar ``mi_test`` oracle
+        testing each feature inline."""
         fixed, random = evidences(make_program("df"), fixed_value=3)
-        vectorized = MIAnalyzer(LeakageConfig(vectorized=True)) \
-            .analyze(fixed, random)
-        scalar = MIAnalyzer(LeakageConfig(vectorized=False)) \
-            .analyze(fixed, random)
-        assert scalar.to_json() == vectorized.to_json()
+        batched = MIAnalyzer(LeakageConfig()).analyze(fixed, random)
+        scalar = ScalarMI(LeakageConfig()).analyze(fixed, random)
+        assert batched.leaks
+        assert scalar.to_json() == batched.to_json()
 
     def test_min_bits_floor_filters_leaks(self):
         fixed, random = evidences(make_program("df"), fixed_value=3)

@@ -156,10 +156,6 @@ class TestRoundSchedule:
 # ----------------------------------------------------------------------
 
 class TestAdaptiveConfig:
-    def test_requires_the_deferred_vectorized_path(self):
-        with pytest.raises(ConfigError, match="adaptive"):
-            OwlConfig(adaptive=True, vectorized=False)
-
     def test_requires_the_ks_distribution_test(self):
         with pytest.raises(ConfigError, match="adaptive"):
             OwlConfig(adaptive=True, test="welch")
@@ -223,11 +219,12 @@ class TestAdaptiveDetect:
         {"workers": 2},
         {"fault_plan": "batch_fold_error"},
         {"cohort": False},
-        {"replica_batch": True},
-        {"workers": 2, "replica_batch": True,
-         "fault_plan": "batch_fold_error"},
+        {"cohort": False, "workers": 2},
+        {"workers": 2, "cohort": False, "fault_plan": "batch_fold_error"},
     ])
     def test_bit_identical_across_parallelism_knobs(self, overrides):
+        """Fused replica batches against the per-run reference recorder
+        (``cohort=False``) and the other recording knobs."""
         reference = detect(df_program, adaptive=True)
         other = detect(df_program, adaptive=True, **overrides)
         assert (other.report.to_json() == reference.report.to_json())

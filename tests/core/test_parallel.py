@@ -140,30 +140,46 @@ class TestEvidenceMerge:
         assert left.num_runs == 3
 
 
+def per_run_traces(values):
+    """The reference: one ``TraceRecorder.record`` per run."""
+    recorder = TraceRecorder()
+    return [recorder.record(varying_program, value) for value in values]
+
+
 class TestTraceRecordingPool:
     def test_pooled_traces_match_serial(self):
         values = [1, 2, 12, 13, 1, 12]
+        reference = per_run_traces(values)
         serial_pool = TraceRecordingPool(varying_program, workers=1)
         parallel_pool = TraceRecordingPool(varying_program, workers=3)
         serial_traces, serial_stats = serial_pool.record_traces(values)
         parallel_traces, parallel_stats = parallel_pool.record_traces(values)
+        assert serial_stats.replica_fused_launches > 0
         assert ([t.signature() for t in serial_traces]
-                == [t.signature() for t in parallel_traces])
+                == [t.signature() for t in parallel_traces]
+                == [t.signature() for t in reference])
         assert serial_stats.trace_count == parallel_stats.trace_count == 6
-        assert serial_stats.trace_bytes_total == parallel_stats.trace_bytes_total
+        assert (serial_stats.trace_bytes_total
+                == parallel_stats.trace_bytes_total
+                == sum(t.trace_size_bytes() for t in reference))
 
     @pytest.mark.parametrize("keep_per_run", [False, True])
     def test_pooled_evidence_matches_serial(self, keep_per_run):
         values = [1, 12, 2, 13, 3, 14]
-        serial, _ = TraceRecordingPool(varying_program, workers=1) \
+        reference = Evidence.from_traces(per_run_traces(values),
+                                         keep_per_run=keep_per_run)
+        serial, stats = TraceRecordingPool(varying_program, workers=1) \
             .record_evidence(values, keep_per_run=keep_per_run)
         pooled, _ = TraceRecordingPool(varying_program, workers=3) \
             .record_evidence(values, keep_per_run=keep_per_run)
-        assert pooled.num_runs == serial.num_runs
-        assert pooled.identity_sequence == serial.identity_sequence
-        for got, want in zip(pooled.slots, serial.slots):
-            assert got.per_run_present == want.per_run_present
-            assert got.adcfg == want.adcfg
+        assert stats.replica_fused_launches > 0
+        for evidence in (serial, pooled):
+            assert evidence.num_runs == reference.num_runs
+            assert evidence.identity_sequence == reference.identity_sequence
+            for got, want in zip(evidence.slots, reference.slots):
+                assert got.per_run_present == want.per_run_present
+                assert got.adcfg == want.adcfg
+                assert got.per_run_graphs == want.per_run_graphs
 
     def test_unpicklable_program_falls_back_to_serial(self):
         state = {"calls": 0}

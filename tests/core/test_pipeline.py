@@ -1,9 +1,12 @@
 """The full Owl pipeline: phases, early exit, stats, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import Owl, OwlConfig
+from repro.core.leakage import LeakageConfig
 from repro.core.report import Leak, LeakType, LeakageReport
 from repro.gpusim import kernel
 
@@ -47,6 +50,23 @@ def random_secret(rng):
 
 
 SMALL = OwlConfig(fixed_runs=25, random_runs=25)
+
+
+class TestRetiredFields:
+    @pytest.mark.parametrize("field", ["columnar", "replica_batch",
+                                       "vectorized"])
+    def test_new_config_naming_a_retired_field_is_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            OwlConfig(**{field: False})
+
+    def test_leakage_config_has_no_scalar_switch(self):
+        with pytest.raises(TypeError, match="vectorized"):
+            LeakageConfig(vectorized=False)
+
+    def test_stored_config_drops_retired_fields(self):
+        stored = {**dataclasses.asdict(SMALL), "columnar": True,
+                  "replica_batch": False, "vectorized": False}
+        assert OwlConfig.from_stored(stored) == SMALL
 
 
 class TestPipeline:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import (
+    EXIT_UNAVAILABLE,
+    _config_from_args,
+    build_parser,
+    build_subcommand_parser,
+    main,
+)
+from repro.core import OwlConfig
 
 
 class TestParser:
@@ -62,6 +69,16 @@ class TestRetiredFlags:
         assert exc.value.code == 2
         assert "--no-columnar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["aes", "--no-replica-batch"],
+                                      ["run", "aes", "--no-replica-batch"]])
+    def test_no_replica_batch_is_a_usage_error(self, argv, capsys):
+        """``--no-cohort`` is the one reference-recorder switch; the
+        per-run recording switch is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--no-replica-batch" in capsys.readouterr().err
+
 
 class TestCohortFlag:
     def test_cohort_defaults_on(self):
@@ -78,3 +95,33 @@ class TestCohortFlag:
         reference_out = capsys.readouterr().out
         assert cohort_code == reference_code
         assert cohort_out == reference_out
+
+
+class TestCampaignOptions:
+    """``owl run`` and ``owl submit`` declare the campaign options once."""
+
+    @pytest.mark.parametrize("tail", [
+        ["--fixed-runs", "7", "--random-runs", "9", "--confidence", "0.99",
+         "--test", "welch", "--analyzer", "both", "--mi-bias", "jackknife",
+         "--mi-min-bits", "0.25", "--seed", "5", "--granularity", "64",
+         "--quantify", "--all-representatives"],
+        ["--adaptive", "--adaptive-rounds", "16,32",
+         "--adaptive-alpha-spend", "0.7", "--analyzer", "mi"],
+    ], ids=["analysis", "adaptive"])
+    def test_run_and_submit_configure_the_same_fields(self, tail,
+                                                      monkeypatch, capsys):
+        from repro.service.client import ServiceClient
+        submitted = {}
+
+        def capture(client, workload, *, config=None):
+            submitted.update(config)
+            raise ConnectionRefusedError("submission captured")
+
+        monkeypatch.setattr(ServiceClient, "submit", capture)
+        assert main(["submit", "aes", "--connect", "http://127.0.0.1:9",
+                     *tail]) == EXIT_UNAVAILABLE
+        assert "submission captured" in capsys.readouterr().err
+        parser = build_subcommand_parser()
+        config = _config_from_args(parser,
+                                   parser.parse_args(["run", "aes", *tail]))
+        assert submitted and OwlConfig(**submitted) == config

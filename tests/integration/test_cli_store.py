@@ -218,8 +218,9 @@ class TestResumeSubcommand:
                                                          capsys,
                                                          monkeypatch):
         """Campaign entries keep the config's ``dataclasses.asdict`` form;
-        one written while OwlConfig had ``columnar`` still resumes, to
-        the report a fresh run prints."""
+        one written while OwlConfig had ``columnar``, ``replica_batch``
+        and ``vectorized`` still resumes, to the report a fresh run
+        prints."""
         from repro.core.parallel import TraceRecordingPool
         from repro.store import TraceStore, incomplete_campaigns
         store_dir = str(tmp_path / "store")
@@ -240,7 +241,8 @@ class TestResumeSubcommand:
         store = TraceStore(store_dir)
         (entry,) = incomplete_campaigns(store)
         body = store.get_json(entry.key)
-        body["config"]["columnar"] = True
+        body["config"].update(columnar=True, replica_batch=False,
+                              vectorized=False)
         store.put_json(entry.key, entry.kind, body, meta=entry.meta)
 
         assert main(["resume", "--store", store_dir, "--json"]) == 1

@@ -4,10 +4,12 @@ Replica batching (DESIGN.md §12) fuses the fixed/random repetitions of a
 launch into extra rows of the cohort lane grid and, with ``replica_dedup``,
 collapses equal-input repetitions to one recording.  Both are pure
 recording optimisations: every report must be byte-identical to the
-serial per-run reference across all bundled workloads, and the knobs must
-compose with the per-event memory fold, the cohort engine and the parallel
-recording pool.  Because replayed traces are byte-identical, the store
-fingerprints must not depend on either knob.
+serial per-run reference across all bundled workloads — the replica
+batches' serial rung on the cohort engine (``tests/oracle.py``), and the
+whole reference recorder (``cohort=False``) — and the knobs must compose
+with the per-event memory fold and the parallel recording pool.  Because
+replayed traces are byte-identical, the store fingerprints must not
+depend on either knob.
 """
 
 import pytest
@@ -20,6 +22,7 @@ from repro.store.fingerprint import (
     evidence_fingerprint,
     trace_fingerprint,
 )
+from tests.oracle import serial_rung
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, always_analyze=True)
 
@@ -41,8 +44,9 @@ class TestAllWorkloads:
 
     @pytest.mark.parametrize("workload", sorted(_workloads()))
     def test_replica_batching_matches_serial(self, workload):
-        reference = run_detection(workload, replica_batch=False)
-        report = run_detection(workload, replica_batch=True)
+        with serial_rung():
+            reference = run_detection(workload)
+        report = run_detection(workload)
         assert report == reference, (
             f"{workload}: replica batching diverged from serial runs")
 
@@ -52,15 +56,14 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("workload", ["dummy", "rsa", "aes"])
     def test_replica_matrix_matches_reference(self, workload):
-        reference = run_detection(workload, replica_batch=False,
-                                  cohort=False, fault_plan="batch_fold_error",
-                                  workers=1)
+        reference = run_detection(workload, cohort=False,
+                                  fault_plan="batch_fold_error", workers=1)
         for cohort in (False, True):
             for plan in ("batch_fold_error", None):
                 for workers in (1, 2):
                     report = run_detection(
-                        workload, replica_batch=True, cohort=cohort,
-                        fault_plan=plan, workers=workers)
+                        workload, cohort=cohort, fault_plan=plan,
+                        workers=workers)
                     assert report == reference, (
                         f"{workload}: replica(cohort={cohort}, "
                         f"fault_plan={plan}, workers={workers}) "
@@ -68,10 +71,11 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("workload", DEDUP_SAFE)
     def test_dedup_matches_reference_on_pure_workloads(self, workload):
-        reference = run_detection(workload, replica_batch=False)
+        with serial_rung():
+            reference = run_detection(workload)
         for workers in (1, 2):
-            report = run_detection(workload, replica_batch=True,
-                                   replica_dedup=True, workers=workers)
+            report = run_detection(workload, replica_dedup=True,
+                                   workers=workers)
             assert report == reference, (
                 f"{workload}: replica dedup (workers={workers}) "
                 "diverged from reference")
@@ -82,9 +86,9 @@ class TestFingerprintInvariance:
     re-analyze when only the replica knobs change."""
 
     @pytest.mark.parametrize("overrides", [
-        dict(replica_batch=False),
-        dict(replica_batch=True),
-        dict(replica_batch=True, replica_dedup=True),
+        dict(cohort=False),
+        dict(replica_dedup=True),
+        dict(cohort=False, replica_dedup=True),
     ])
     def test_all_fingerprints_unchanged(self, overrides):
         device = DeviceConfig()

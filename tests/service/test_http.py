@@ -95,13 +95,14 @@ class TestRouting:
 
     def test_retired_config_field_is_400(self, http_service):
         _client, _url, port, scheduler = http_service
-        body = json.dumps({"workload": "dummy",
-                           "config": {**TINY, "columnar": True}})
-        status, payload = _raw(port, "POST", "/v1/campaigns",
-                               body=body.encode("utf-8"))
-        assert status == 400
-        assert payload["code"] == "bad_request"
-        assert "columnar" in payload["error"]
+        for field in ("columnar", "replica_batch", "vectorized"):
+            body = json.dumps({"workload": "dummy",
+                               "config": {**TINY, field: False}})
+            status, payload = _raw(port, "POST", "/v1/campaigns",
+                                   body=body.encode("utf-8"))
+            assert status == 400
+            assert payload["code"] == "bad_request"
+            assert field in payload["error"]
         assert not scheduler.campaigns
 
     def test_non_http_garbage_does_not_kill_the_server(self, http_service):

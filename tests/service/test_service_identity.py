@@ -170,8 +170,9 @@ class TestRecovery:
 
     def test_recovery_reads_specs_with_a_retired_field(self, tmp_path):
         """Queue specs keep the config's ``dataclasses.asdict`` form; a
-        queue written while OwlConfig had ``columnar`` recovers and runs
-        its units to the direct report."""
+        queue written while OwlConfig had ``columnar``, ``replica_batch``
+        and ``vectorized`` recovers and runs its units to the direct
+        report."""
         config = ServiceConfig(workers=0, unit_runs=2)
         first = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                   config)
@@ -185,7 +186,8 @@ class TestRecovery:
         for path in [queue / "campaigns" / f"{cid}.json", *units]:
             data = json.loads(path.read_text())
             spec = data.get("spec", data)
-            spec["config"]["columnar"] = True
+            spec["config"].update(columnar=True, replica_batch=False,
+                                  vectorized=False)
             path.write_text(json.dumps(data))
         spec = json.loads(units[0].read_text())["spec"]
         owl, _campaign, _inputs, _random = materialize(
@@ -204,8 +206,9 @@ class TestRecovery:
             self, tmp_path):
         scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                       ServiceConfig(workers=0))
-        with pytest.raises(TypeError, match="columnar"):
-            scheduler.submit("dummy", {**TINY, "columnar": True})
+        for field in ("columnar", "replica_batch", "vectorized"):
+            with pytest.raises(TypeError, match=field):
+                scheduler.submit("dummy", {**TINY, field: False})
         assert not scheduler.campaigns
 
     def test_requeue_past_budget_degrades_to_scheduler(self, tmp_path):

@@ -70,13 +70,13 @@ class TestFingerprints:
             analysis_fingerprint(OwlConfig(confidence=0.95), device)
 
     def test_parallelism_knobs_do_not_change_any_fingerprint(self):
-        """workers / cohort / vectorized / checkpoint cadence are proven
-        bit-identical, so campaigns recorded under any of them share
-        cache entries."""
+        """workers / cohort / replica dedup / checkpoint cadence are
+        proven bit-identical, so campaigns recorded under any of them
+        share cache entries."""
         device = DeviceConfig()
         base = OwlConfig()
         variant = dataclasses.replace(base, workers=4, cohort=False,
-                                      vectorized=False,
+                                      replica_dedup=True,
                                       store_checkpoint_every=3)
         for fingerprint in (trace_fingerprint, evidence_fingerprint,
                             analysis_fingerprint):

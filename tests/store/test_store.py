@@ -1,13 +1,15 @@
 """The TraceStore manifest layer: persistence, typed artifacts, gc."""
 
 import json
+import os
+import threading
 
 import pytest
 
 from repro.apps import dummy
 from repro.core.evidence import Evidence
 from repro.core.report import Leak, LeakageReport, LeakType
-from repro.store import StoreCorruptionError, StoreError, TraceStore
+from repro.store import StoreCorruptionError, StoreError, TraceStore, blobs
 from repro.store.serialize import serialize_trace
 from repro.tracing import TraceRecorder
 
@@ -169,6 +171,51 @@ class TestGc:
         h1.put_bytes("k2", "trace", b"payload")  # dedups onto k1's blob
         assert h2.gc()["removed"] == 0
         assert h1.get_bytes("k2") == b"payload"
+
+    def test_gc_waits_for_another_handles_open_batch(self, tmp_path):
+        """A put inside another handle's open batch has written (here:
+        dedupped onto) its blob but not journaled it: gc must wait for
+        the batch's flush instead of collecting the blob."""
+        h1 = TraceStore(tmp_path / "shared")
+        h1.put_bytes("k1", "trace", b"payload")
+        h1.delete("k1")
+        h2 = TraceStore(tmp_path / "shared")
+        results = []
+        collector = threading.Thread(target=lambda: results.append(h2.gc()),
+                                     daemon=True)
+        with h1.batch():
+            h1.put_bytes("k2", "trace", b"payload")
+            collector.start()
+            collector.join(0.5)
+            assert collector.is_alive(), "gc ran past an unjournaled put"
+        collector.join(30)
+        assert not collector.is_alive()
+        assert results[0]["removed"] == 0
+        assert h1.get_bytes("k2") == b"payload"
+
+    def test_gc_never_sweeps_a_put_in_flight(self, tmp_path, monkeypatch):
+        """gc on another handle, started between a blob's fsync and its
+        publishing ``os.replace``, must leave the staging file alone."""
+        h1 = TraceStore(tmp_path / "shared")
+        h2 = TraceStore(tmp_path / "shared")
+        results = []
+        collector = threading.Thread(target=lambda: results.append(h2.gc()),
+                                     daemon=True)
+        fsync = os.fsync
+
+        def fsync_then_collect(fd):
+            fsync(fd)
+            if not collector.is_alive() and not results:
+                collector.start()
+                collector.join(0.5)
+
+        monkeypatch.setattr(blobs.os, "fsync", fsync_then_collect)
+        h1.put_bytes("k", "trace", b"in flight")
+        monkeypatch.setattr(blobs.os, "fsync", fsync)
+        collector.join(30)
+        assert not collector.is_alive()
+        assert results[0]["removed"] == 0
+        assert h1.get_bytes("k") == b"in flight"
 
     def test_gc_flushes_its_own_pending_batch(self, store):
         """A put still pending in the gc caller's batch keeps its blob."""

@@ -150,15 +150,14 @@ def swapped_labels_program(rt, value):
     divergent_program(rt, value)
 
 
-def serial_signatures(program, values, config=None, cohort=True):
-    recorder = TraceRecorder(config, cohort=cohort)
+def serial_signatures(program, values, config=None):
+    recorder = TraceRecorder(config)
     return [recorder.record(program, value).signature() for value in values]
 
 
-def replica_signatures(program, values, config=None, cohort=True,
-                       dedup=False):
+def replica_signatures(program, values, config=None, dedup=False):
     groups, stats = record_grouped(program, values, device_config=config,
-                                   cohort=cohort, dedup=dedup)
+                                   dedup=dedup)
     signatures = [trace.signature()
                   for trace, count in groups for _ in range(count)]
     return signatures, stats
@@ -230,13 +229,34 @@ class TestRecordGroupedEquivalence:
         assert replica == per_event
         assert replica == serial_signatures(divergent_program, values)
 
-    def test_no_cohort_falls_back_per_replica(self):
-        values = [1, 4]
-        replica, stats = replica_signatures(divergent_program, values,
-                                            cohort=False)
-        assert replica == serial_signatures(divergent_program, values,
-                                            cohort=False)
-        assert stats.fused_launches == 0
+    @pytest.mark.parametrize("entry", ["record_grouped", "fold_grouped"])
+    def test_no_cohort_starts_no_replica_session(self, entry, monkeypatch):
+        """Fusion needs the cohort engine, so a ``cohort=False`` batch
+        takes the serial rung directly: the per-warp reference recorder,
+        one run at a time, with no session to start or abandon."""
+        def no_session(*args, **kwargs):
+            raise AssertionError("a cohort=False batch started a session")
+
+        monkeypatch.setattr(replica, "_ReplicaSession", no_session)
+        values = [1, 4, 4, 7]
+        recorder = TraceRecorder(cohort=False)
+        traces = [recorder.record(divergent_program, value)
+                  for value in values]
+        with collecting_degradations() as log:
+            if entry == "record_grouped":
+                groups, stats = record_grouped(divergent_program, values,
+                                               cohort=False)
+                assert [trace.signature() for trace, count in groups
+                        for _ in range(count)] == \
+                    [trace.signature() for trace in traces]
+            else:
+                evidence = Evidence()
+                stats = fold_grouped(divergent_program, values, evidence,
+                                     cohort=False).stats
+                assert serialize_evidence(evidence) == serialize_evidence(
+                    Evidence.from_traces(traces))
+        assert len(log) == 0
+        assert stats.fused_launches == stats.fallback_launches == 0
 
     def test_dedup_collapses_equal_inputs(self):
         values = [2, 2, 2, 7, 7]

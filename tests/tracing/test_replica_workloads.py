@@ -8,7 +8,9 @@ those graphs must carry the serial signatures.  The unseeded-ASLR case
 gives every member its own memory layout, so each member's addresses must
 be normalised against its own allocation table.  Phase 3 folds the same
 launches straight into each side's evidence, segment by segment; that
-evidence and its trace accounting must equal the per-run fold's.
+evidence and its trace accounting must equal the per-run fold's, which
+the batch's serial rung records on the cohort engine
+(``tests/oracle.py``).
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.resilience.events import collecting_degradations
 from repro.store.serialize import serialize_evidence
 from repro.tracing import replica
 from repro.tracing.recorder import TraceRecorder
+from tests.oracle import serial_rung
 
 WORKLOADS = sorted(_workloads())
 
@@ -98,27 +101,27 @@ def evidence_sides(workload):
             "random": [random_input(rng) for _ in range(6)]}
 
 
-def folded_side(program, values, config, replica_batch):
+def folded_side(program, values, config):
     """Evidence bytes, run count and trace bytes of one recorded side,
     and its fused launch count."""
     evidence, stats = _record_evidence_chunk(
-        program, config, values, keep_per_run=False, cohort=True,
-        replica_batch=replica_batch)
+        program, config, values, keep_per_run=False, cohort=True)
     return ((serialize_evidence(evidence), stats.trace_count,
              stats.trace_bytes_total), stats.replica_fused_launches)
 
 
 @pytest.fixture(scope="module")
 def per_run():
-    """Per-run folds (``replica_batch=False``) per workload, recorded once."""
+    """Per-run folds (the serial rung) per workload, recorded once."""
     cache = {}
 
     def sides(workload):
         if workload not in cache:
             program = _workloads()[workload][0]
-            cache[workload] = {
-                side: folded_side(program, values, None, False)[0]
-                for side, values in evidence_sides(workload).items()}
+            with serial_rung():
+                cache[workload] = {
+                    side: folded_side(program, values, None)[0]
+                    for side, values in evidence_sides(workload).items()}
         return cache[workload]
     return sides
 
@@ -144,7 +147,7 @@ def test_segment_fold_matches_per_run_fold(workload, aslr, per_run,
     for side, values in evidence_sides(workload).items():
         folds.clear()
         with collecting_degradations() as log:
-            folded, fused = folded_side(program, values, config, True)
+            folded, fused = folded_side(program, values, config)
         assert len(log) == 0
         assert all(folds) and (folds or not fused)
         assert folded == per_run(workload)[side], side
