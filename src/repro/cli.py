@@ -287,7 +287,8 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
                             "to in-scheduler execution")
     serve.add_argument("--restart-budget", type=int, default=8,
                        help="worker restarts before the fleet stops "
-                            "replacing dead processes")
+                            "replacing dead processes; once it has no "
+                            "worker left the scheduler runs the units")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="schedule duplicate submissions separately "
                             "instead of attaching them to the in-flight "

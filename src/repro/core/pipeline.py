@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -255,6 +255,15 @@ class OwlConfig:
         return cls(**{key: value for key, value in fields.items()
                       if key not in _RETIRED_FIELDS})
 
+    def device_config(self, base: Optional[DeviceConfig] = None
+                      ) -> DeviceConfig:
+        """*base* (default ``DeviceConfig()``) under this config's
+        ``cohort_step_budget``: the device a campaign simulates."""
+        base = base or DeviceConfig()
+        if self.cohort_step_budget is None:
+            return base
+        return replace(base, cohort_step_budget=self.cohort_step_budget)
+
     def leakage_config(self) -> LeakageConfig:
         return LeakageConfig(confidence=self.confidence,
                              sample_size_cap=self.sample_size_cap,
@@ -264,6 +273,24 @@ class OwlConfig:
                              sampling=self.sampling,
                              mi_bias_correction=self.mi_bias_correction,
                              mi_min_bits=self.mi_min_bits)
+
+
+def side_inputs(config: OwlConfig, side: str, representative: object = None,
+                random_input: Optional[RandomInputFn] = None) -> List[object]:
+    """One evidence side's full run-input sequence: the representative
+    ``fixed_runs`` times, or ``random_runs`` draws from one generator
+    seeded with ``config.seed`` — the same in every process."""
+    if side == "fixed":
+        return [representative] * config.fixed_runs
+    rng = np.random.default_rng(config.seed)
+    return [random_input(rng) for _ in range(config.random_runs)]
+
+
+def canonical_evidence(evidence: Evidence) -> Evidence:
+    """The store's round-tripped form of *evidence*: the exact bytes a
+    resumed look loads back, so cold and resumed looks analyse alike."""
+    from repro.store.serialize import deserialize_evidence, serialize_evidence
+    return deserialize_evidence(serialize_evidence(evidence))
 
 
 @dataclass
@@ -404,12 +431,7 @@ class Owl:
         self.program = program
         self.name = name
         self.config = config or OwlConfig()
-        self.device_config = device_config or DeviceConfig()
-        if self.config.cohort_step_budget is not None:
-            from dataclasses import replace
-            self.device_config = replace(
-                self.device_config,
-                cohort_step_budget=self.config.cohort_step_budget)
+        self.device_config = self.config.device_config(device_config)
         self.pool = TraceRecordingPool(program,
                                        device_config=self.device_config,
                                        workers=self.config.workers,
@@ -472,6 +494,27 @@ class Owl:
         """Phase 2: group inputs into trace-equality classes."""
         return filter_traces(inputs, traces)
 
+    def representative_indices(self, filter_result: FilterResult
+                               ) -> Optional[List[int]]:
+        """Phase 2's verdict: the input indices phase 3 analyses (one per
+        class, or the first only), or None for the early exit."""
+        if (not filter_result.shows_potential_leakage
+                and not self.config.always_analyze):
+            return None
+        indices = [cls.representative_index for cls in filter_result.classes]
+        return (indices if self.config.analyze_all_representatives
+                else indices[:1])
+
+    def evaluate_look(self, fixed_evidences: Sequence[Evidence],
+                      random_evidence: Evidence,
+                      schedule: sequential.RoundSchedule, round_index: int):
+        """Analyse an interim look and decide whether to stop."""
+        return sequential.evaluate_round(
+            self.analyzers, fixed_evidences, random_evidence,
+            program_name=self.name, alpha=1.0 - self.config.confidence,
+            rho=self.config.adaptive_alpha_spend, schedule=schedule,
+            round_index=round_index)
+
     def _phase3(self, representatives: Sequence[object],
                 random_input: RandomInputFn, stats: PhaseStats, campaign):
         """Phase 3: record the evidence sides look by look, analyse each look.
@@ -501,17 +544,15 @@ class Owl:
         for a classic one).
         """
         config = self.config
-        rng = np.random.default_rng(config.seed)
-        random_values = [random_input(rng)
-                         for _ in range(config.random_runs)]
         sides = [_EvidenceSide(
-            side="fixed", values=[rep] * config.fixed_runs,
+            side="fixed", values=side_inputs(config, "fixed", rep),
             key=(campaign.evidence_key(
                 "fixed", campaign.input_fingerprint(rep))
                  if campaign is not None else None))
             for rep in representatives]
         random_side = _EvidenceSide(
-            side="random", values=random_values,
+            side="random",
+            values=side_inputs(config, "random", random_input=random_input),
             key=(campaign.evidence_key("random")
                  if campaign is not None else None))
         sides.append(random_side)
@@ -536,12 +577,9 @@ class Owl:
                     self.analyzers, side.evidence, random_side.evidence,
                     program_name=self.name) for side in sides[:-1]]
             else:
-                rep_reports, decision = sequential.evaluate_round(
-                    self.analyzers, [side.evidence for side in sides[:-1]],
-                    random_side.evidence, program_name=self.name,
-                    alpha=1.0 - config.confidence,
-                    rho=config.adaptive_alpha_spend, schedule=schedule,
-                    round_index=round_index)
+                rep_reports, decision = self.evaluate_look(
+                    [side.evidence for side in sides[:-1]],
+                    random_side.evidence, schedule, round_index)
                 decision.analysis_seconds = time.perf_counter() - test_started
                 decisions.append(decision)
             stats.test_seconds += time.perf_counter() - test_started
@@ -628,10 +666,7 @@ class Owl:
                                                    side.side)
             side.complete = True
         elif advanced:
-            from repro.store.serialize import (deserialize_evidence,
-                                               serialize_evidence)
-            side.evidence = deserialize_evidence(
-                serialize_evidence(side.evidence))
+            side.evidence = canonical_evidence(side.evidence)
 
     # ------------------------------------------------------------------
     # full pipeline
@@ -690,11 +725,11 @@ class Owl:
                                          filter_result=filter_result,
                                          report=cached, stats=stats)
 
-            empty = LeakageReport(program_name=self.name,
-                                  confidence=self.config.confidence,
-                                  analyzer=self.config.analyzer)
-            if (not filter_result.shows_potential_leakage
-                    and not self.config.always_analyze):
+            rep_indices = self.representative_indices(filter_result)
+            if rep_indices is None:
+                empty = LeakageReport(program_name=self.name,
+                                      confidence=self.config.confidence,
+                                      analyzer=self.config.analyzer)
                 stats.total_seconds = time.perf_counter() - started
                 if campaign is not None:
                     with campaign.store.batch():
@@ -704,12 +739,9 @@ class Owl:
                                  filter_result=filter_result, report=empty,
                                  stats=stats)
 
-            representatives = filter_result.representatives()
-            if not self.config.analyze_all_representatives:
-                representatives = representatives[:1]
-
             rep_reports, adaptive_summary = self._phase3(
-                representatives, random_input, stats, campaign)
+                [inputs[index] for index in rep_indices], random_input,
+                stats, campaign)
             per_rep: List[LeakageReport] = []
             per_mode: List[List[LeakageReport]] = [[] for _ in self.analyzers]
             for reports in rep_reports:

@@ -98,8 +98,9 @@ class ServiceConfig:
     #: fleet dispatch attempts per unit before it degrades to running
     #: inside the scheduler process (the ladder's terminal rung)
     max_attempts: int = 3
-    #: worker-process restarts the fleet will pay before letting pending
-    #: units fall through to in-scheduler execution
+    #: worker-process restarts the fleet will pay; once they are spent
+    #: and the last worker is gone, the scheduler runs every pending unit
+    #: itself (unless ``external_workers``), as at ``workers=0``
     restart_budget: int = 8
     #: coalesce submissions that resolve to the same (workload, analysis
     #: fingerprint, inputs) into one execution — the multi-tenant

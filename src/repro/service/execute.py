@@ -4,11 +4,11 @@ Every unit kind re-materialises its campaign from the JSON spec — the
 workload registry provides the program and input factories, the config
 dict round-trips through :class:`~repro.core.pipeline.OwlConfig` — and
 then runs a *slice* of the normal pipeline, persisting its output through
-the same campaign key builders ``Owl.detect`` uses:
+the same campaign key builders and phase decisions ``Owl.detect`` uses:
 
-* ``trace``    — record + store the traces of a subset of user inputs;
-* ``plan``     — filter cached traces, decide early-exit vs. which
-  representatives need evidence;
+* ``plan``     — record + store the traces the store lacks (one
+  ``Owl.record_traces`` call, as in ``Owl.detect``), filter them, decide
+  early-exit vs. which representatives need evidence;
 * ``evidence`` — record runs ``[start, stop)`` of one side into a chunk
   blob (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
@@ -29,18 +29,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.apps.registry import resolve
 from repro.core import adaptive as sequential
 from repro.core.evidence import Evidence
-from repro.core.pipeline import Owl, OwlConfig, PhaseStats
+from repro.core.pipeline import (
+    Owl, OwlConfig, PhaseStats, canonical_evidence, side_inputs)
 from repro.errors import CampaignError
 from repro.resilience.events import collecting_degradations
 from repro.service.units import (
-    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, KIND_TRACE,
-    WorkUnit)
-from repro.store.serialize import deserialize_evidence, serialize_evidence
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, WorkUnit)
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
 
@@ -69,15 +66,6 @@ def _rep_fp(campaign: Campaign, inputs: List[object],
             else campaign.input_fingerprint(inputs[rep_index]))
 
 
-def _side_values(owl: Owl, inputs: List[object], random_input,
-                 side: str, rep_index: int) -> List[object]:
-    """The side's full deterministic run-input sequence (parent draw)."""
-    if side == "fixed":
-        return [inputs[rep_index]] * owl.config.fixed_runs
-    rng = np.random.default_rng(owl.config.seed)
-    return [random_input(rng) for _ in range(owl.config.random_runs)]
-
-
 def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
     """Run one unit against a held store; returns its JSON-safe payload.
 
@@ -93,8 +81,6 @@ def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
 
 
 def _dispatch(unit: WorkUnit, store: TraceStore) -> Dict:
-    if unit.kind == KIND_TRACE:
-        return _run_trace(unit, store)
     if unit.kind == KIND_PLAN:
         return _run_plan(unit, store)
     if unit.kind == KIND_EVIDENCE:
@@ -106,30 +92,17 @@ def _dispatch(unit: WorkUnit, store: TraceStore) -> Dict:
     raise CampaignError(f"unknown work unit kind {unit.kind!r}")
 
 
-def _run_trace(unit: WorkUnit, store: TraceStore) -> Dict:
-    owl, campaign, inputs, _random = materialize(unit.spec, store)
-    stats = PhaseStats()
-    index = int(unit.params["index"])
-    owl.record_traces([inputs[index]], stats=stats, campaign=campaign)
-    return {"recorded": stats.trace_count, "cached": stats.cached_traces}
-
-
 def _run_plan(unit: WorkUnit, store: TraceStore) -> Dict:
-    """Filter traces (all cached by the trace stage) into the run plan."""
+    """Phases 1 and 2: record missing traces, filter into the run plan."""
     owl, campaign, inputs, _random = materialize(unit.spec, store)
     stats = PhaseStats()
     traces = owl.record_traces(inputs, stats=stats, campaign=campaign)
     filter_result = owl.filter_inputs(inputs, traces)
-    early_exit = (not filter_result.shows_potential_leakage
-                  and not owl.config.always_analyze)
-    representatives = filter_result.representatives()
-    if not owl.config.analyze_all_representatives:
-        representatives = representatives[:1]
-    fps = [campaign.input_fingerprint(value) for value in inputs]
-    rep_indices = [fps.index(campaign.input_fingerprint(rep))
-                   for rep in representatives]
-    return {"early_exit": early_exit, "rep_indices": rep_indices,
+    rep_indices = owl.representative_indices(filter_result)
+    return {"early_exit": rep_indices is None,
+            "rep_indices": rep_indices or [],
             "num_classes": filter_result.num_classes,
+            "recorded": stats.trace_count,
             "cached_traces": stats.cached_traces}
 
 
@@ -144,8 +117,9 @@ def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
     key = chunk_key(unit.campaign, side, rep_fp, int(unit.params["chunk"]))
     if store.get(key) is not None:
         return {"runs": 0, "cached_chunk": True}  # re-queued after a crash
-    values = _side_values(owl, inputs, random_input, side,
-                          rep_index)[start:stop]
+    representative = inputs[rep_index] if side == "fixed" else None
+    values = side_inputs(owl.config, side, representative,
+                         random_input)[start:stop]
     keep_per_run = owl.config.sampling == "per_run"
     partial, chunk_stats = owl.pool.record_evidence(
         values, keep_per_run=keep_per_run)
@@ -209,16 +183,13 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
         else:
             campaign.save_checkpoint(evidence_key, merged, boundary,
                                      total_runs, side)
-            evidences.append(deserialize_evidence(serialize_evidence(merged)))
+            evidences.append(canonical_evidence(merged))
     payload = {"stop": True, "final": final, "round": round_index}
     if cached_side:
         payload["cached_side"] = True
     elif not final:
-        _reports, decision = sequential.evaluate_round(
-            owl.analyzers, evidences[:-1], evidences[-1],
-            program_name=owl.name, alpha=1.0 - config.confidence,
-            rho=config.adaptive_alpha_spend, schedule=schedule,
-            round_index=round_index)
+        _reports, decision = owl.evaluate_look(
+            evidences[:-1], evidences[-1], schedule, round_index)
         payload.update(
             stop=decision.stop, tested=decision.tested,
             flagged=decision.flagged, clean=decision.clean,

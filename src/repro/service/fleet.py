@@ -11,9 +11,9 @@ subprocesses against one queue + store, and on every poll:
 * a replacement is spawned while the restart budget lasts — replacements
   never inherit the fault injection, mirroring how ``ChunkSupervisor``
   retries run fault-free;
-* past the budget the fleet stops replacing and the scheduler's
-  degradation ladder takes over
-  (:data:`~repro.resilience.events.FLEET_TO_LOCAL`).
+* past the budget the fleet stops replacing, and once its last worker
+  is gone (:meth:`WorkerFleet.spent`) the scheduler runs every unit
+  itself (:data:`~repro.resilience.events.FLEET_TO_LOCAL`).
 
 Worker stdout/stderr land in ``<queue>/logs/<worker>.log`` for CI
 artefacts.  A worker killed by :meth:`WorkerFleet.stop`'s SIGTERM, or
@@ -97,6 +97,12 @@ class WorkerFleet:
     def live_workers(self) -> List[str]:
         return [wid for wid, proc in self.procs.items()
                 if proc.poll() is None]
+
+    def spent(self) -> bool:
+        """True once :meth:`poll` reaped the last worker and the restart
+        budget forbids another."""
+        return (self.spawned > 0 and not self.procs
+                and self.restarts >= self.restart_budget)
 
     def poll(self) -> List[str]:
         """Reap dead workers, spawn replacements; returns the dead ids."""

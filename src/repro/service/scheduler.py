@@ -3,9 +3,12 @@
 One :class:`CampaignScheduler` owns a :class:`~repro.service.queue.JobQueue`
 and drives every submitted campaign through one stage machine
 
-    tracing → planning → [evidence → deciding]+ → reporting → complete
+    planning → [evidence → deciding]+ → reporting → complete
 
-with one ``evidence → deciding`` pass per look of the campaign's schedule
+The ``planning`` stage's one unit is Owl's phases 1 and 2 (record the
+traces the store lacks, filter them, decide the early exit or the
+representatives).  Then comes one ``evidence → deciding`` pass per look
+of the campaign's schedule
 (:func:`repro.core.adaptive.look_schedule`): a single look at the full
 budget for the paper's protocol, one per round for
 ``OwlConfig(adaptive=True)``.  Each ``evidence`` stage records one
@@ -16,7 +19,7 @@ either stops the campaign or schedules the next round, enqueuing the
 next stage's durable units the moment the previous stage's results are
 all on disk.  The actual work happens wherever a unit is
 claimed — fleet worker processes, or the scheduler process itself when
-``workers == 0`` (same units, same results).
+``workers == 0`` or the fleet is spent (same units, same results).
 
 Fault handling is :class:`~repro.resilience.supervisor.ChunkSupervisor`'s
 ladder lifted to fleet level, with the same split of responsibilities:
@@ -25,7 +28,8 @@ ladder lifted to fleet level, with the same split of responsibilities:
   infrastructure fault — its leased units are re-queued deterministically
   (``WORKER_LOST`` → ``UNIT_REQUEUED``), and a unit that exhausts
   ``max_attempts`` fleet dispatches executes in the scheduler process
-  instead (``FLEET_TO_LOCAL``, the terminal rung);
+  instead (``FLEET_TO_LOCAL``, the terminal rung), as does every unit
+  once the restart budget is spent and no worker is left;
 * a worker that *returned an error result* hit real program/unit code
   failure — that propagates and fails the campaign, exactly as
   worker-code exceptions propagate out of the chunk supervisor.
@@ -61,13 +65,12 @@ count, any ``unit_runs`` partition, and across injected worker deaths.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.adaptive import look_schedule
 from repro.core.pipeline import OwlConfig
 from repro.errors import CampaignError, QuotaError
-from repro.gpusim.device import DeviceConfig
 from repro.resilience.events import (
     FLEET_TO_LOCAL, UNIT_REQUEUED, WORKER_LOST, DegradationEvent)
 from repro.service.config import ServiceConfig
@@ -75,14 +78,13 @@ from repro.service.execute import execute_unit
 from repro.service.fleet import WorkerFleet
 from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import (
-    WorkUnit, decide_unit, plan_unit, report_unit, round_chunk_offsets,
-    round_evidence_units, trace_units)
+    STAGES, WorkUnit, decide_unit, plan_unit, report_unit,
+    round_chunk_offsets, round_evidence_units)
 from repro.store.fingerprint import (
     analysis_fingerprint, fingerprint_inputs, fingerprint_value)
 from repro.store.store import TraceStore
 
 #: Campaign stages, in order.
-STAGE_TRACING = "tracing"
 STAGE_PLANNING = "planning"
 STAGE_EVIDENCE = "evidence"
 STAGE_DECIDING = "deciding"
@@ -104,11 +106,7 @@ def campaign_identity(workload: str, config: OwlConfig) -> str:
     """
     from repro.apps.registry import resolve
     _program, fixed_inputs, _random = resolve(workload)
-    device_config = DeviceConfig()
-    if config.cohort_step_budget is not None:
-        device_config = replace(
-            device_config, cohort_step_budget=config.cohort_step_budget)
-    analysis_fp = analysis_fingerprint(config, device_config)
+    analysis_fp = analysis_fingerprint(config, config.device_config())
     inputs_fp = fingerprint_inputs(
         [fingerprint_value(value) for value in fixed_inputs()])
     return f"{workload}/{analysis_fp}/{inputs_fp}"
@@ -123,7 +121,7 @@ class CampaignState:
     config_dict: Dict
     identity: str
     tenant: str = DEFAULT_TENANT
-    stage: str = STAGE_TRACING
+    stage: str = STAGE_PLANNING
     #: admitted unit ids awaiting results (shrinks as results harvest)
     pending: List[str] = field(default_factory=list)
     #: this stage's units not yet admitted to the queue (quota backlog)
@@ -180,8 +178,6 @@ class CampaignScheduler:
         in-flight campaign cap is already met — the 429 path; nothing is
         recorded, so the tenant can resubmit once a campaign finishes.
         """
-        import dataclasses
-
         config = OwlConfig(**(config_overrides or {}))
         quota = self.config.quota_for(tenant)
         if quota.max_campaigns is not None:
@@ -196,7 +192,7 @@ class CampaignScheduler:
         self._seq += 1
         cid = f"c{self._seq:04d}"
         state = CampaignState(cid=cid, workload=workload,
-                              config_dict=dataclasses.asdict(config),
+                              config_dict=asdict(config),
                               identity=identity, tenant=tenant,
                               submitted_at=time.time())
         primary_cid = self._by_identity.get(identity)
@@ -221,11 +217,8 @@ class CampaignScheduler:
         return cid
 
     def _start(self, state: CampaignState) -> None:
-        from repro.apps.registry import resolve
-        _program, fixed_inputs, _random = resolve(state.workload)
-        num_inputs = len(fixed_inputs())
-        state.stage = STAGE_TRACING
-        self._enqueue(state, trace_units(state.cid, state.spec(), num_inputs))
+        state.stage = STAGE_PLANNING
+        self._enqueue(state, [plan_unit(state.cid, state.spec())])
 
     def _enqueue(self, state: CampaignState, units) -> None:
         """Stage the units in the campaign's backlog and admit what the
@@ -303,8 +296,9 @@ class CampaignScheduler:
         self._reap_fleet()
         self._reap_leases()
         self._admit()
-        if (self.fleet is None or self.config.workers == 0) \
-                and not self.config.external_workers:
+        fleetless = (self.fleet is None or self.config.workers == 0
+                     or self.fleet.spent())
+        if fleetless and not self.config.external_workers:
             self._run_local_pending()
         for state in list(self.campaigns.values()):
             if not state.done and state.coalesced_into is None:
@@ -341,7 +335,8 @@ class CampaignScheduler:
     def _reap_fleet(self) -> None:
         if self.fleet is None:
             return
-        for worker_id in self.fleet.poll():
+        dead = self.fleet.poll()
+        for worker_id in dead:
             held = self.queue.claims_by_worker(worker_id)
             event = DegradationEvent(
                 kind=WORKER_LOST, subsystem="fleet",
@@ -352,6 +347,14 @@ class CampaignScheduler:
                                held=list(held))
             for uid in held:
                 self._requeue(uid, reason=f"worker {worker_id} died")
+        if dead and self.fleet.spent() and not self.config.external_workers:
+            # the whole fleet's terminal rung: tick runs every unit here
+            self.events.append(DegradationEvent(
+                kind=FLEET_TO_LOCAL, subsystem="fleet",
+                reason="restart budget spent and no worker left",
+                context={"restarts": self.fleet.restarts}))
+            self.queue.journal("fleet_to_local",
+                               restarts=self.fleet.restarts)
 
     def _reap_leases(self) -> None:
         for uid in self.queue.expired_claims(self.config.lease_seconds):
@@ -444,20 +447,12 @@ class CampaignScheduler:
     def _advance(self, state: CampaignState, payloads: Dict) -> None:
         spec = state.spec()
         config = OwlConfig(**state.config_dict)
-        if state.stage == STAGE_TRACING:
-            from repro.apps.registry import resolve
-            _program, fixed_inputs, _random = resolve(state.workload)
-            state.stage = STAGE_PLANNING
-            self._enqueue(state, [plan_unit(state.cid, spec,
-                                            len(fixed_inputs()))])
-            return
         if state.stage == STAGE_PLANNING:
             plan = payloads[f"{state.cid}.plan"]
             state.plan = plan
             if plan["early_exit"]:
                 state.stage = STAGE_REPORTING
-                self._enqueue(state, [report_unit(state.cid, spec,
-                                                  plan["num_classes"])])
+                self._enqueue(state, [report_unit(state.cid, spec)])
                 return
             state.look = 0
             state.stage = STAGE_EVIDENCE
@@ -481,7 +476,7 @@ class CampaignScheduler:
                 stop=verdict.get("stop"), undecided=verdict.get("undecided"))
             if verdict.get("stop"):
                 state.stage = STAGE_REPORTING
-                self._enqueue(state, [report_unit(state.cid, spec, 0)])
+                self._enqueue(state, [report_unit(state.cid, spec)])
                 return
             state.look += 1
             state.stage = STAGE_EVIDENCE
@@ -510,25 +505,18 @@ class CampaignScheduler:
         (boundaries can coincide for tiny budgets) simply contributes no
         units for that side.
         """
-        plan = state.plan or {}
-        spec = state.spec()
         schedule = look_schedule(config)
-        fixed_offsets = round_chunk_offsets(schedule.fixed,
-                                            self.config.unit_runs)
-        random_offsets = round_chunk_offsets(schedule.random,
-                                             self.config.unit_runs)
-        fixed_start = schedule.fixed[round_index - 1] if round_index else 0
-        random_start = schedule.random[round_index - 1] if round_index else 0
+        sides = [("fixed", rep_index, schedule.fixed)
+                 for rep_index in (state.plan or {}).get("rep_indices", [])]
+        sides.append(("random", -1, schedule.random))
         units = []
-        for rep_index in plan.get("rep_indices", []):
+        for side, rep_index, boundaries in sides:
             units.extend(round_evidence_units(
-                state.cid, spec, "fixed", rep_index, fixed_start,
-                schedule.fixed[round_index], self.config.unit_runs,
-                fixed_offsets[round_index]))
-        units.extend(round_evidence_units(
-            state.cid, spec, "random", -1, random_start,
-            schedule.random[round_index], self.config.unit_runs,
-            random_offsets[round_index]))
+                state.cid, state.spec(), side, rep_index,
+                boundaries[round_index - 1] if round_index else 0,
+                boundaries[round_index], self.config.unit_runs,
+                round_chunk_offsets(boundaries,
+                                    self.config.unit_runs)[round_index]))
         return units
 
     def _mirror_coalesced(self) -> None:
@@ -615,10 +603,15 @@ class CampaignScheduler:
 
         Re-walks each persisted campaign from the first stage; enqueue is
         a no-op for units whose results survived, so completed stages
-        fast-forward on the next ticks instead of re-running.
+        fast-forward on the next ticks instead of re-running.  Queued
+        units of retired kinds finish as no-ops: the re-walk redoes them.
         """
-        import dataclasses
-
+        for uid in self.queue.pending_units():
+            unit = self.queue.load_unit(uid)
+            if unit and unit.kind not in STAGES \
+                    and self.queue.claim(uid, _LOCAL):
+                self.queue.complete(uid, {"retired_kind": unit.kind}, _LOCAL)
+                self.queue.journal("retired", unit=uid, kind=unit.kind)
         recovered = []
         specs = self.queue.load_campaigns()
         for cid in sorted(specs):
@@ -628,7 +621,7 @@ class CampaignScheduler:
             config = OwlConfig.from_stored(spec["config"])
             state = CampaignState(
                 cid=cid, workload=spec["workload"],
-                config_dict=dataclasses.asdict(config),
+                config_dict=asdict(config),
                 identity=campaign_identity(spec["workload"], config),
                 tenant=spec.get("tenant", DEFAULT_TENANT),
                 submitted_at=time.time())

@@ -1,20 +1,21 @@
 """Durable work units: the currency of the detection service.
 
 One submitted campaign decomposes into a DAG of small, restartable JSON
-specs — per-input trace jobs, one filter/plan job, per-chunk evidence
-jobs and one decide job for each look of the campaign's schedule, one
-report job — that any worker process can execute given only the shared
-:class:`~repro.store.store.TraceStore`.  Units reference programs *by
-name* through :mod:`repro.apps.registry`, so a spec is re-materialisable
-anywhere; all heavy payloads (traces, evidence, reports) travel through
-the store, and a unit's queue result carries only accounting.
+specs — one plan job (phase 1's trace recording and phase 2's filter),
+per-chunk evidence jobs and one decide job for each look of the
+campaign's schedule, one report job — that any worker process can
+execute given only the shared :class:`~repro.store.store.TraceStore`.
+Units reference programs *by name* through :mod:`repro.apps.registry`,
+so a spec is re-materialisable anywhere; all heavy payloads (traces,
+evidence, reports) travel through the store, and a unit's queue result
+carries only accounting.
 
 Determinism is inherited, not re-implemented: an evidence unit re-derives
-its run inputs from ``np.random.default_rng(config.seed)`` exactly as
-``Owl.detect``'s phase 3 does and records the slice ``[start, stop)``, so
-any ``unit_runs`` partition folds — through the associative
-:meth:`~repro.core.evidence.Evidence.merge`, in chunk order — to the
-bytes one in-process ``Owl.detect`` would have produced.
+its run inputs through :func:`repro.core.pipeline.side_inputs`, the
+function ``Owl.detect``'s phase 3 draws them with, and records the slice
+``[start, stop)``, so any ``unit_runs`` partition folds — through the
+associative :meth:`~repro.core.evidence.Evidence.merge`, in chunk order —
+to the bytes one in-process ``Owl.detect`` would have produced.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 #: Unit kinds, in stage order.
-KIND_TRACE = "trace"
 KIND_PLAN = "plan"
 KIND_EVIDENCE = "evidence"
 KIND_DECIDE = "decide"
 KIND_REPORT = "report"
 
 #: Stage machine: which kinds a campaign schedules, in which order
-#: (``evidence`` and ``decide`` repeat once per look).
-STAGES = (KIND_TRACE, KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_REPORT)
+#: (``evidence`` and ``decide`` repeat once per look; ``trace`` and
+#: ``fold`` are retired kinds).
+STAGES = (KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_REPORT)
 
 
 @dataclass
@@ -40,7 +41,7 @@ class WorkUnit:
 
     ``spec`` is the campaign identity every unit carries — the workload
     name and the ``OwlConfig`` dict — and ``params`` the kind-specific
-    coordinates (input indices, run slice, chunk ordinals).  ``attempts``
+    coordinates (run slice, chunk ordinals, look).  ``attempts``
     counts fleet dispatches; the scheduler bumps it on every re-queue and
     degrades the unit to in-process execution past the budget.
     """
@@ -71,17 +72,10 @@ class WorkUnit:
 # ----------------------------------------------------------------------
 
 
-def trace_units(cid: str, spec: Dict, num_inputs: int) -> List[WorkUnit]:
-    """One phase-1 unit per user input (each records + persists a trace)."""
-    return [WorkUnit(uid=f"{cid}.trace.{index:04d}", kind=KIND_TRACE,
-                     campaign=cid, spec=spec, params={"index": index})
-            for index in range(num_inputs)]
-
-
-def plan_unit(cid: str, spec: Dict, num_inputs: int) -> WorkUnit:
-    """The phase-2 unit: filter cached traces, pick representatives."""
+def plan_unit(cid: str, spec: Dict) -> WorkUnit:
+    """Phases 1 and 2: record missing traces, filter, plan phase 3."""
     return WorkUnit(uid=f"{cid}.plan", kind=KIND_PLAN, campaign=cid,
-                    spec=spec, params={"num_inputs": num_inputs})
+                    spec=spec)
 
 
 def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
@@ -140,7 +134,7 @@ def decide_unit(cid: str, spec: Dict, round_index: int,
                             "random_chunks": random_chunks})
 
 
-def report_unit(cid: str, spec: Dict, num_inputs: int) -> WorkUnit:
+def report_unit(cid: str, spec: Dict) -> WorkUnit:
     """The terminal unit: ``Owl.detect`` against the pre-warmed store."""
     return WorkUnit(uid=f"{cid}.report", kind=KIND_REPORT, campaign=cid,
-                    spec=spec, params={"num_inputs": num_inputs})
+                    spec=spec)

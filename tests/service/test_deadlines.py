@@ -67,7 +67,7 @@ def test_wait_until_up_survives_a_clock_jump(jumping_clock):
 def test_wait_for_survives_a_clock_jump(jumping_clock):
     client = ServiceClient(ADDRESS)
     client.status = answers(*(CampaignStatus.from_row(status_row(stage))
-                              for stage in ("tracing", "evidence",
+                              for stage in ("planning", "evidence",
                                             "complete")))
     assert client.wait_for("c1", timeout=30.0, poll=0.001).complete
 

@@ -13,9 +13,9 @@ from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import WorkUnit
 
 
-def _unit(uid="c1.trace.0000", attempts=0):
-    return WorkUnit(uid=uid, kind="trace", campaign="c1",
-                    spec={"workload": "dummy"}, params={"index": 0},
+def _unit(uid="c1.evidence.0000", attempts=0):
+    return WorkUnit(uid=uid, kind="evidence", campaign="c1",
+                    spec={"workload": "dummy"}, params={"chunk": 0},
                     attempts=attempts)
 
 
@@ -23,60 +23,60 @@ class TestEnqueueAndClaim:
     def test_enqueue_then_pending(self, tmp_path):
         queue = JobQueue(tmp_path)
         assert queue.enqueue(_unit())
-        assert queue.pending_units() == ["c1.trace.0000"]
-        loaded = queue.load_unit("c1.trace.0000")
+        assert queue.pending_units() == ["c1.evidence.0000"]
+        loaded = queue.load_unit("c1.evidence.0000")
         assert loaded == _unit()
 
     def test_claim_is_exclusive(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        assert queue.claim("c1.trace.0000", "w0")
-        assert not queue.claim("c1.trace.0000", "w1")
-        info = queue.claim_info("c1.trace.0000")
+        assert queue.claim("c1.evidence.0000", "w0")
+        assert not queue.claim("c1.evidence.0000", "w1")
+        info = queue.claim_info("c1.evidence.0000")
         assert info["worker"] == "w0"
         assert info["pid"] == os.getpid()
 
     def test_release_reopens_claim(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
-        queue.release("c1.trace.0000")
-        assert queue.claim("c1.trace.0000", "w1")
+        queue.claim("c1.evidence.0000", "w0")
+        queue.release("c1.evidence.0000")
+        assert queue.claim("c1.evidence.0000", "w1")
 
     def test_claims_by_worker(self, tmp_path):
         queue = JobQueue(tmp_path)
         for index in range(3):
-            queue.enqueue(_unit(uid=f"c1.trace.{index:04d}"))
-        queue.claim("c1.trace.0000", "w0")
-        queue.claim("c1.trace.0001", "w1")
-        queue.claim("c1.trace.0002", "w0")
-        assert queue.claims_by_worker("w0") == ["c1.trace.0000",
-                                                "c1.trace.0002"]
+            queue.enqueue(_unit(uid=f"c1.evidence.{index:04d}"))
+        queue.claim("c1.evidence.0000", "w0")
+        queue.claim("c1.evidence.0001", "w1")
+        queue.claim("c1.evidence.0002", "w0")
+        assert queue.claims_by_worker("w0") == ["c1.evidence.0000",
+                                                "c1.evidence.0002"]
 
 
 class TestResults:
     def test_complete_releases_and_resolves(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
-        queue.complete("c1.trace.0000", {"recorded": 1}, "w0")
+        queue.claim("c1.evidence.0000", "w0")
+        queue.complete("c1.evidence.0000", {"recorded": 1}, "w0")
         assert queue.pending_units() == []
         assert queue.claimed_units() == []
-        result = queue.result("c1.trace.0000")
+        result = queue.result("c1.evidence.0000")
         assert result == {"status": "done", "worker": "w0",
                           "payload": {"recorded": 1}}
 
     def test_fail_records_error(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.fail("c1.trace.0000", "KeyError: boom", "w0")
-        assert queue.result("c1.trace.0000")["status"] == "error"
+        queue.fail("c1.evidence.0000", "KeyError: boom", "w0")
+        assert queue.result("c1.evidence.0000")["status"] == "error"
 
     def test_enqueue_skips_finished_units(self, tmp_path):
         """Recovery idempotence: done work is never re-offered."""
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.complete("c1.trace.0000", {}, "w0")
+        queue.complete("c1.evidence.0000", {}, "w0")
         assert not queue.enqueue(_unit())
         assert queue.pending_units() == []
 
@@ -95,12 +95,12 @@ def _claimed_queue(tmp_path):
     clock = FakeClock()
     queue = JobQueue(tmp_path, clock=clock)
     queue.enqueue(_unit())
-    queue.claim("c1.trace.0000", "w0")
+    queue.claim("c1.evidence.0000", "w0")
     return queue, clock
 
 
 def _touch(queue, mtime):
-    os.utime(queue.claim_path("c1.trace.0000"), (mtime, mtime))
+    os.utime(queue.claim_path("c1.evidence.0000"), (mtime, mtime))
 
 
 class TestLeases:
@@ -108,14 +108,14 @@ class TestLeases:
         queue, clock = _claimed_queue(tmp_path)
         assert queue.expired_claims(lease_seconds=60.0) == []
         clock.now += 120
-        assert queue.expired_claims(lease_seconds=60.0) == ["c1.trace.0000"]
+        assert queue.expired_claims(lease_seconds=60.0) == ["c1.evidence.0000"]
 
     def test_heartbeat_renews_lease(self, tmp_path):
         queue, clock = _claimed_queue(tmp_path)
         _touch(queue, time.time() - 120)
         assert queue.expired_claims(lease_seconds=60.0) == []
         clock.now += 50
-        queue.heartbeat("c1.trace.0000")
+        queue.heartbeat("c1.evidence.0000")
         assert queue.expired_claims(lease_seconds=60.0) == []
         clock.now += 50
         assert queue.expired_claims(lease_seconds=60.0) == []
@@ -140,28 +140,28 @@ class TestLeases:
         clock.now += 60
         assert queue.expired_claims(lease_seconds=60.0) == []
         clock.now += 1
-        assert queue.expired_claims(lease_seconds=60.0) == ["c1.trace.0000"]
+        assert queue.expired_claims(lease_seconds=60.0) == ["c1.evidence.0000"]
 
     def test_requeue_bumps_attempts_and_clears_lease(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
-        unit = queue.requeue("c1.trace.0000")
+        queue.claim("c1.evidence.0000", "w0")
+        unit = queue.requeue("c1.evidence.0000")
         assert unit.attempts == 1
         assert queue.claimed_units() == []
-        assert queue.pending_units() == ["c1.trace.0000"]
-        assert queue.load_unit("c1.trace.0000").attempts == 1
+        assert queue.pending_units() == ["c1.evidence.0000"]
+        assert queue.load_unit("c1.evidence.0000").attempts == 1
 
 
 class TestDurability:
     def test_torn_claim_file_reads_as_absent_info(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
-        queue.claim_path("c1.trace.0000").write_text('{"worker": "w0"')
-        assert queue.claim_info("c1.trace.0000") is None
+        queue.claim("c1.evidence.0000", "w0")
+        queue.claim_path("c1.evidence.0000").write_text('{"worker": "w0"')
+        assert queue.claim_info("c1.evidence.0000") is None
         # the lease file itself still blocks rival claims
-        assert not queue.claim("c1.trace.0000", "w1")
+        assert not queue.claim("c1.evidence.0000", "w1")
 
     def test_journal_survives_torn_tail(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -190,8 +190,8 @@ class TestDurability:
     def test_result_write_is_atomic_json(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.complete("c1.trace.0000", {"runs": 3}, "w0")
-        raw = queue.result_path("c1.trace.0000").read_text()
+        queue.complete("c1.evidence.0000", {"runs": 3}, "w0")
+        raw = queue.result_path("c1.evidence.0000").read_text()
         assert json.loads(raw)["payload"] == {"runs": 3}
         assert not list(queue.tmp_dir.iterdir())  # staging left clean
 
@@ -201,27 +201,27 @@ class TestRetiredSpecs:
     def test_finishing_retires_the_spec(self, tmp_path, finish):
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.claim("c1.trace.0000", "w0")
+        queue.claim("c1.evidence.0000", "w0")
         if finish == "complete":
-            queue.complete("c1.trace.0000", {}, "w0")
+            queue.complete("c1.evidence.0000", {}, "w0")
         else:
-            queue.fail("c1.trace.0000", "KeyError: boom", "w0")
-        assert not queue.unit_path("c1.trace.0000").exists()
+            queue.fail("c1.evidence.0000", "KeyError: boom", "w0")
+        assert not queue.unit_path("c1.evidence.0000").exists()
         assert queue.claimed_units() == []
         assert queue.pending_units() == []
-        assert queue.requeue("c1.trace.0000") is None
-        assert queue.result("c1.trace.0000") is not None
+        assert queue.requeue("c1.evidence.0000") is None
+        assert queue.result("c1.evidence.0000") is not None
 
     def test_result_without_unlink_still_hides_the_unit(self, tmp_path):
         """A crash between the result write and the spec's unlink."""
         queue = JobQueue(tmp_path)
         queue.enqueue(_unit())
-        queue.enqueue(_unit(uid="c1.trace.0001"))
-        queue._write_json(queue.result_path("c1.trace.0000"),
+        queue.enqueue(_unit(uid="c1.evidence.0001"))
+        queue._write_json(queue.result_path("c1.evidence.0000"),
                           {"status": "done", "worker": "w0",
                            "payload": {}})
-        assert queue.unit_path("c1.trace.0000").exists()
-        assert queue.pending_units() == ["c1.trace.0001"]
+        assert queue.unit_path("c1.evidence.0000").exists()
+        assert queue.pending_units() == ["c1.evidence.0001"]
 
 
 def _fifo(queue, name):

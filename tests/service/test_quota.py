@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError, QuotaError
 from repro.service import CampaignScheduler, ServiceConfig, TenantQuota
-from repro.service.scheduler import STAGE_COMPLETE
+from repro.service.scheduler import STAGE_COMPLETE, STAGE_EVIDENCE
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=21, store_checkpoint_every=2)
 
@@ -76,15 +76,28 @@ class TestAdmission:
         scheduler = _scheduler(tmp_path, admission_window=1)
         cid = scheduler.submit("dummy", TINY)
         state = scheduler.campaigns[cid]
+        scheduler.tick()  # the plan unit runs; 4 evidence units follow
+        assert state.stage == STAGE_EVIDENCE
         assert len(state.pending) == 1
         assert len(state.backlog) >= 1
         assert scheduler.wait([cid], timeout=240)
+
+    def test_window_spans_campaigns(self, tmp_path):
+        scheduler = _scheduler(tmp_path, admission_window=1)
+        first = scheduler.submit("dummy", TINY)
+        second = scheduler.submit("dummy", dict(TINY, seed=99))
+        assert len(scheduler.campaigns[first].pending) == 1
+        assert scheduler.campaigns[second].pending == []
+        assert len(scheduler.campaigns[second].backlog) == 1
+        assert scheduler.wait([first, second], timeout=240)
 
     def test_max_inflight_caps_a_tenant(self, tmp_path):
         scheduler = _scheduler(
             tmp_path, quotas={"alice": TenantQuota(max_inflight=1)})
         cid = scheduler.submit("dummy", TINY, tenant="alice")
         state = scheduler.campaigns[cid]
+        scheduler.tick()  # the plan unit runs; 4 evidence units follow
+        assert state.stage == STAGE_EVIDENCE
         assert len(state.pending) == 1
         assert len(state.backlog) >= 1
         assert scheduler.wait([cid], timeout=240)
@@ -96,14 +109,16 @@ class TestAdmission:
             tmp_path, admission_window=3,
             quotas={"alpha": TenantQuota(weight=2.0),
                     "beta": TenantQuota(weight=1.0)})
-        a = scheduler.submit("dummy", TINY, tenant="alpha")
-        b = scheduler.submit("dummy", dict(TINY, seed=99), tenant="beta")
-        alpha = scheduler.campaigns[a]
-        beta = scheduler.campaigns[b]
+        cids = {tenant: [scheduler.submit("dummy", dict(TINY, seed=seed),
+                                          tenant=tenant)
+                         for seed in (seed_base, seed_base + 1)]
+                for tenant, seed_base in (("alpha", 40), ("beta", 50))}
+        inflight = {tenant: sum(len(scheduler.campaigns[cid].pending)
+                                for cid in tenant_cids)
+                    for tenant, tenant_cids in cids.items()}
         # 3 slots split 2:1 in favour of the weight-2 tenant
-        assert len(alpha.pending) == 2
-        assert len(beta.pending) == 1
-        assert scheduler.wait([a, b], timeout=240)
+        assert inflight == {"alpha": 2, "beta": 1}
+        assert scheduler.wait(cids["alpha"] + cids["beta"], timeout=240)
 
     def test_tenant_rows_in_status(self, tmp_path):
         scheduler = _scheduler(

@@ -147,22 +147,54 @@ class TestFleetIdentity:
                     if event.kind == "unit_requeued"]
         assert requeued  # the dead workers' leased units were re-offered
 
+    def test_spent_restart_budget_falls_through_to_the_scheduler(
+            self, tmp_path):
+        """The fleet's only worker dies and may not be replaced: the
+        scheduler runs the campaign's pending units itself, once."""
+        config = ServiceConfig(workers=1, die_after=1, restart_budget=0,
+                               unit_runs=2, lease_seconds=120.0)
+        scheduler, (cid,) = run_service(tmp_path, config, timeout=60.0)
+        results = scheduler.results(cid)
+        assert results["stage"] == STAGE_COMPLETE
+        assert results["report_json"] == direct_report_json(
+            store=tmp_path / "direct")
+        assert scheduler.fleet.live_workers() == []
+        assert scheduler.fleet.restarts == 0
+        kinds = [event.kind for event in scheduler.events]
+        assert kinds == ["worker_lost", "fleet_to_local"]
+        journal = [event["event"] for event in
+                   scheduler.queue.journal_events()]
+        assert journal.count("fleet_to_local") == 1
+
 
 class TestRecovery:
-    def test_scheduler_restart_resumes_without_rerunning(self, tmp_path):
+    def test_scheduler_restart_resumes_without_rerunning(
+            self, tmp_path, monkeypatch):
+        import repro.service.scheduler as scheduler_module
+
         config = ServiceConfig(workers=0, unit_runs=2)
         first = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                   config)
         cid = first.submit("dummy", TINY)
-        # drive only the trace stage, then "crash" the scheduler
-        for _ in range(3):
-            first.tick()
+        # drive only the planning stage, then "crash" the scheduler
+        first.tick()
+        assert first.campaigns[cid].stage == "evidence"
         del first
 
+        ran = []
+        execute = scheduler_module.execute_unit
+
+        def counting(unit, store):
+            ran.append(unit.kind)
+            return execute(unit, store)
+
+        monkeypatch.setattr(scheduler_module, "execute_unit", counting)
         second = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                    config)
         assert second.recover() == [cid]
         assert second.wait([cid], timeout=240)
+        assert "plan" not in ran  # its surviving result fast-forwarded
+        assert ran.count("evidence") == 6  # 3 + 3 chunks of 2 runs
         results = second.results(cid)
         assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct_report_json(
@@ -217,7 +249,7 @@ class TestRecovery:
         scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                       config)
         cid = scheduler.submit("dummy", TINY)
-        uid = f"{cid}.trace.0000"
+        uid = f"{cid}.plan"
         # simulate the fleet losing the unit past its attempt budget
         scheduler.queue.claim(uid, "w9")
         scheduler._requeue(uid, reason="test loss 1")

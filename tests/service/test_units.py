@@ -1,16 +1,17 @@
 """WorkUnit model: round-trip, builders, chunking arithmetic."""
 
 from repro.service.units import (
-    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, KIND_TRACE, WorkUnit,
-    decide_unit, plan_unit, report_unit, round_evidence_units, trace_units)
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, WorkUnit,
+    decide_unit, plan_unit, report_unit, round_evidence_units)
 
 SPEC = {"workload": "dummy", "config": {"fixed_runs": 10}}
 
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        unit = WorkUnit(uid="c1.trace.0001", kind=KIND_TRACE, campaign="c1",
-                        spec=SPEC, params={"index": 1}, attempts=2)
+        unit = WorkUnit(uid="c1.evidence.fixed.0.0001", kind=KIND_EVIDENCE,
+                        campaign="c1", spec=SPEC,
+                        params={"side": "fixed", "chunk": 1}, attempts=2)
         again = WorkUnit.from_dict(unit.to_dict())
         assert again == unit
 
@@ -21,18 +22,10 @@ class TestRoundTrip:
 
 
 class TestBuilders:
-    def test_trace_units_one_per_input(self):
-        units = trace_units("c1", SPEC, 3)
-        assert [u.uid for u in units] == [
-            "c1.trace.0000", "c1.trace.0001", "c1.trace.0002"]
-        assert all(u.kind == KIND_TRACE and u.campaign == "c1"
-                   for u in units)
-        assert [u.params["index"] for u in units] == [0, 1, 2]
-
     def test_plan_and_report_units(self):
-        plan = plan_unit("c1", SPEC, 2)
+        plan = plan_unit("c1", SPEC)
         assert plan.uid == "c1.plan" and plan.kind == KIND_PLAN
-        report = report_unit("c1", SPEC, 2)
+        report = report_unit("c1", SPEC)
         assert report.uid == "c1.report" and report.kind == KIND_REPORT
 
     def test_evidence_units_cover_all_runs_exactly(self):

@@ -16,8 +16,9 @@ from repro.service.worker import worker_loop
 
 
 def _unit(index):
-    return WorkUnit(uid=f"c1.trace.{index:04d}", kind="trace", campaign="c1",
-                    spec={"workload": "dummy"}, params={"index": index})
+    return WorkUnit(uid=f"c1.evidence.{index:04d}", kind="evidence",
+                    campaign="c1", spec={"workload": "dummy"},
+                    params={"chunk": index})
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class _Worker:
         return time.monotonic()
 
     def done(self, index):
-        return self.queue.has_result(f"c1.trace.{index:04d}")
+        return self.queue.has_result(f"c1.evidence.{index:04d}")
 
 
 def test_a_rung_worker_claims_within_a_second(tmp_path, stores_seen):
