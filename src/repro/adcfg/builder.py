@@ -18,8 +18,8 @@ the monitor's degradation rung replays batches through it, and the tests
 use it as the batched fold's oracle.
 
 :func:`fold_lane_grid` builds the same graphs without any events: it reads
-a fused replica launch's cohort records (one lane grid holding every
-member's warps) and folds them once for all members.
+a fused replica launch's cohort records (one lane grid holding the warps
+of every distinct execution) and folds them once for all members.
 """
 
 from __future__ import annotations
@@ -309,9 +309,10 @@ _CHUNK_ADDRESSES = 1 << 16
 
 
 class ReplicaLayout(NamedTuple):
-    """One replica's allocation table, as :func:`fold_lane_grid` reads it."""
+    """One execution's allocation table, as :func:`fold_lane_grid` reads
+    it: the table of the member that ran it."""
 
-    #: the replica's own ``DeviceMemory.resolve_batch``
+    #: the member's own ``DeviceMemory.resolve_batch``
     resolve: Callable[[np.ndarray], Tuple[list, np.ndarray, np.ndarray]]
     #: base-sorted allocation bases and ends (``DeviceMemory.lookup_table``)
     bases: np.ndarray
@@ -327,28 +328,31 @@ class _NotFoldable(Exception):
 
 
 def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
-                   attempts: Sequence, layouts: Sequence[ReplicaLayout]
-                   ) -> Optional["LaneGridFold"]:
+                   attempts: Sequence, layouts: Sequence[ReplicaLayout],
+                   executions: Sequence[int]) -> Optional["LaneGridFold"]:
     """Fold one fused replica launch for every member at once.
 
-    *attempts* are the launch's completed cohort attempts
+    Members with byte-identical launch inputs share one execution:
+    *executions* maps each member, in replica-slot order, to the execution
+    it shares.  *attempts* are the launch's completed cohort attempts
     (:class:`~repro.gpusim.cohort.CohortContext`: records, labels and the
-    replica slot of each row); together their rows cover every warp of
-    every member once.  *layouts* holds each member's allocation table, in
-    replica-slot order.  The returned :class:`LaneGridFold` holds the
-    members' graphs as unique, counted NumPy rows; its graphs equal, graph
-    for graph and down to the order of each memory record's keys, what
-    each member's monitor folds from the per-warp event streams that
+    execution of each row, its ``replica_slots``); together their rows
+    cover every warp of every execution once.  *layouts* holds each
+    execution's allocation table, in execution order.  The returned
+    :class:`LaneGridFold` holds the executions' graphs as unique, counted
+    NumPy rows; the graphs it builds equal, graph for graph and down to
+    the order of each memory record's keys, what each member's monitor
+    folds from the per-warp event streams that
     :meth:`~repro.gpusim.cohort.CohortContext.replay_events` re-expands —
     without expanding anything per warp:
 
-    * basic-block records give each member's node entries and its
+    * basic-block records give each execution's node entries and its
       ``(previous edge, edge)`` counts, from per-row control-flow state;
     * memory records are counted in bounded chunks of whole records into
-      unique ``(slot, member, address)`` triples (a bincount over a small
-      packed range, else a sort), whose addresses resolve against the
-      member's own allocation table; aliased addresses (shared memory of
-      different blocks) re-aggregate by normalised key;
+      unique ``(slot, execution, address)`` triples (a bincount over a
+      small packed range, else a sort), whose addresses resolve against
+      the execution's own allocation table; aliased addresses (shared
+      memory of different blocks) re-aggregate by normalised key;
     * every distinct ``(label, offset)`` key tuple is built once for the
       whole group, not once per member.
 
@@ -360,7 +364,7 @@ def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
     the per-warp streams instead.
     """
     try:
-        fold = LaneGridFold(layouts)
+        fold = LaneGridFold(layouts, executions)
         for ctx in attempts:
             fold.add_attempt(ctx)
         fold.finish(kernel_name, total_threads, num_warps)
@@ -372,45 +376,51 @@ def fold_lane_grid(kernel_name: str, total_threads: int, num_warps: int,
 class LaneGridFold:
     """One fused launch folded for all its members (:func:`fold_lane_grid`).
 
-    Once finished it holds two tables of unique, counted rows:
-    control-flow transitions ``(member, label, prev, prev_prev)`` and
-    memory entries ``(slot, member, key)``.  :meth:`graphs` builds graphs
-    from them, each of one member or summed over several, and
-    :meth:`sizes` each member's serialised size without building any
-    graph.
+    Once finished it holds two tables of unique, counted rows, per
+    execution: control-flow transitions ``(execution, label, prev,
+    prev_prev)`` and memory entries ``(slot, execution, key)``; a member
+    holds its execution's rows.  :meth:`graphs` builds graphs from them,
+    each of one member or summed over several, and :meth:`sizes` each
+    member's serialised size without building any graph.  Both work per
+    ``(graph, execution)`` pair, so members sharing an execution cost
+    about what one does.
     """
 
-    def __init__(self, layouts: Sequence[ReplicaLayout]) -> None:
+    def __init__(self, layouts: Sequence[ReplicaLayout],
+                 executions: Sequence[int]) -> None:
         self._layouts = layouts
-        members = self.members = len(layouts)
+        #: the execution each member shares
+        self._execution_of = np.asarray(executions, dtype=np.int64)
+        self.members = self._execution_of.shape[0]
+        self.executions = len(layouts)
         self._low = np.fromiter(
             (int(lay.bases[0]) if lay.bases.size else 0 for lay in layouts),
-            dtype=np.int64, count=members)
-        # members whose tables match up to a slide (ASLR) share one
+            dtype=np.int64, count=self.executions)
+        # executions whose tables match up to a slide (ASLR) share one
         # resolver: their addresses relative to the lowest base agree
         classes: Dict[Tuple[bytes, ...], int] = {}
-        member_class = []
+        execution_class = []
         self._reps: List[int] = []
         names: List[str] = []
-        for member, lay in enumerate(layouts):
+        for execution, lay in enumerate(layouts):
             if lay.bases.size and (int((lay.ends - lay.bases).max())
                                    > _OFFSET_MASK):
                 raise _NotFoldable("allocation too large to pack")
-            low = self._low[member]
+            low = self._low[execution]
             signature = ((lay.bases - low).tobytes(),
                          (lay.ends - low).tobytes(), lay.label_ids.tobytes())
             cls = classes.get(signature)
             if cls is None:
                 cls = classes[signature] = len(self._reps)
-                self._reps.append(member)
-            member_class.append(cls)
+                self._reps.append(execution)
+            execution_class.append(cls)
             labels = list(lay.labels)
             shared = min(len(names), len(labels))
             if labels[:shared] != names[:shared]:
                 raise _NotFoldable("members disagree on label ids")
             if len(labels) > len(names):
                 names = labels
-        self._member_class = np.asarray(member_class, dtype=np.int64)
+        self._execution_class = np.asarray(execution_class, dtype=np.int64)
         self._names = names
         if len(names) >= 1 << (63 - _OFFSET_BITS):
             raise _NotFoldable("too many labels to pack")
@@ -425,14 +435,15 @@ class LaneGridFold:
         #: slot id -> (label id, visit, instr, space, is_store)
         self._slots: List[Tuple[int, int, int, int, bool]] = []
         self._slot_sources: List[int] = []
-        #: memory records awaiting their chunk: (row members, addresses,
-        #: addresses per row, slot) — see :meth:`_stage`
+        #: memory records awaiting their chunk: (row executions,
+        #: addresses, addresses per row, slot) — see :meth:`_stage`
         self._pending: List[tuple] = []
         self._pending_addresses = 0
-        #: memory entries per chunk: (slot ids, members, keys, counts),
-        #: each sorted by (slot, member, key) and unique
+        #: memory entries per chunk: (slot ids, executions, keys, counts),
+        #: each sorted by (slot, execution, key) and unique
         self._entries: List[Tuple[np.ndarray, ...]] = []
-        #: control-flow transitions: (member, label, prev, prev_prev, count)
+        #: control-flow transitions: (execution, label, prev, prev_prev,
+        #: count)
         self._flow: List[Tuple[np.ndarray, ...]] = []
         #: the finished tables (see :meth:`finish`)
         self._flow_rows: Tuple[np.ndarray, ...] = ()
@@ -469,14 +480,14 @@ class LaneGridFold:
     def add_attempt(self, ctx) -> None:
         labels = np.asarray([self._label(label) for label in ctx.labels],
                             dtype=np.int64)
-        row_members = ctx.replica_slots
+        row_executions = ctx.replica_slots
         # control flow shifts label ids by one: 0 is the virtual START
-        self._add_flow(ctx.records, labels + 1, row_members)
+        self._add_flow(ctx.records, labels + 1, row_executions)
         for record in ctx.records:
             tag = record[0]
             if tag == REC_MEM_U:
                 _, lid, visit, instr, space, is_store, addrs = record
-                self._stage(row_members, addrs, None, self._slot(
+                self._stage(row_executions, addrs, None, self._slot(
                     int(labels[lid]), visit, instr, space, bool(is_store)))
             elif tag == REC_MEM:
                 _, part, lids, visits, instrs, space, is_store, addrs = record
@@ -486,22 +497,23 @@ class LaneGridFold:
                         (row.shape[0] for row in addrs), dtype=np.int64,
                         count=len(addrs))
                     addrs = np.concatenate(addrs)
-                self._stage(row_members[part], addrs, lane_counts,
+                self._stage(row_executions[part], addrs, lane_counts,
                             (labels[lids], visits, instrs, space,
                              bool(is_store)))
 
     def _add_flow(self, records, lmap: np.ndarray,
-                  row_members: np.ndarray) -> None:
+                  row_executions: np.ndarray) -> None:
         """Warp transitions of one attempt, as ``_flow`` arrays.
 
         While the attempt is flat every row shares one control-flow state,
-        so a transition counts once per member row; after the first
+        so a transition counts once per execution row; after the first
         per-row record the state is one array per row.
         """
-        rows = row_members.shape[0]
-        per_member = np.bincount(row_members, minlength=self.members)
-        present = np.flatnonzero(per_member)
-        weights = per_member[present]
+        rows = row_executions.shape[0]
+        per_execution = np.bincount(row_executions,
+                                    minlength=self.executions)
+        present = np.flatnonzero(per_execution)
+        weights = per_execution[present]
         ones = np.ones(rows, dtype=np.int64)
         prev_prev = prev = 0
         rows_prev_prev = rows_prev = None
@@ -525,7 +537,7 @@ class LaneGridFold:
                 part = record[1]
                 label = int(lmap[record[2]])
                 moved = rows_prev[part]
-                flow.append((row_members[part],
+                flow.append((row_executions[part],
                              np.full(part.shape[0], label), moved,
                              rows_prev_prev[part], ones[:part.shape[0]]))
                 rows_prev_prev[part] = moved
@@ -536,24 +548,24 @@ class LaneGridFold:
                 uniform(-1)
         else:
             done = np.flatnonzero(rows_prev)
-            flow.append((row_members[done], np.full(done.shape[0], -1),
+            flow.append((row_executions[done], np.full(done.shape[0], -1),
                          rows_prev[done], rows_prev_prev[done],
                          ones[:done.shape[0]]))
 
-    def _stage(self, members: np.ndarray, addresses: np.ndarray,
+    def _stage(self, executions: np.ndarray, addresses: np.ndarray,
                lane_counts: Optional[np.ndarray], slot) -> None:
         """Queue one memory record for the current chunk.
 
-        Row *i* of the record is a warp of member ``members[i]``;
+        Row *i* of the record is a warp of execution ``executions[i]``;
         *addresses* is a ``(rows, lanes)`` grid, or flat with *lane_counts*
         per row.  *slot* is the record's slot id, or — when its rows may sit
         in different slots — per-row ``(labels, visits, instrs)`` plus the
         record's space and store flag, interned at :meth:`flush`.
         """
         if lane_counts is None:
-            lane_counts = np.full(members.shape[0], addresses.shape[1])
+            lane_counts = np.full(executions.shape[0], addresses.shape[1])
             addresses = addresses.ravel()
-        self._pending.append((members, addresses, lane_counts, slot))
+        self._pending.append((executions, addresses, lane_counts, slot))
         self._pending_addresses += addresses.shape[0]
         if self._pending_addresses >= _CHUNK_ADDRESSES:
             self.flush()
@@ -597,16 +609,18 @@ class LaneGridFold:
         """Count the queued records into unique, keyed entries."""
         if not self._pending:
             return
-        member_parts, address_parts, lane_parts, slots = zip(*self._pending)
+        execution_parts, address_parts, lane_parts, slots = zip(
+            *self._pending)
         self._pending, self._pending_addresses = [], 0
-        members = self.members
-        row_slots = self._row_slots(slots,
-                                    [part.shape[0] for part in member_parts])
-        row_members = np.concatenate(member_parts)
+        executions = self.executions
+        row_slots = self._row_slots(
+            slots, [part.shape[0] for part in execution_parts])
+        row_executions = np.concatenate(execution_parts)
         lane_counts = np.concatenate(lane_parts)
-        owner = np.repeat(row_slots * members + row_members, lane_counts)
+        owner = np.repeat(row_slots * executions + row_executions,
+                          lane_counts)
         rel = (np.concatenate(address_parts)
-               - np.repeat(self._low[row_members], lane_counts))
+               - np.repeat(self._low[row_executions], lane_counts))
         first = int(owner.min())
         low = int(rel.min())
         span = int(rel.max()) - low + 1
@@ -626,11 +640,12 @@ class LaneGridFold:
             counts = np.diff(starts, append=code.shape[0])
         addr = unique % span + low
         owner = unique // span + first
-        member = owner % members
-        slot = owner // members
-        keys = self._keys(member, addr)
+        execution = owner % executions
+        slot = owner // executions
+        keys = self._keys(execution, addr)
         if not self._monotone:
-            # aliased or reordered keys: re-aggregate by (slot, member, key)
+            # aliased or reordered keys: re-aggregate by (slot, execution,
+            # key)
             key_values, dense = np.unique(keys, return_inverse=True)
             regroup = (owner - first) * key_values.shape[0] + dense
             order = np.argsort(regroup, kind="stable")
@@ -638,20 +653,20 @@ class LaneGridFold:
             starts = np.flatnonzero(np.concatenate(
                 ([True], regroup[1:] != regroup[:-1])))
             counts = np.add.reduceat(counts[order], starts)
-            member = member[order][starts]
+            execution = execution[order][starts]
             slot = slot[order][starts]
             keys = keys[order][starts]
-        self._entries.append((slot, member, keys, counts))
+        self._entries.append((slot, execution, keys, counts))
 
-    def _keys(self, member: np.ndarray, addr: np.ndarray) -> np.ndarray:
-        """Packed normalised keys of member-relative addresses."""
+    def _keys(self, execution: np.ndarray, addr: np.ndarray) -> np.ndarray:
+        """Packed normalised keys of execution-relative addresses."""
         layouts, low = self._layouts, self._low
         if len(self._reps) == 1:
             rep = self._reps[0]
             _allocs, index, offsets = layouts[rep].resolve(addr + low[rep])
             return (layouts[rep].label_ids[index] << _OFFSET_BITS) | offsets
         keys = np.empty(addr.shape[0], dtype=np.int64)
-        classes = self._member_class[member]
+        classes = self._execution_class[execution]
         for cls, rep in enumerate(self._reps):
             chosen = np.flatnonzero(classes == cls)
             if chosen.size:
@@ -680,21 +695,22 @@ class LaneGridFold:
             self._flow_rows = (np.empty(0, dtype=np.int64),) * 5
             return
         span = len(names)
+        # graphs pack their group ids here too: members bound both
         if self.members * span ** 3 >= 2 ** 63:
             raise _NotFoldable("too many labels to pack transitions")
-        member, label, prev, prev_prev, counts = (
+        execution, label, prev, prev_prev, counts = (
             np.concatenate(column) for column in zip(*self._flow))
         self._flow = []
         label = np.where(label < 0, span - 1, label)
-        code = ((member * span + label) * span + prev) * span + prev_prev
+        code = ((execution * span + label) * span + prev) * span + prev_prev
         order = np.argsort(code, kind="stable")
         code = code[order]
         starts = _run_starts(code)
         counts = np.add.reduceat(counts[order], starts)
         code, prev_prev = np.divmod(code[starts], span)
         code, prev = np.divmod(code, span)
-        member, label = np.divmod(code, span)
-        self._flow_rows = (member, label, prev, prev_prev, counts)
+        execution, label = np.divmod(code, span)
+        self._flow_rows = (execution, label, prev, prev_prev, counts)
 
     def _finish_memory(self) -> None:
         if not self._entries:
@@ -702,7 +718,7 @@ class LaneGridFold:
             return
         # a slot several records (sub-cohorts) filled has entries in
         # several chunks: sum them; every other slot's rows are unique and
-        # lie in one chunk, sorted by (member, key)
+        # lie in one chunk, sorted by (execution, key)
         multi = np.asarray(self._slot_sources, dtype=np.int64) > 1
         parts, merged = [], []
         for entries in self._entries:
@@ -716,22 +732,25 @@ class LaneGridFold:
                 merged.append(tuple(column[several] for column in entries))
         self._entries = []
         if merged:
-            slot, member, keys, counts = (np.concatenate(column)
-                                          for column in zip(*merged))
-            order = np.lexsort((keys, member, slot))
-            slot, member, keys = slot[order], member[order], keys[order]
+            slot, execution, keys, counts = (np.concatenate(column)
+                                             for column in zip(*merged))
+            order = np.lexsort((keys, execution, slot))
+            slot, execution, keys = (slot[order], execution[order],
+                                     keys[order])
             starts = np.flatnonzero(np.concatenate(
                 ([True], (slot[1:] != slot[:-1])
-                 | (member[1:] != member[:-1]) | (keys[1:] != keys[:-1]))))
-            parts.append((slot[starts], member[starts], keys[starts],
+                 | (execution[1:] != execution[:-1])
+                 | (keys[1:] != keys[:-1]))))
+            parts.append((slot[starts], execution[starts], keys[starts],
                           np.add.reduceat(counts[order], starts)))
-        slot, member, keys, counts = (np.concatenate(column)
-                                      for column in zip(*parts))
+        slot, execution, keys, counts = (np.concatenate(column)
+                                         for column in zip(*parts))
         self._key_values, key_ids = np.unique(keys, return_inverse=True)
+        # graphs pack their group ids here too: members bound both
         if (self.members * len(self._slots)
                 * self._key_values.shape[0] >= 2 ** 63):
             raise _NotFoldable("too many keys to pack")
-        self._memory = (slot, member, key_ids, counts)
+        self._memory = (slot, execution, key_ids, counts)
 
     # -- graphs and sizes -----------------------------------------------
 
@@ -745,37 +764,58 @@ class LaneGridFold:
         its members' graphs one by one, in slot order, with
         :func:`~repro.adcfg.merge.merge_adcfg_into` gives them: by the
         first member holding them, then as within that member's graph.
+        Members sharing an execution and a graph enter it as one
+        ``(graph, execution)`` pair: their summed weight, held first by
+        their lowest slot.
         """
-        groups = np.asarray(groups, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.int64)
+        pairs = self._pairs(np.asarray(groups, dtype=np.int64),
+                            np.asarray(weights, dtype=np.int64))
         graphs = [ADCFG(kernel_identity=identity,
                         kernel_name=self._kernel_name,
                         total_threads=self._total_threads,
                         num_warps=self._num_warps) for identity in identities]
-        flow, group = _grouped(self._flow_rows, self._flow_rows[0], groups)
-        self._build_flow(graphs, flow, group, weights)
-        memory, group = _grouped(self._memory, self._memory[1], groups)
+        flow, pair = _paired(self._flow_rows, self._flow_rows[0], pairs[0])
+        self._build_flow(graphs, flow, *(column[pair]
+                                         for column in pairs[1:]))
+        memory, pair = _paired(self._memory, self._memory[1], pairs[0])
         if memory[0].shape[0]:
-            self._build_memory(graphs,
-                               *self._records(memory, group, weights))
+            self._build_memory(graphs, *self._records(
+                memory, *(column[pair] for column in pairs[1:])))
         return graphs
 
+    def _pairs(self, groups: np.ndarray, weights: np.ndarray
+               ) -> Tuple[np.ndarray, ...]:
+        """Every ``(graph, execution)`` pair of grouped members, sorted by
+        execution: its execution, graph, first (lowest-slot) member and
+        summed weight."""
+        members = np.flatnonzero(groups >= 0)
+        span = int(groups.max()) + 1 if members.shape[0] else 1
+        codes, first, inverse = np.unique(
+            self._execution_of[members] * span + groups[members],
+            return_index=True, return_inverse=True)
+        weight = np.zeros(codes.shape[0], dtype=np.int64)
+        np.add.at(weight, inverse, weights[members])
+        execution, group = np.divmod(codes, span)
+        return execution, group, members[first], weight
+
     def _build_flow(self, graphs: List[ADCFG], flow: Tuple[np.ndarray, ...],
-                    group: np.ndarray, weights: np.ndarray) -> None:
+                    group: np.ndarray, first: np.ndarray,
+                    weight: np.ndarray) -> None:
         """Nodes and edges from transition rows; row ``i`` goes to graph
-        ``group[i]``."""
-        member, label, prev, prev_prev, counts = flow
-        if not member.shape[0]:
+        ``group[i]`` *weight[i]* times, held first by member
+        ``first[i]``."""
+        _execution, label, prev, prev_prev, counts = flow
+        if not label.shape[0]:
             return
-        counts = counts * weights[member]
+        counts = counts * weight
         names = self._flow_names
         span = len(names)
         code = ((group * span + label) * span + prev) * span + prev_prev
-        order = np.lexsort((member, code))
+        order = np.lexsort((first, code))
         code = code[order]
         starts = _run_starts(code)
         # per transition: its total and the first member holding it
-        first = member[order][starts]
+        first = first[order][starts]
         totals = np.add.reduceat(counts[order], starts)
         code = code[starts]
         edges, prev_prev = np.divmod(code, span)
@@ -812,18 +852,19 @@ class LaneGridFold:
             edge.prev_counts = histograms[e]
 
     def _records(self, memory: Tuple[np.ndarray, ...], group: np.ndarray,
-                 weights: np.ndarray) -> Tuple[np.ndarray, ...]:
+                 first: np.ndarray, weight: np.ndarray
+                 ) -> Tuple[np.ndarray, ...]:
         """Memory rows summed per graph: ``(graph * slots + slot, key,
         count)``, one run per record, its keys by first holding member,
         then key."""
-        slot, member, key_ids, counts = memory
+        slot, _execution, key_ids, counts = memory
         n_keys = self._key_values.shape[0]
         code = (group * len(self._slots) + slot) * n_keys + key_ids
         order = np.argsort(code)
         code = code[order]
         starts = _run_starts(code)
-        first = np.minimum.reduceat(member[order], starts)
-        counts = np.add.reduceat((counts * weights[member])[order], starts)
+        first = np.minimum.reduceat(first[order], starts)
+        counts = np.add.reduceat((counts * weight)[order], starts)
         owner, key_ids = np.divmod(code[starts], n_keys)
         order = np.lexsort((key_ids, first, owner))
         return owner[order], key_ids[order], counts[order]
@@ -858,13 +899,13 @@ class LaneGridFold:
     def sizes(self, identities: Sequence[str]) -> np.ndarray:
         """Each member's :func:`~repro.adcfg.serialize.adcfg_size_bytes`.
 
-        Counted from the tables, without building any graph: each member's
-        string table and element counts, summed by
+        Counted from the tables, without building any graph: each
+        execution's element counts and string table, summed by
         :func:`~repro.adcfg.serialize.size_from_counts`.  *identities*
         holds each member's kernel identity, which its graph's string
-        table carries.
+        table carries besides its execution's strings.
         """
-        members = self.members
+        executions = self.executions
         strings: Dict[str, int] = {}
 
         def intern(values: Sequence[str]) -> np.ndarray:
@@ -873,46 +914,49 @@ class LaneGridFold:
 
         flow_ids = intern(self._flow_names)
         key_ids = intern(self._names)[self._key_values >> _OFFSET_BITS]
-        own_ids = np.concatenate((intern([self._kernel_name] * members),
-                                  intern(identities)))
+        own_ids = np.stack((intern([self._kernel_name] * self.members),
+                            intern(identities)), axis=1)
         n = len(strings)
         lengths = np.fromiter((string_entry_bytes(s) for s in strings),
                               dtype=np.int64, count=n)
-        member, label, prev, prev_prev, _counts = self._flow_rows
-        slot, mem_member, mem_keys, _counts = self._memory
-        everyone = np.tile(np.arange(members, dtype=np.int64), 2)
+        execution, label, prev, prev_prev, _counts = self._flow_rows
+        slot, mem_execution, mem_keys, _counts = self._memory
         held = np.concatenate((
-            member * n + flow_ids[label], member * n + flow_ids[prev],
-            member * n + flow_ids[prev_prev],
-            mem_member * n + key_ids[mem_keys], everyone * n + own_ids))
-        held = np.bincount(held, minlength=members * n).reshape(members, n)
+            execution * n + flow_ids[label], execution * n + flow_ids[prev],
+            execution * n + flow_ids[prev_prev],
+            mem_execution * n + key_ids[mem_keys]))
+        held = np.bincount(held, minlength=executions * n).reshape(
+            executions, n) > 0
+        held = held[self._execution_of]
+        held[np.arange(self.members)[:, None], own_ids] = True
         # control flow: nodes (END is none), edges and predecessors
         span = len(self._flow_names)
-        node_codes = member * span + label
+        node_codes = execution * span + label
         nodes = np.bincount(
             np.unique(node_codes[label != span - 1]) // span,
-            minlength=members)
+            minlength=executions)
         edges = np.bincount(np.unique(node_codes * span + prev)
-                            // (span * span), minlength=members)
-        visits, records = self._visits_and_records(slot, mem_member)
-        return size_from_counts(
-            (held > 0) @ lengths, nodes, visits, records,
-            np.bincount(mem_member, minlength=members), edges,
-            np.bincount(member, minlength=members))
+                            // (span * span), minlength=executions)
+        visits, records = self._visits_and_records(slot, mem_execution)
+        counts = (nodes, visits, records,
+                  np.bincount(mem_execution, minlength=executions), edges,
+                  np.bincount(execution, minlength=executions))
+        return size_from_counts(held @ lengths, *(
+            column[self._execution_of] for column in counts))
 
-    def _visits_and_records(self, slot: np.ndarray, member: np.ndarray
+    def _visits_and_records(self, slot: np.ndarray, execution: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """Each member's serialised visits and records: a visit lists its
-        node's instructions up to its last one with entries (padding
+        """Each execution's serialised visits and records: a visit lists
+        its node's instructions up to its last one with entries (padding
         records included), a node its visits up to its last one with a
         record."""
-        members = self.members
+        executions = self.executions
         if not slot.shape[0]:
-            return (np.zeros(members, dtype=np.int64),) * 2
-        held = _run_starts(slot * members + member)
+            return (np.zeros(executions, dtype=np.int64),) * 2
+        held = _run_starts(slot * executions + execution)
         table = np.asarray(self._slots, dtype=np.int64)[slot[held]]
         n_labels, n_visits = len(self._label_names), int(table[:, 1].max()) + 1
-        visits = (member[held] * n_labels + table[:, 0]) * n_visits \
+        visits = (execution[held] * n_labels + table[:, 0]) * n_visits \
             + table[:, 1]
         order = np.argsort(visits)
         visits = visits[order]
@@ -920,24 +964,29 @@ class LaneGridFold:
         instrs = np.maximum.reduceat(table[order, 2], starts) + 1
         nodes, visit = np.divmod(visits[starts], n_visits)
         records = np.bincount(nodes // n_labels, weights=instrs,
-                              minlength=members).astype(np.int64)
+                              minlength=executions).astype(np.int64)
         starts = _run_starts(nodes)
         visits = np.bincount(
             nodes[starts] // n_labels,
             weights=np.maximum.reduceat(visit, starts) + 1,
-            minlength=members).astype(np.int64)
+            minlength=executions).astype(np.int64)
         return visits, records
 
 
-def _grouped(table: Tuple[np.ndarray, ...], member: np.ndarray,
-             groups: np.ndarray
-             ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-    """The rows of *table* whose *member* has a group, and that group."""
-    group = groups[member]
-    keep = group >= 0
-    if keep.all():
-        return table, group
-    return tuple(column[keep] for column in table), group[keep]
+def _paired(table: Tuple[np.ndarray, ...], execution: np.ndarray,
+            pair_execution: np.ndarray
+            ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """*table*'s rows, each repeated once per pair of its *execution*
+    (none for an execution without a pair), and that pair's index;
+    *pair_execution* is the pairs' execution, sorted."""
+    start = np.searchsorted(pair_execution, execution)
+    count = np.searchsorted(pair_execution, execution, side="right") - start
+    if (count == 1).all():
+        return table, start
+    rows = np.repeat(np.arange(execution.shape[0]), count)
+    offset = np.arange(rows.shape[0]) - np.repeat(np.cumsum(count) - count,
+                                                  count)
+    return tuple(column[rows] for column in table), start[rows] + offset
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:

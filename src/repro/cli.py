@@ -520,6 +520,7 @@ def _profile_payload(profiler, result, workload: str) -> dict:
             "dedup_runs": stats.replica_dedup_runs,
             "fused_groups": stats.replica_fused_groups,
             "fused_launches": stats.replica_fused_launches,
+            "reused_launches": stats.replica_reused_launches,
             "fallback_launches": stats.replica_fallback_launches,
         },
         "total_seconds": stats.total_seconds,

@@ -121,6 +121,7 @@ class ChunkStats:
     replica_dedup_runs: int = 0
     replica_fused_groups: int = 0
     replica_fused_launches: int = 0
+    replica_reused_launches: int = 0
     replica_fallback_launches: int = 0
     degradations: List[DegradationEvent] = field(default_factory=list)
 
@@ -143,6 +144,7 @@ class ChunkStats:
         self.replica_dedup_runs += replica_stats.dedup_runs
         self.replica_fused_groups += replica_stats.fused_groups
         self.replica_fused_launches += replica_stats.fused_launches
+        self.replica_reused_launches += replica_stats.reused_launches
         self.replica_fallback_launches += replica_stats.fallback_launches
 
     def absorb(self, other: "ChunkStats") -> None:
@@ -153,6 +155,7 @@ class ChunkStats:
         self.replica_dedup_runs += other.replica_dedup_runs
         self.replica_fused_groups += other.replica_fused_groups
         self.replica_fused_launches += other.replica_fused_launches
+        self.replica_reused_launches += other.replica_reused_launches
         self.replica_fallback_launches += other.replica_fallback_launches
         self.degradations.extend(other.degradations)
 

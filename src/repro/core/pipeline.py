@@ -329,11 +329,13 @@ class PhaseStats:
     report_cache_hit: bool = False
     #: replica-batching counters (fused ones 0 with ``cohort=False``):
     #: runs served by deduplicating equal inputs, fused cohort groups
-    #: executed, launches retired from fused groups, and launches that
-    #: fell back to the per-run engine
+    #: executed, launches retired from fused groups, those of them that
+    #: reused another member's execution, and launches that fell back to
+    #: the per-run engine
     replica_dedup_runs: int = 0
     replica_fused_groups: int = 0
     replica_fused_launches: int = 0
+    replica_reused_launches: int = 0
     replica_fallback_launches: int = 0
     #: structured record of every fault this run survived (worker retries,
     #: pool → serial, cohort → warp, columnar → object, quarantined blobs);
@@ -366,6 +368,7 @@ class PhaseStats:
         self.replica_dedup_runs += chunk.replica_dedup_runs
         self.replica_fused_groups += chunk.replica_fused_groups
         self.replica_fused_launches += chunk.replica_fused_launches
+        self.replica_reused_launches += chunk.replica_reused_launches
         self.replica_fallback_launches += chunk.replica_fallback_launches
         self.degradations.extend(chunk.degradations)
 

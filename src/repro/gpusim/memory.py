@@ -320,3 +320,8 @@ class DeviceMemory:
         """Base-sorted ``(bases, ends, allocations)`` that
         :meth:`resolve_batch` searches (shared; do not mutate)."""
         return self._allocator._lookup_table()
+
+    @property
+    def next_base(self) -> int:
+        """Base address the next allocation gets."""
+        return self._allocator._next

@@ -169,11 +169,20 @@ class ChunkSupervisor:
             return
         future_chunk = {}
         try:
-            for index in order:
-                future = pool.submit(run_supervised_chunk, worker_fn,
-                                     payloads[index], index, attempts[index],
-                                     self.fault_plan)
-                future_chunk[future] = index
+            try:
+                for index in order:
+                    future = pool.submit(run_supervised_chunk, worker_fn,
+                                         payloads[index], index,
+                                         attempts[index], self.fault_plan)
+                    future_chunk[future] = index
+            except (BrokenProcessPool, OSError) as error:
+                # a worker died while the generation was still being
+                # submitted: the same infrastructure failure as a broken
+                # result, so every pending chunk takes the retry rung
+                self._note_retry(pending - set(results), attempts,
+                                 f"worker pool broke: "
+                                 f"{type(error).__name__}: {error}")
+                return
             deadline: Optional[float] = None
             if self.policy.chunk_timeout is not None:
                 deadline = time.monotonic() + self.policy.chunk_timeout

@@ -23,6 +23,7 @@ the bell of every worker it stops or reaps.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,13 +33,16 @@ from repro.service.queue import bell_path, host_name, worker_bell_name
 
 
 def _repro_src_dir() -> str:
+    """The directory ``repro`` was imported from, through the same path:
+    kernel identities hash the call stack's file paths, so a worker
+    importing through a resolved symlink would name every kernel
+    differently."""
     import repro
-    return str(Path(repro.__file__).resolve().parents[1])
+    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def worker_env() -> Dict[str, str]:
     """Subprocess environment with this repro checkout importable."""
-    import os
     env = dict(os.environ)
     src = _repro_src_dir()
     existing = env.get("PYTHONPATH")

@@ -19,11 +19,15 @@ layers:
    NumPy interpretation of the kernel body is shared.  Divergent control
    flow between replicas is handled by the cohort engine's existing
    sub-cohort splitting + :class:`~repro.gpusim.memory.WriteJournal`
-   rollback.  The finished launch is folded once, straight from the
-   lane grid's records, for every member
-   (:func:`~repro.adcfg.builder.fold_lane_grid`) — the graphs each
-   member's monitor would fold from its own per-warp event stream, so
-   evidence, store fingerprints and degradation ladders are untouched.
+   rollback.  Members whose launches read byte-identical inputs (the
+   fixed side's repetitions on a deterministic device) share one
+   execution: only the lowest-slot one runs as lane-grid rows, and the
+   others take over its results (:func:`_executions`).  The finished
+   launch is folded once, straight from the lane grid's records, for
+   every member (:func:`~repro.adcfg.builder.fold_lane_grid`) — the
+   graphs each member's monitor would fold from its own per-warp event
+   stream, so evidence, store fingerprints and degradation ladders are
+   untouched.
    :meth:`CohortContext.replay_events` re-expands those per-run streams
    only for a kernel with a planned ``batch_fold_error`` (the per-event
    rung, which folds each member's batches one instruction at a time) and
@@ -124,6 +128,9 @@ class ReplicaStats:
     fused_groups: int = 0
     #: member launches executed inside a fused mega cohort
     fused_launches: int = 0
+    #: of those, member launches that reused another member's execution
+    #: (byte-identical launch inputs)
+    reused_launches: int = 0
     #: member launches that fell back to single (per-replica) execution
     fallback_launches: int = 0
 
@@ -131,6 +138,7 @@ class ReplicaStats:
         self.dedup_runs += other.dedup_runs
         self.fused_groups += other.fused_groups
         self.fused_launches += other.fused_launches
+        self.reused_launches += other.reused_launches
         self.fallback_launches += other.fallback_launches
 
 
@@ -380,6 +388,43 @@ def _alias_pattern(args: tuple) -> tuple:
     return tuple(pattern)
 
 
+def _launch_inputs(session: "_ReplicaSession") -> tuple:
+    """What a parked launch reads beyond what ``_compatible`` compares:
+    the base and bytes of each distinct argument buffer, the device's
+    allocation table and next base, and the session's label table."""
+    memory = session.device.memory
+    bases, ends, allocs = memory.lookup_table()
+    buffers = {id(arg): arg for arg in session.pending.args
+               if isinstance(arg, DeviceBuffer)}
+    return (bases.tobytes(), ends.tobytes(), memory.next_base,
+            tuple(alloc.label for alloc in allocs),
+            tuple(session.tracer.labels),
+            tuple((buf.base, buf.data.tobytes())
+                  for buf in buffers.values()))
+
+
+def _executions(group: List["_ReplicaSession"]
+                ) -> Tuple[List[int], List[int]]:
+    """Split a fusible group into executions: the slot of each one's
+    leader, and the execution of each member.
+
+    Members whose launches read byte-identical inputs leave the launch in
+    byte-identical states, so they share the execution of the lowest
+    slot among them.  A program drawing per-run randomness on the host
+    sends different bytes, and unseeded ASLR gives every member its own
+    table: their members keep one execution each.
+    """
+    leaders: List[int] = []
+    execution_of: List[int] = []
+    index: Dict[tuple, int] = {}
+    for slot, session in enumerate(group):
+        execution = index.setdefault(_launch_inputs(session), len(leaders))
+        if execution == len(leaders):
+            leaders.append(slot)
+        execution_of.append(execution)
+    return leaders, execution_of
+
+
 class _ReplicaCohortEngine:
     """Runs several replica sessions, fusing compatible parked launches.
 
@@ -576,7 +621,11 @@ class _ReplicaCohortEngine:
                             shared_stores: List[dict]) -> None:
         pending = group[0].pending
         kern, launch = pending.kern, pending.launch
-        replicas = len(group)
+        # only each execution's leader runs as lane-grid rows: its
+        # execution index is its replica slot in the grid
+        leaders, execution_of = _executions(group)
+        runs = [group[slot] for slot in leaders]
+        replicas = len(runs)
         warps = launch.total_warps
 
         # fused argument tuple: one ReplicaBuffer per distinct buffer
@@ -585,7 +634,7 @@ class _ReplicaCohortEngine:
         fused_args = []
         for position, arg in enumerate(pending.args):
             if isinstance(arg, DeviceBuffer):
-                members = [s.pending.args[position] for s in group]
+                members = [s.pending.args[position] for s in runs]
                 key = tuple(id(buf) for buf in members)
                 fused = fused_cache.get(key)
                 if fused is None:
@@ -605,7 +654,7 @@ class _ReplicaCohortEngine:
 
         def shared_alloc(slot: int, block_id: int, name: str, shape,
                          dtype) -> DeviceBuffer:
-            store = shared_stores[slot]
+            store = shared_stores[leaders[slot]]
             key = (block_id, name)
             buf = store.get(key)
             if buf is None:
@@ -615,7 +664,7 @@ class _ReplicaCohortEngine:
                         f"buffer {name!r} after a divergence split; "
                         "per-device allocation order is no longer the "
                         "serial order")
-                buf = group[slot].device.memory.alloc(
+                buf = runs[slot].device.memory.alloc(
                     shape, dtype=dtype, space=MemorySpace.SHARED,
                     label=f"{kern.name}.shared.{name}")
                 store[key] = buf
@@ -669,10 +718,12 @@ class _ReplicaCohortEngine:
             journal.commit()
         for fused in fused_cache.values():
             fused.writeback()
+        _share(group, leaders, execution_of, shared_stores)
 
         fold = graphs = None
         if fault_injection.batch_fold_fault_for(kern.name) is None:
-            fold = self._fold(group, kern, launch, contexts)
+            fold = self._fold(group, leaders, execution_of, kern, launch,
+                              contexts)
         if fold is None:
             payloads: Dict[int, tuple] = {}
             for ctx in contexts:
@@ -703,38 +754,66 @@ class _ReplicaCohortEngine:
                 session.folded_bytes += sizes[slot]
                 session.monitor.adopt_graph(ADCFG(kern.name))
             else:
+                rows = execution_of[slot] * warps
                 for position in range(warps):
-                    events, batch = payloads[slot * warps + position]
+                    events, batch = payloads[rows + position]
                     for event in events:
                         device._emit(event)
                     if batch is not None:
                         device._emit(batch)
             device._emit(KernelEndEvent(kernel_name=kern.name))
         self.stats.fused_groups += 1
-        self.stats.fused_launches += replicas
+        self.stats.fused_launches += len(group)
+        self.stats.reused_launches += len(group) - replicas
 
     @staticmethod
-    def _fold(group: List["_ReplicaSession"], kern: Kernel,
-              launch: LaunchConfig,
+    def _fold(group: List["_ReplicaSession"], leaders: List[int],
+              execution_of: List[int], kern: Kernel, launch: LaunchConfig,
               contexts: List[CohortContext]) -> Optional[LaneGridFold]:
         """Fold the finished launch for every member at once."""
         with _charged_to_fold():
             layouts = []
-            for session in group:
+            for slot, session in enumerate(group):
                 memory = session.device.memory
                 bases, ends, allocs = memory.lookup_table()
-                layouts.append(ReplicaLayout(
-                    resolve=memory.resolve_batch, bases=bases, ends=ends,
-                    label_ids=session.tracer.label_ids(allocs),
-                    labels=session.tracer.labels))
+                # every member interns its own table's labels, as its
+                # serial launch's fold does: the next launch's sharing
+                # compares label tables
+                label_ids = session.tracer.label_ids(allocs)
+                if leaders[execution_of[slot]] == slot:
+                    layouts.append(ReplicaLayout(
+                        resolve=memory.resolve_batch, bases=bases,
+                        ends=ends, label_ids=label_ids,
+                        labels=session.tracer.labels))
             return fold_lane_grid(kern.name, launch.total_threads,
-                                  launch.total_warps, contexts, layouts)
+                                  launch.total_warps, contexts, layouts,
+                                  execution_of)
 
     # -- teardown ------------------------------------------------------
 
     def _abort(self, sessions: List["_ReplicaSession"]) -> None:
         for session in sessions:
             session.shutdown()
+
+
+def _share(group: List["_ReplicaSession"], leaders: List[int],
+           execution_of: List[int], shared_stores: List[dict]) -> None:
+    """Leave every member that reused an execution as its own serial
+    launch would: its argument buffers hold its leader's results, and its
+    leader's shared allocations are replayed, in order and with their
+    contents, on its own device (at the leader's addresses: the tables
+    were equal)."""
+    for slot, execution in enumerate(execution_of):
+        leader = leaders[execution]
+        if leader == slot:
+            continue
+        for mine, theirs in zip(group[slot].pending.args,
+                                group[leader].pending.args):
+            if isinstance(mine, DeviceBuffer):
+                mine.data[...] = theirs.data
+        memory = group[slot].device.memory
+        for buf in shared_stores[leader].values():
+            memory.alloc_like(buf.data, space=buf.space, label=buf.label)
 
 
 class _FoldGroups:

@@ -7,11 +7,14 @@ path with sub-second workloads.
 
 import pickle
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import WorkerError
 from repro.resilience import ChunkSupervisor, FaultPlan, RetryPolicy
+from repro.resilience import supervisor as supervisor_module
 from repro.resilience.events import (
     CHUNK_TIMEOUT,
     POOL_RETRY,
@@ -78,6 +81,37 @@ class TestFaultSurvival:
             results = supervisor.run(square_chunk, [([7],), ([8],)])
         assert results == [[49], [64]]
         assert POOL_TO_SERIAL in log.counts_by_kind()
+
+    def test_pool_breaking_during_submission_is_retried(self, monkeypatch):
+        """A worker that dies while the generation is still being
+        submitted breaks ``submit`` itself: that chunk set takes the retry
+        rung exactly as a broken result would."""
+        submits = []
+
+        class BreaksOnSecondSubmit:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, *args):
+                submits.append(args[2])
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a child process terminated")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor",
+                            BreaksOnSecondSubmit)
+        supervisor = ChunkSupervisor(policy=RetryPolicy(max_attempts=3),
+                                     sleep=lambda seconds: None)
+        with collecting_degradations() as log:
+            results = supervisor.run(square_chunk, [([2],), ([3],)])
+        assert results == [[4], [9]]
+        assert log.counts_by_kind().get(POOL_RETRY) == 2
+        assert submits == [0, 1, 0, 1]
 
     def test_degradation_forbidden_raises_worker_error(self):
         plan = FaultPlan.parse("worker_crash:chunk=0:attempts=99")

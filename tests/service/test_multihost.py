@@ -9,6 +9,7 @@ subprocess for the death scenario) against a scheduler configured with
 the bit-identity contract across worker death and lease re-queues.
 """
 
+import os
 import subprocess
 import sys
 import threading
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+import repro
 from repro.apps.registry import resolve
 from repro.core.pipeline import Owl, OwlConfig
 from repro.service import CampaignScheduler, ServiceConfig
@@ -39,6 +41,21 @@ def _direct_report(tmp_path, config=TINY):
     owl = Owl(program, name="dummy", config=OwlConfig(**config))
     return owl.detect(fixed_inputs(), random_input=random_input,
                       store=tmp_path / "direct").report.to_json()
+
+
+class TestWorkerEnv:
+    def test_workers_import_through_the_same_path(self, tmp_path,
+                                                  monkeypatch):
+        """A checkout reached through a symlink: workers must import
+        ``repro`` through the link too, or every kernel identity (it
+        hashes file paths) differs from the spawning process's."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        link = tmp_path / "src-link"
+        link.symlink_to(src, target_is_directory=True)
+        monkeypatch.setattr(repro, "__file__",
+                            str(link / "repro" / "__init__.py"))
+        assert worker_env()["PYTHONPATH"].split(os.pathsep)[0] == str(link)
 
 
 class TestTwoHostFleet:

@@ -6,7 +6,9 @@ deterministic device).  It is a pure recording optimisation: expanding
 its ``(trace, count)`` groups must reproduce the serial
 ``[TraceRecorder().record(program, v) for v in values]`` byte for byte —
 for replica-divergent control flow, shared memory, impure programs,
-injected faults, and Hypothesis-drawn toy kernels.
+injected faults, and Hypothesis-drawn toy kernels.  Members with equal
+inputs share one execution of each launch, and must still leave their
+devices as their serial runs do.
 """
 
 import threading
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.libgpucrypto import aes_program
+from repro.apps.minitorch import dropout, relu
 from repro.core.evidence import Evidence
 from repro.gpusim import DeviceConfig, kernel
 from repro.resilience import FaultPlan
@@ -36,7 +39,7 @@ from repro.tracing.replica import (
     group_values,
     record_grouped,
 )
-from tests.oracle import PER_EVENT_FOLD
+from tests.oracle import PER_EVENT_FOLD, serial_rung
 
 DATA_SIZE = 256
 
@@ -131,6 +134,31 @@ def scatter_program(rt, value):
     rt.cuLaunchKernel(scatter_kernel, 1, 64, data, out)
 
 
+def chained_program(kern):
+    """Two launches of *kern*: the second reads what the first wrote and
+    its buffer is allocated after the first's shared buffers, so a member
+    that reused the first launch's execution must hold its results and
+    its allocations."""
+    def program(rt, value):
+        data = rt.cudaMalloc(DATA_SIZE, label="data")
+        seeded = np.zeros(DATA_SIZE, dtype=np.int64)
+        seeded[0] = int(value)
+        rt.cudaMemcpyHtoD(data, seeded)
+        out = rt.cudaMalloc(DATA_SIZE, label="out")
+        rt.cuLaunchKernel(kern, 2, 64, data, out)
+        again = rt.cudaMalloc(DATA_SIZE, label="again")
+        rt.cuLaunchKernel(kern, 2, 64, out, again)
+    return program
+
+
+def host_random_program(rt, value):
+    """A launch of the input alone, then one of a mask the host draws
+    afresh each run (``dropout``): equal inputs share only the first."""
+    x = np.full(64, float(value))
+    relu(rt, x)
+    dropout(rt, x)
+
+
 divergent_program = make_program(divergent_kernel)
 shared_program = make_program(shared_kernel)
 warp_split_program = make_program(warp_split_kernel)
@@ -219,6 +247,26 @@ class TestRecordGroupedEquivalence:
         replica, _stats = replica_signatures(shared_program, values)
         assert replica == serial_signatures(shared_program, values)
 
+    @pytest.mark.parametrize("kern, values", [
+        (shared_kernel, [3, 8, 3, 3, 8]),
+        (divergent_kernel, [1, 2, 1, 1, 5, 2])],
+        ids=["shared-memory", "divergent"])
+    def test_reused_executions_leave_serial_state(self, kern, values):
+        """Repeats reuse their leader's execution of each launch: their
+        traces, and the addresses of what their programs allocate after
+        it, are their serial runs'."""
+        program = chained_program(kern)
+        groups, stats = record_grouped(program, values)
+        traces = [trace for trace, count in groups for _ in range(count)]
+        recorder = TraceRecorder()
+        serial = [recorder.record(program, value) for value in values]
+        assert [t.signature() for t in traces] == \
+            [t.signature() for t in serial]
+        assert [t.malloc_records for t in traces] == \
+            [t.malloc_records for t in serial]
+        assert stats.fused_launches == 2 * len(values)
+        assert stats.reused_launches >= 2 * (len(values) - len(set(values)))
+
     def test_per_event_fold_matches_serial(self):
         """Split fused launches replayed through the per-event fold match
         serial runs folded either way."""
@@ -299,6 +347,21 @@ class TestRecordGroupedEquivalence:
         replica, _stats = replica_signatures(impure([0]), values)
         assert replica == serial
 
+    def test_host_random_mask_is_not_shared(self):
+        """Equal inputs share the launch that reads only the input, never
+        the one reading a mask the host draws afresh each run; the mask
+        changes values, not addresses, so the evidence is the serial
+        rung's."""
+        values = [2, 2, 2]
+        evidence = Evidence()
+        stats = fold_grouped(host_random_program, values, evidence).stats
+        assert stats.fused_launches == 2 * len(values)
+        assert stats.reused_launches == len(values) - 1
+        serial = Evidence()
+        with serial_rung():
+            fold_grouped(host_random_program, values, serial)
+        assert serialize_evidence(evidence) == serialize_evidence(serial)
+
     def test_program_exception_propagates(self):
         def exploding(rt, value):
             if value == 2:
@@ -365,27 +428,42 @@ class TestFaultInjection:
         assert log.counts_by_kind().get(COLUMNAR_TO_OBJECT, 0) >= 1
         assert stats.fused_launches == len(values)
 
+    @pytest.mark.parametrize("program, values", [
+        (aes_program, [bytes(range(16)), bytes(range(1, 17)),
+                       bytes(range(16)), bytes(range(16)),
+                       bytes(range(2, 18)), bytes(range(1, 17))]),
+        (chained_program(shared_kernel), [3, 8, 3, 3, 8])],
+        ids=["aes", "chained"])
     @pytest.mark.parametrize("fault", [
         "batch_fold_error", "replica_violation:launch=0",
         "cohort_violation:launch=0"])
-    def test_evidence_fold_merges_uncovered_launches(self, fault):
+    def test_evidence_fold_merges_uncovered_launches(self, fault, program,
+                                                     values, monkeypatch):
         """Replayed or unfused launches have monitor-built graphs, which
         the segment fold merges run by run: the evidence still equals the
-        per-run fold's."""
-        values = [bytes(range(16)), bytes(range(16)), bytes(range(1, 17)),
-                  bytes(range(2, 18))]
+        per-run fold's.  Repeats sharing executions leave the evidence and
+        degradation log that one execution per member leaves."""
         recorder = TraceRecorder()
-        serial = Evidence.from_traces(recorder.record(aes_program, value)
+        serial = Evidence.from_traces(recorder.record(program, value)
                                       for value in values)
-        folded = Evidence()
-        with collecting_degradations() as log:
-            with activated(FaultPlan.parse(fault)):
-                batch = fold_grouped(aes_program, values, folded)
-        assert len(log) > 0
-        assert batch.trace_bytes == sum(
-            recorder.record(aes_program, value).trace_size_bytes()
+
+        def fold():
+            folded = Evidence()
+            with collecting_degradations() as log:
+                with activated(FaultPlan.parse(fault)):
+                    batch = fold_grouped(program, values, folded)
+            return (serialize_evidence(folded), batch.trace_bytes,
+                    log.events)
+
+        evidence, trace_bytes, events = fold()
+        assert len(events) > 0
+        assert trace_bytes == sum(
+            recorder.record(program, value).trace_size_bytes()
             for value in values)
-        assert serialize_evidence(folded) == serialize_evidence(serial)
+        assert evidence == serialize_evidence(serial)
+        monkeypatch.setattr(replica, "_executions", lambda group: (
+            list(range(len(group))), list(range(len(group)))))
+        assert fold() == (evidence, trace_bytes, events)
 
     @pytest.mark.parametrize("program", [divergent_program, scatter_program],
                              ids=["dense-keys", "sparse-keys"])
