@@ -175,7 +175,9 @@ def mi_test_batch(requests: Sequence[BatchRequest],
     n = weight_x.sum(axis=1)
     m = weight_y.sum(axis=1)
     h_side, h_value, h_joint = _plugin_entropies(weight_x, weight_y, n, m)
-    mi_raw = h_side + h_value - h_joint
+    # proportional rows have exactly zero plug-in MI, as in mi_test
+    proportional = (weight_x * m[:, None] == weight_y * n[:, None]).all(axis=1)
+    mi_raw = np.where(proportional, 0.0, h_side + h_value - h_joint)
     corrected = _corrected_mi(weight_x, weight_y, n, m, lengths, mi_raw,
                               correction)
     support = ((weight_x + weight_y) > 0).sum(axis=1)

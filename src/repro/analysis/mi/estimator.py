@@ -308,8 +308,12 @@ def mi_test(hist_x: Histogram, hist_y: Histogram,
     if n == 0 or m == 0:
         raise MIEstimationError("MI test needs non-empty samples")
     joint = np.stack([wx, wy])
-    mi_raw = mutual_information(joint, "none")
-    corrected = mutual_information(joint, correction)
+    # proportional rows (exact in integer counts) have zero plug-in MI; the
+    # entropy sums leave a residue the χ² tail at dof 1 would make p < 1
+    mi_raw = (0.0 if np.array_equal(wx * m, wy * n)
+              else mutual_information(joint, "none"))
+    corrected = (mi_raw if correction == "none"
+                 else mutual_information(joint, correction))
     support = int(((wx + wy) > 0).sum())
     # I(S; V) <= min(H(S), H(V)) <= log2(min(sides, support values))
     ceiling = math.log2(min(2, support))

@@ -10,7 +10,7 @@ detection and exits::
 The subcommand form adds persistent campaigns on top of the same
 options::
 
-    owl run aes --store ./owl-store          # cached + checkpointed
+    owl run aes --store ./owl-store          # cached + resumable
     owl resume --store ./owl-store           # finish interrupted campaigns
     owl diff baseline.json candidate.json    # cross-version regression diff
     owl ls --store ./owl-store               # inspect stored artifacts
@@ -215,7 +215,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
                      help="list available workloads and exit")
     run.add_argument("--store", metavar="DIR", default=None,
                      help="campaign store directory: cache traces, "
-                          "checkpoint evidence, persist the report")
+                          "save evidence segments, persist the report")
     run.add_argument("--no-reuse-report", action="store_true",
                      help="re-analyse even when the store already holds "
                           "this campaign's report (caches still apply)")
@@ -243,7 +243,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
     ls.add_argument("--store", metavar="DIR", required=True,
                     help="campaign store directory")
     ls.add_argument("--kind", default=None,
-                    choices=("trace", "evidence", "checkpoint", "report",
+                    choices=("trace", "evidence", "segment", "report",
                              "campaign"),
                     help="only list entries of this kind")
 
@@ -257,7 +257,8 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser(
         "verify", help="integrity-check a store's artifacts (first "
-                       "migrating a pre-sharding flat store, once)")
+                       "migrating a pre-sharding flat store, once, and "
+                       "deleting retired checkpoint entries)")
     verify.add_argument("--store", metavar="DIR", required=True,
                         help="campaign store directory")
     verify.add_argument("--repair", action="store_true",
@@ -804,6 +805,11 @@ def _cmd_verify(parser: argparse.ArgumentParser,
     store = _open_store(args.store)
     if store is None:
         return EXIT_CONFIG
+    from repro.store.campaign import drop_retired_partials
+    retired = drop_retired_partials(store)
+    if retired:
+        print(f"deleted {retired} retired checkpoint "
+              f"entr{'y' if retired == 1 else 'ies'}")
     bad = store.verify(repair=args.repair)
     if not bad:
         print(f"{args.store}: all {len(store)} entries verified")

@@ -25,11 +25,11 @@ size and time, evidence and test times, peak RAM).
 
 Passing ``store=`` to :meth:`Owl.detect` attaches a persistent
 :class:`~repro.store.store.TraceStore`: phase-1 traces are cached per
-(program, device config, input), phase-3 evidence is checkpointed every
-``OwlConfig.store_checkpoint_every`` runs (an interrupted campaign resumes
-from the last checkpoint instead of restarting), completed evidence and
-reports are reused outright, and a warm re-run is bit-identical to the
-cold run that populated the store (see :mod:`repro.store.campaign`).
+(program, device config, input), phase-3 evidence is saved in run-range
+segments of ``OwlConfig.store_checkpoint_every`` runs (an interrupted
+campaign resumes from them), completed evidence and reports are reused
+outright, and a warm re-run is bit-identical to the cold run that
+populated the store (see :mod:`repro.store.campaign`).
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class OwlConfig:
     #: distinct traces for equal inputs, so this stays opt-in.  Excluded
     #: from store fingerprints.
     replica_dedup: bool = False
-    #: with a store attached, persist a phase-3 evidence checkpoint after
-    #: every this-many recorded runs per side; an interrupted campaign
-    #: resumes from the last checkpoint.  Purely an I/O cadence knob —
+    #: with a store attached, persist each side's phase-3 evidence as one
+    #: run-range segment per this-many recorded runs; an interrupted
+    #: campaign resumes from its segments.  Purely an I/O cadence knob —
     #: excluded from store fingerprints, like ``workers``.
     store_checkpoint_every: int = 25
     #: how worker faults are survived (None = the RetryPolicy defaults);
@@ -322,7 +322,7 @@ class PhaseStats:
     workers: int = 1
     #: store reuse accounting (0 without a store): phase-1 traces loaded
     #: from cache instead of recorded, and phase-3 runs skipped because
-    #: their evidence (full or checkpointed) was already persisted
+    #: their evidence (a completed side or segments) was already persisted
     cached_traces: int = 0
     cached_runs: int = 0
     #: the final report itself came straight from the store
@@ -533,13 +533,12 @@ class Owl:
         here, in the parent, from one seeded generator — the same draw
         order regardless of worker count or batching.
 
-        With a campaign attached, each side starts from its completed
-        evidence or its last checkpoint.  A completed side carries more
-        information than any interim look, so its presence switches the
-        campaign to the one-look schedule (outcome ``cached-evidence``).
-        A resumed multi-look run fast-forwards over boundaries its
-        evidence already passed — a prior run decided "continue" there —
-        and recomputes the one live decision bit-identically.
+        With a campaign attached, a completed side is loaded: it carries
+        more information than any interim look, so its presence switches
+        the campaign to the one-look schedule (outcome
+        ``cached-evidence``).  Other sides reach each look through their
+        stored segments, so a resumed run re-analyses every look of its
+        own schedule, whatever schedule left the segments.
 
         Returns ``(rep_reports, summary)`` with ``rep_reports[i]`` the
         per-analyzer reports of representative ``i`` at the last look,
@@ -566,9 +565,6 @@ class Owl:
         rep_reports = []
         decisions = []
         for round_index in range(schedule.num_rounds):
-            if any(side.done > schedule.boundary(side.side, round_index)
-                   for side in sides):
-                continue
             final = round_index == schedule.num_rounds - 1
             for side in sides:
                 self._record_side(side, schedule.boundary(side.side,
@@ -603,7 +599,7 @@ class Owl:
 
     def _resume_sides(self, sides: Sequence[_EvidenceSide], campaign,
                       stats: PhaseStats) -> bool:
-        """Load each side's completed evidence or last checkpoint.
+        """Load each side's completed evidence, where the store holds it.
 
         Returns True when the store holds any completed side.  Loaded
         evidence is the store's canonical round-tripped form, which is
@@ -613,21 +609,18 @@ class Owl:
         for side in sides:
             cached = cached or campaign.store.get(side.key) is not None
             evidence = campaign.load_evidence(side.key)
-            if evidence is not None:
-                if evidence.num_runs != side.total:
-                    raise CampaignError(
-                        f"store evidence {side.key!r} holds "
-                        f"{evidence.num_runs} runs but the configuration "
-                        f"asks for {side.total} — fingerprint collision "
-                        f"or tampered manifest")
-                side.evidence, side.done = evidence, side.total
-                side.complete = True
-            else:
-                checkpoint = campaign.load_checkpoint(side.key)
-                if checkpoint is None or checkpoint[1] > side.total:
-                    continue  # none, or stale: record the side afresh
-                side.evidence, side.done = checkpoint
-            stats.cached_runs += side.done
+            if evidence is None:
+                continue
+            if evidence.num_runs != side.total:
+                raise CampaignError(
+                    f"store evidence {side.key!r} holds "
+                    f"{evidence.num_runs} runs but the configuration "
+                    f"asks for {side.total} — fingerprint collision "
+                    f"or tampered manifest")
+            side.evidence, side.done = evidence, side.total
+            side.complete = True
+            stats.cached_runs += side.total
+            campaign.drop_segments(side.key)
         return cached
 
     def _record_side(self, side: _EvidenceSide, target: int,
@@ -635,40 +628,45 @@ class Owl:
         """Advance one evidence side to a look's boundary, resumably.
 
         Without a store the side's slice is one pool call, so replica
-        batching fuses the whole slice.  With a store it records in
-        ``store_checkpoint_every`` batches with a checkpoint after each
-        (a crash anywhere resumes mid-look), and leaves ``side.evidence``
-        in the store's canonical round-tripped form — the exact bytes a
-        resumed run loads back — so cold and resumed looks analyse
-        identical evidence.  Only the final look completes a side
-        (``save_evidence``); an early stop leaves the side checkpointed
-        at its stopping boundary.
+        batching fuses the whole slice.  With a store the side first
+        merges its stored segments toward the boundary, then records the
+        rest in ``store_checkpoint_every`` batches, each saved as a
+        segment (a crash anywhere resumes mid-look), and leaves
+        ``side.evidence`` in the store's canonical round-tripped form, so
+        cold and resumed looks analyse identical evidence.  Only the
+        final look completes a side (``save_evidence``); an early stop
+        leaves the side as segments up to its stopping boundary.
         """
+        if side.complete:
+            return
         keep_per_run = self.config.sampling == "per_run"
-        batch_size = (self.config.store_checkpoint_every
-                      if campaign is not None else target)
-        advanced = side.done < target
+        held, batch_size = side.done, target
+        if campaign is not None:
+            batch_size = self.config.store_checkpoint_every
+            side.evidence, side.done = campaign.extend_from_segments(
+                side.key, side.evidence, side.done, target)
+            stats.cached_runs += side.done - held
         while side.done < target:
-            batch = side.values[side.done:min(side.done + batch_size,
-                                              target)]
+            start = side.done
+            batch = side.values[start:min(start + batch_size, target)]
             started = time.perf_counter()
             partial, chunk = self.pool.record_evidence(
                 batch, keep_per_run=keep_per_run)
             stats.absorb_chunk(chunk, time.perf_counter() - started)
-            side.evidence = (partial if side.evidence is None
-                             else side.evidence.merge(partial))
             side.done += len(batch)
             if campaign is not None \
                     and not (final and side.done == side.total):
-                campaign.save_checkpoint(side.key, side.evidence,
-                                         side.done, side.total, side.side)
-        if campaign is None or side.complete:
+                campaign.save_segment(side.key, start, side.done, partial,
+                                      side.side)
+            side.evidence = (partial if side.evidence is None
+                             else side.evidence.merge(partial))
+        if campaign is None:
             return
         if final:
             side.evidence = campaign.save_evidence(side.key, side.evidence,
                                                    side.side)
             side.complete = True
-        elif advanced:
+        elif side.done > held:
             side.evidence = canonical_evidence(side.evidence)
 
     # ------------------------------------------------------------------
@@ -682,7 +680,7 @@ class Owl:
 
         ``store`` (a :class:`~repro.store.store.TraceStore` or a path to
         create/open one) turns the call into a campaign: phase-1 traces
-        are cached per input, phase-3 evidence is checkpointed and reused,
+        are cached per input, phase-3 evidence is saved and reused,
         and — with ``reuse_report=True`` — an already-completed campaign
         returns its stored report outright.  A warm run is bit-identical
         to the cold run that filled the store.  Distinct programs sharing

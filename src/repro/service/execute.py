@@ -9,19 +9,19 @@ the same campaign key builders and phase decisions ``Owl.detect`` uses:
 * ``plan``     — record + store the traces the store lacks (one
   ``Owl.record_traces`` call, as in ``Owl.detect``), filter them, decide
   early-exit vs. which representatives need evidence;
-* ``evidence`` — record runs ``[start, stop)`` of one side into a chunk
-  blob (inputs re-derived from the seeded generator, so every worker
+* ``evidence`` — record runs ``[start, stop)`` of one side into one
+  segment (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
 * ``decide``   — one look of the campaign's schedule: merge each side's
-  chunks in order through ``Evidence.merge`` into a checkpoint (or, at
-  the final look, the canonical completed evidence) and decide whether
-  the campaign stops;
+  segments up to the look, as ``Owl.detect`` does, and decide whether
+  the campaign stops; at the final look, complete each side instead;
 * ``report``   — run ``Owl.detect`` against the now-warm store.  Bit
   identity with a direct in-process detection is inherited from the
   store's warm ≡ cold contract rather than re-proven here.
 
 Units are idempotent: each kind first checks the store for its own
-output and returns a cache note instead of re-doing work, so re-queued
+output (for an evidence unit, any campaign's segment of its exact run
+range) and returns a cache note instead of re-doing work, so re-queued
 units (after a worker death) and coalesced campaigns cost nothing.
 """
 
@@ -41,15 +41,6 @@ from repro.service.units import (
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
 
-#: fixed-side chunk blobs live under this kind (collected once folded)
-CHUNK_KIND = "checkpoint"
-
-
-def chunk_key(cid: str, side: str, rep_fp: str, chunk: int) -> str:
-    """Store key of one evidence chunk (service-private namespace)."""
-    return f"servicechunk/{cid}/{side}/{rep_fp}/{chunk:04d}"
-
-
 def materialize(spec: Dict, store: TraceStore
                 ) -> Tuple[Owl, Campaign, List[object], object]:
     """Spec dict → (owl, campaign, fixed inputs, random-input fn)."""
@@ -60,10 +51,11 @@ def materialize(spec: Dict, store: TraceStore
     return owl, campaign, list(fixed_inputs()), random_input
 
 
-def _rep_fp(campaign: Campaign, inputs: List[object],
-            side: str, rep_index: int) -> str:
-    return ("random" if side == "random"
-            else campaign.input_fingerprint(inputs[rep_index]))
+def _evidence_key(campaign: Campaign, inputs: List[object],
+                  side: str, rep_index: int) -> str:
+    return campaign.evidence_key(
+        side, None if side == "random"
+        else campaign.input_fingerprint(inputs[rep_index]))
 
 
 def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
@@ -107,87 +99,78 @@ def _run_plan(unit: WorkUnit, store: TraceStore) -> Dict:
 
 
 def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
+    """Record one side's runs ``[start, stop)`` into one segment."""
     owl, campaign, inputs, random_input = materialize(unit.spec, store)
     side = str(unit.params["side"])
     rep_index = int(unit.params["rep_index"])
     start, stop = int(unit.params["start"]), int(unit.params["stop"])
-    rep_fp = _rep_fp(campaign, inputs, side, rep_index)
-    if store.get(campaign.evidence_key(side, rep_fp)) is not None:
-        return {"runs": 0, "cached_side": True}  # side already folded
-    key = chunk_key(unit.campaign, side, rep_fp, int(unit.params["chunk"]))
-    if store.get(key) is not None:
-        return {"runs": 0, "cached_chunk": True}  # re-queued after a crash
+    evidence_key = _evidence_key(campaign, inputs, side, rep_index)
+    if evidence_key in store \
+            or campaign.segment_key(evidence_key, start, stop) in store:
+        return {"runs": 0, "cached": True}  # by any campaign
     representative = inputs[rep_index] if side == "fixed" else None
     values = side_inputs(owl.config, side, representative,
                          random_input)[start:stop]
     keep_per_run = owl.config.sampling == "per_run"
     partial, chunk_stats = owl.pool.record_evidence(
         values, keep_per_run=keep_per_run)
-    store.put_evidence(
-        key, partial, kind=CHUNK_KIND,
-        meta={"workload": owl.name, "campaign": unit.campaign,
-              "side": side, "start": start, "stop": stop,
-              "seed": owl.config.seed})
+    campaign.save_segment(evidence_key, start, stop, partial, side)
     return {"runs": len(values),
             "trace_seconds": chunk_stats.trace_seconds_total}
 
 
-def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
-    """One look: merge each side's chunks to the round boundary, decide.
+def _merge_to_boundary(campaign: Campaign, evidence_key: str,
+                       boundary: int) -> Optional[Evidence]:
+    """A side's runs ``[0, boundary)`` merged from its segments, or None
+    once it is complete (maybe by another campaign, since the snapshot)."""
+    if campaign.store.get(evidence_key) is None:
+        evidence, done = campaign.extend_from_segments(evidence_key, None,
+                                                       0, boundary)
+        if done == boundary:
+            return evidence
+        campaign.store.refresh()
+        if campaign.store.get(evidence_key) is None:
+            raise CampaignError(
+                f"no segment of {evidence_key!r} holds run {done} "
+                f"(the look needs runs [0, {boundary}))")
+    return None
 
-    Every side not yet complete merges its chunks (rounds 0..r, in
-    ordinal order).  At an interim look the merge persists as a
-    checkpoint — the canonical form the in-process look loop leaves
-    behind — and :func:`repro.core.adaptive.evaluate_round` decides
-    stop-vs-continue; the decision is a pure function of the evidence
-    prefix, so a re-queued decide unit recomputes it bit-identically.
-    At the final look the merge persists as completed evidence and the
-    unit stops without analysing: the report unit analyses.  A side the
-    store already holds complete (a full-budget run got there first)
-    is skipped and stops the campaign too — the report unit then takes
-    the one-look schedule over the stored evidence and the checkpoints
-    written here.  A stopping look deletes every chunk.
+
+def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
+    """One look: merge each side's segments to the round boundary, decide.
+
+    At an interim look the merges, in the canonical form the in-process
+    look loop analyses, go to :func:`repro.core.adaptive.evaluate_round`
+    and nothing is written: the stop-vs-continue decision is a pure
+    function of the evidence prefix, so a re-queued decide unit
+    recomputes it bit-identically.  At the final look each merge
+    persists as completed evidence (deleting the side's segments) and
+    the unit stops without analysing: the report unit analyses.  A side
+    the store already holds complete (a full-budget run got there
+    first) stops the campaign too — the report unit then takes the
+    one-look schedule over the stored evidence and the segments.
     """
     owl, campaign, inputs, _random = materialize(unit.spec, store)
-    config = owl.config
-    schedule = sequential.look_schedule(config)
+    schedule = sequential.look_schedule(owl.config)
     round_index = int(unit.params["round"])
     final = round_index == schedule.num_rounds - 1
-    rep_indices = [int(index) for index in unit.params["rep_indices"]]
-    side_plan = [("fixed", rep_index, schedule.fixed[round_index],
-                  config.fixed_runs, int(unit.params["fixed_chunks"]))
-                 for rep_index in rep_indices]
-    side_plan.append(("random", -1, schedule.random[round_index],
-                      config.random_runs, int(unit.params["random_chunks"])))
-    evidences = []
-    all_chunk_keys = []
-    cached_side = False
-    for side, rep_index, boundary, total_runs, num_chunks in side_plan:
-        rep_fp = _rep_fp(campaign, inputs, side, rep_index)
-        evidence_key = campaign.evidence_key(side, rep_fp)
-        keys = [chunk_key(unit.campaign, side, rep_fp, chunk)
-                for chunk in range(num_chunks)]
-        all_chunk_keys.extend(keys)
-        if store.get(evidence_key) is not None:
-            cached_side = True
-            continue
-        merged: Optional[Evidence] = None
-        for key in keys:
-            chunk_evidence = store.get_evidence(key)
-            merged = (chunk_evidence if merged is None
-                      else merged.merge(chunk_evidence))
-        if merged is None:
-            merged = Evidence(keep_per_run=config.sampling == "per_run")
-        if final:
-            campaign.save_evidence(evidence_key, merged, side)
-        else:
-            campaign.save_checkpoint(evidence_key, merged, boundary,
-                                     total_runs, side)
-            evidences.append(canonical_evidence(merged))
+    sides = [("fixed", int(index)) for index in unit.params["rep_indices"]
+             ] + [("random", -1)]
     payload = {"stop": True, "final": final, "round": round_index}
-    if cached_side:
-        payload["cached_side"] = True
-    elif not final:
+    evidences = []
+    for side, rep_index in sides:
+        evidence_key = _evidence_key(campaign, inputs, side, rep_index)
+        evidence = _merge_to_boundary(campaign, evidence_key,
+                                      schedule.boundary(side, round_index))
+        if evidence is None:
+            payload["cached_side"] = True
+            if not final:
+                return payload
+        elif final:
+            campaign.save_evidence(evidence_key, evidence, side)
+        else:
+            evidences.append(canonical_evidence(evidence))
+    if not final:
         _reports, decision = owl.evaluate_look(
             evidences[:-1], evidences[-1], schedule, round_index)
         payload.update(
@@ -196,10 +179,6 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
             undecided=decision.undecided,
             fixed_boundary=decision.fixed_boundary,
             random_boundary=decision.random_boundary)
-    if payload["stop"]:
-        with store.batch():
-            for key in all_chunk_keys:
-                store.delete(key)
     return payload
 
 

@@ -12,13 +12,13 @@ of the campaign's schedule
 (:func:`repro.core.adaptive.look_schedule`): a single look at the full
 budget for the paper's protocol, one per round for
 ``OwlConfig(adaptive=True)``.  Each ``evidence`` stage records one
-round's replica slice (``unit_runs`` partitioning always respects the
-round boundaries) and the ``deciding`` stage's unit merges the prefix
-into a checkpoint — or, at the final look, completed evidence — and
-either stops the campaign or schedules the next round, enqueuing the
-next stage's durable units the moment the previous stage's results are
-all on disk.  The actual work happens wherever a unit is
-claimed — fleet worker processes, or the scheduler process itself when
+round's replica slice as run-range segments (``unit_runs`` partitioning
+always respects the round boundaries) and the ``deciding`` stage's unit
+merges each side's segments up to the look — at the final look into
+completed evidence — and either stops the campaign or schedules the
+next round, enqueuing the next stage's durable units the moment the
+previous stage's results are all on disk.  The actual work happens
+wherever a unit is claimed — fleet worker processes, or the scheduler process itself when
 ``workers == 0`` or the fleet is spent (same units, same results).
 
 Fault handling is :class:`~repro.resilience.supervisor.ChunkSupervisor`'s
@@ -79,7 +79,7 @@ from repro.service.fleet import WorkerFleet
 from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import (
     STAGES, WorkUnit, decide_unit, plan_unit, report_unit,
-    round_chunk_offsets, round_evidence_units)
+    round_evidence_units)
 from repro.store.fingerprint import (
     analysis_fingerprint, fingerprint_inputs, fingerprint_value)
 from repro.store.store import TraceStore
@@ -459,15 +459,10 @@ class CampaignScheduler:
             self._enqueue(state, self._round_units(state, config, 0))
             return
         if state.stage == STAGE_EVIDENCE:
-            schedule = look_schedule(config)
             state.stage = STAGE_DECIDING
             self._enqueue(state, [decide_unit(
                 state.cid, spec, state.look,
-                (state.plan or {}).get("rep_indices", []),
-                round_chunk_offsets(schedule.fixed,
-                                    self.config.unit_runs)[state.look + 1],
-                round_chunk_offsets(schedule.random,
-                                    self.config.unit_runs)[state.look + 1])])
+                (state.plan or {}).get("rep_indices", []))])
             return
         if state.stage == STAGE_DECIDING:
             verdict = payloads[f"{state.cid}.decide.{state.look:02d}"]
@@ -499,11 +494,10 @@ class CampaignScheduler:
                      round_index: int) -> List:
         """Evidence units for one look's replica slice.
 
-        Chunk ordinals continue across rounds (``round_chunk_offsets``),
-        so the decide unit can merge every chunk recorded so far in one
-        deterministic order; a round whose slice is empty on one side
-        (boundaries can coincide for tiny budgets) simply contributes no
-        units for that side.
+        Each unit is named by its run range, so the decide unit finds
+        every segment recorded so far by range alone; a round whose
+        slice is empty on one side (boundaries can coincide for tiny
+        budgets) simply contributes no units for that side.
         """
         schedule = look_schedule(config)
         sides = [("fixed", rep_index, schedule.fixed)
@@ -514,9 +508,7 @@ class CampaignScheduler:
             units.extend(round_evidence_units(
                 state.cid, state.spec(), side, rep_index,
                 boundaries[round_index - 1] if round_index else 0,
-                boundaries[round_index], self.config.unit_runs,
-                round_chunk_offsets(boundaries,
-                                    self.config.unit_runs)[round_index]))
+                boundaries[round_index], self.config.unit_runs))
         return units
 
     def _mirror_coalesced(self) -> None:

@@ -2,9 +2,10 @@
 
 One submitted campaign decomposes into a DAG of small, restartable JSON
 specs — one plan job (phase 1's trace recording and phase 2's filter),
-per-chunk evidence jobs and one decide job for each look of the
-campaign's schedule, one report job — that any worker process can
-execute given only the shared :class:`~repro.store.store.TraceStore`.
+evidence jobs over ``unit_runs``-sized run ranges and one decide job for
+each look of the campaign's schedule, one report job — that any worker
+process can execute given only the shared
+:class:`~repro.store.store.TraceStore`.
 Units reference programs *by name* through :mod:`repro.apps.registry`,
 so a spec is re-materialisable anywhere; all heavy payloads (traces,
 evidence, reports) travel through the store, and a unit's queue result
@@ -13,9 +14,10 @@ carries only accounting.
 Determinism is inherited, not re-implemented: an evidence unit re-derives
 its run inputs through :func:`repro.core.pipeline.side_inputs`, the
 function ``Owl.detect``'s phase 3 draws them with, and records the slice
-``[start, stop)``, so any ``unit_runs`` partition folds — through the
-associative :meth:`~repro.core.evidence.Evidence.merge`, in chunk order —
-to the bytes one in-process ``Owl.detect`` would have produced.
+``[start, stop)`` as one segment (see :mod:`repro.store.campaign`), so
+any ``unit_runs`` partition folds — through the associative
+:meth:`~repro.core.evidence.Evidence.merge`, in run order — to the bytes
+one in-process ``Owl.detect`` would have produced.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class WorkUnit:
 
     ``spec`` is the campaign identity every unit carries — the workload
     name and the ``OwlConfig`` dict — and ``params`` the kind-specific
-    coordinates (run slice, chunk ordinals, look).  ``attempts``
-    counts fleet dispatches; the scheduler bumps it on every re-queue and
-    degrades the unit to in-process execution past the budget.
+    coordinates (side and run range, look).  ``attempts`` counts fleet
+    dispatches; the scheduler bumps it on every re-queue and degrades
+    the unit to in-process execution past the budget.
     """
 
     uid: str
@@ -78,60 +80,35 @@ def plan_unit(cid: str, spec: Dict) -> WorkUnit:
                     spec=spec)
 
 
-def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
-    """Cumulative chunk ordinals at each look's replica boundary.
-
-    ``offsets[r]`` is the first chunk ordinal of round ``r``'s slice and
-    ``offsets[r + 1]`` the total number of chunks once round ``r`` has
-    recorded.  Round slices are partitioned by ``unit_runs`` *within*
-    each round, so the partition always respects round boundaries: no
-    unit ever spans an interim look.
-    """
-    offsets = [0]
-    previous = 0
-    for boundary in boundaries:
-        runs = boundary - previous
-        offsets.append(offsets[-1] + (runs + unit_runs - 1) // unit_runs)
-        previous = boundary
-    return offsets
-
-
 def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
-                         start: int, stop: int, unit_runs: int,
-                         first_chunk: int) -> List[WorkUnit]:
+                         start: int, stop: int,
+                         unit_runs: int) -> List[WorkUnit]:
     """Evidence units for one round's slice ``[start, stop)`` of a side.
 
     ``rep_index`` indexes the campaign's input list for the fixed side
-    and is ``-1`` for the shared random side.  Chunk ordinals continue
-    sequentially across rounds (via *first_chunk* from
-    :func:`round_chunk_offsets`), so the decide unit merges every round
-    recorded so far in one deterministic order.
+    and is ``-1`` for the shared random side.  The slice is partitioned
+    by ``unit_runs`` *within* the round, so no unit spans an interim
+    look; each unit records one segment named by its run range.
     """
     units = []
-    chunk = first_chunk
-    for chunk_start in range(start, stop, unit_runs):
-        chunk_stop = min(chunk_start + unit_runs, stop)
+    for first in range(start, stop, unit_runs):
+        last = min(first + unit_runs, stop)
         units.append(WorkUnit(
-            uid=f"{cid}.evidence.{side}.{rep_index}.{chunk:04d}",
+            uid=f"{cid}.evidence.{side}.{rep_index}.{first:04d}-{last:04d}",
             kind=KIND_EVIDENCE, campaign=cid, spec=spec,
-            params={"side": side, "rep_index": rep_index, "chunk": chunk,
-                    "start": chunk_start, "stop": chunk_stop}))
-        chunk += 1
+            params={"side": side, "rep_index": rep_index,
+                    "start": first, "stop": last}))
     return units
 
 
 def decide_unit(cid: str, spec: Dict, round_index: int,
-                rep_indices: List[int], fixed_chunks: int,
-                random_chunks: int) -> WorkUnit:
-    """One look: merge every side's chunks to the round boundary into a
-    checkpoint (or, at the final look, completed evidence) and decide
-    stop-vs-continue."""
+                rep_indices: List[int]) -> WorkUnit:
+    """One look: merge every side's segments to the round boundary and
+    decide stop-vs-continue (at the final look, complete the sides)."""
     return WorkUnit(uid=f"{cid}.decide.{round_index:02d}",
                     kind=KIND_DECIDE, campaign=cid, spec=spec,
                     params={"round": round_index,
-                            "rep_indices": list(rep_indices),
-                            "fixed_chunks": fixed_chunks,
-                            "random_chunks": random_chunks})
+                            "rep_indices": list(rep_indices)})
 
 
 def report_unit(cid: str, spec: Dict) -> WorkUnit:

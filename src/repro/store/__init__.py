@@ -7,8 +7,8 @@ campaigns:
   store (compressed trace/evidence blobs, JSON manifest, atomic writes,
   corruption detection, ``gc``);
 * :class:`Campaign` — binds a store to one named program + configuration
-  and gives the pipeline trace caching, evidence checkpoints and report
-  reuse (``Owl.detect(store=...)``);
+  and gives the pipeline trace caching, run-range evidence segments and
+  report reuse (``Owl.detect(store=...)``);
 * :func:`diff_reports` — cross-version leakage regression diffs
   (introduced / fixed / persisting), the detect → patch → re-audit loop.
 """

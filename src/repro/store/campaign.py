@@ -8,16 +8,21 @@ three layers of reuse, coarse to fine:
   completed: return its stored report;
 * **evidence cache** — the fixed/random evidence sets for this
   configuration exist: skip all phase-3 recording and re-analyse;
-* **trace cache + checkpoints** — individual phase-1 traces are reused per
-  input, and phase-3 run batches fold into checkpointed partial evidence
-  every ``store_checkpoint_every`` runs, so a killed campaign resumes
-  where it stopped instead of starting over.
+* **trace cache + segments** — phase-1 traces are reused per input, and
+  phase-3 partial evidence is saved only as *segments*, the evidence of
+  runs ``[start, stop)`` of one side under
+  ``segment/<evidence-key suffix>/<start>-<stop>``: one per
+  ``store_checkpoint_every`` batch of ``Owl.detect``, one per service
+  evidence unit.  Readers merge, in run order, the segments of any
+  writer and partition that chain on from the runs they hold, so a
+  killed campaign resumes; completing a side deletes its segments.
 
 Bit-identity contract: whenever a store is attached, the evidence handed
 to the analyzer is always the store's **canonical round-tripped form**
 (serialise → deserialise), for cold and warm runs alike.  Canonical bytes
 are what make "warm re-run ≡ cold run" an equality of report JSON, not an
-approximation — see :mod:`repro.store.serialize`.
+approximation — see :mod:`repro.store.serialize` — and ``Evidence.merge``
+is associative, so every partition into segments folds to those bytes.
 
 ``diff_reports`` closes the paper's detect → patch → re-audit loop: two
 reports (two program versions) are joined on code location
@@ -93,8 +98,11 @@ class Campaign:
             return f"evidence/{self.name}/{self.evidence_fp}/random"
         return f"evidence/{self.name}/{self.evidence_fp}/fixed/{rep_fp}"
 
-    def checkpoint_key(self, evidence_key: str) -> str:
-        return "checkpoint/" + evidence_key[len("evidence/"):]
+    def segment_prefix(self, evidence_key: str) -> str:
+        return "segment/" + evidence_key[len("evidence/"):] + "/"
+
+    def segment_key(self, evidence_key: str, start: int, stop: int) -> str:
+        return f"{self.segment_prefix(evidence_key)}{start}-{stop}"
 
     def report_key(self, inputs_fp: str) -> str:
         return f"report/{self.name}/{self.analysis_fp}/{inputs_fp}"
@@ -140,7 +148,7 @@ class Campaign:
                   "signature": trace.signature()})
 
     # ------------------------------------------------------------------
-    # phase 3: evidence cache + checkpoints
+    # phase 3: evidence cache + segments
     # ------------------------------------------------------------------
 
     def load_evidence(self, key: str) -> Optional[Evidence]:
@@ -148,7 +156,8 @@ class Campaign:
 
     def save_evidence(self, key: str, evidence: Evidence,
                       side: str) -> Evidence:
-        """Persist a completed side and return its canonical form."""
+        """Persist a completed side, delete its segments, and return the
+        side's canonical form."""
         payload = serialize_evidence(evidence)
         with self.store.batch():
             self.store.put_bytes(
@@ -156,33 +165,51 @@ class Campaign:
                 meta={"workload": self.name, "config": self.evidence_fp,
                       "side": side, "seed": self.config.seed,
                       "runs": evidence.num_runs})
-            self.store.delete(self.checkpoint_key(key))
+            self.drop_segments(key)
         return deserialize_evidence(payload)
 
-    def load_checkpoint(self, evidence_key: str
-                        ) -> Optional[Tuple[Evidence, int]]:
-        """A side's partial evidence and its completed-run count, if any."""
-        key = self.checkpoint_key(evidence_key)
-        entry = self.store.get(key)
-        if entry is None:
-            return None
-        evidence = self._healing_load(self.store.get_evidence, key)
-        if evidence is None:
-            return None
-        runs_done = int(entry.meta.get("runs_done", evidence.num_runs))
-        if runs_done != evidence.num_runs:
-            # a checkpoint whose body and meta disagree is useless; treat
-            # it as absent rather than resuming from a wrong offset
-            return None
-        return evidence, runs_done
+    def drop_segments(self, evidence_key: str) -> None:
+        """Delete a completed side's segments: its own, and any a writer
+        racing the completion stored afterwards."""
+        with self.store.batch():
+            for key in self.store.keys_under(self.segment_prefix(evidence_key)):
+                self.store.delete(key)
 
-    def save_checkpoint(self, evidence_key: str, evidence: Evidence,
-                        runs_done: int, total_runs: int, side: str) -> None:
+    def save_segment(self, evidence_key: str, start: int, stop: int,
+                     partial: Evidence, side: str) -> None:
+        """Persist the partial evidence of runs ``[start, stop)`` (at
+        once, so the caller may then let ``Evidence.merge`` consume it)."""
         self.store.put_evidence(
-            self.checkpoint_key(evidence_key), evidence, kind="checkpoint",
+            self.segment_key(evidence_key, start, stop), partial,
+            kind="segment",
             meta={"workload": self.name, "config": self.evidence_fp,
                   "side": side, "seed": self.config.seed,
-                  "runs_done": runs_done, "total_runs": total_runs})
+                  "start": start, "stop": stop})
+
+    def extend_from_segments(self, evidence_key: str,
+                             evidence: Optional[Evidence], done: int,
+                             stop: int) -> Tuple[Optional[Evidence], int]:
+        """Merge onto *evidence* (the side's first *done* runs) the stored
+        segments, of any partition, that chain on in run order furthest
+        toward run *stop*; returns it and its run count.  One manifest
+        pass lists them; a damaged one is quarantined and ends the chain."""
+        prefix = self.segment_prefix(evidence_key)
+        chains: Dict[int, List[Tuple[int, int]]] = {done: []}  # by end run
+        for first, last in sorted(
+                tuple(map(int, key[len(prefix):].split("-")))
+                for key in self.store.keys_under(prefix)):
+            if first in chains and first < last <= stop \
+                    and last not in chains:
+                chains[last] = chains[first] + [(first, last)]
+        for first, last in chains[max(chains)]:
+            partial = self._healing_load(self.store.get_evidence,
+                                         self.segment_key(evidence_key,
+                                                          first, last))
+            if partial is None:
+                break
+            evidence = partial if evidence is None else evidence.merge(partial)
+            done = last
+        return evidence, done
 
     # ------------------------------------------------------------------
     # reports + campaign status
@@ -239,6 +266,16 @@ def incomplete_campaigns(store: TraceStore) -> List:
     """Campaign entries still marked in-progress (for ``owl resume``)."""
     return [entry for entry in store.entries(kind="campaign")
             if entry.meta.get("status") != STATUS_COMPLETE]
+
+
+def drop_retired_partials(store: TraceStore) -> int:
+    """Delete the ``checkpoint``-kind entries (whole-side snapshots and
+    service chunk blobs, which no campaign reads); returns how many."""
+    retired = store.entries(kind="checkpoint")
+    with store.batch():
+        for entry in retired:
+            store.delete(entry.key)
+    return len(retired)
 
 
 # ----------------------------------------------------------------------

@@ -131,7 +131,7 @@ _EVIDENCE_FIELDS = ("fixed_runs", "random_runs", "seed", "sampling")
 #: evidence scope: ks/mi/both campaigns share recorded traces and
 #: evidence but cache their reports independently.
 #: The adaptive scheduler's knobs are analysis scope: an adaptive
-#: campaign shares traces and (checkpointed) evidence with the classic
+#: campaign shares traces and (partial) evidence with the classic
 #: full-budget campaign but caches its report separately, because an
 #: early-stopped report legitimately carries different replica counts.
 _ANALYSIS_FIELDS = ("confidence", "sample_size_cap", "test",

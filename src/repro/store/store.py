@@ -11,7 +11,7 @@ A :class:`TraceStore` is one directory::
       tmp/              # staging for atomic writes
 
 The **manifest** maps logical keys (``trace/aes/<cfg>/<input>``,
-``evidence/...``, ``report/...``, ``checkpoint/...``, ``campaign/...``) to
+``evidence/...``, ``report/...``, ``segment/...``, ``campaign/...``) to
 entries carrying the blob address plus indexing metadata: workload name,
 config fingerprint, seed, and the run's :class:`PhaseStats` snapshot where
 relevant.  Entries are small JSON; bodies live in the blob layer.
@@ -367,6 +367,10 @@ class TraceStore:
         """All entries (of one *kind* if given), sorted by key."""
         return [entry for key, entry in sorted(self._entries.items())
                 if kind is None or entry.kind == kind]
+
+    def keys_under(self, prefix: str) -> List[str]:
+        """Keys starting with *prefix*, unsorted (one manifest pass)."""
+        return [key for key in self._entries if key.startswith(prefix)]
 
     def put_bytes(self, key: str, kind: str, payload: bytes,
                   meta: Optional[Dict] = None) -> Entry:

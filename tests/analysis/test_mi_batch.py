@@ -86,6 +86,25 @@ class TestBatchAgainstScalar:
                 assert_matches_scalar(request, result,
                                       correction=correction)
 
+    @pytest.mark.parametrize("request_pair", [
+        ({0: 19, 1: 33}, {0: 19, 1: 33}),   # identical rows
+        ({0: 19, 1: 33}, {0: 38, 1: 66}),   # proportional rows
+    ])
+    @pytest.mark.parametrize("correction", CORRECTIONS)
+    def test_proportional_rows_have_exactly_zero_mi(self, request_pair,
+                                                    correction):
+        # the entropy sums leave a ~1e-16 residue on these rows, which the
+        # χ² tail at one degree of freedom turned into p 0.9999997 in the
+        # scalar test while the batch read exactly 0
+        (result,) = mi_test_batch([request_pair], correction=correction)
+        assert_matches_scalar(request_pair, result, correction=correction)
+        scalar = mi_test(*request_pair, correction=correction)
+        for outcome in (result, scalar):
+            assert outcome.statistic == 0.0
+            assert outcome.p_value == 1.0
+            if correction == "none":
+                assert outcome.mi_bits == 0.0
+
     def test_explicit_order_respected(self):
         order = {"b": 0, "a": 1, "c": 2}
         request = ({"a": 5, "b": 2}, {"b": 6, "c": 3}, order)

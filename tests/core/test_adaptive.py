@@ -4,7 +4,7 @@ The contract under test: an ``adaptive=True`` detection flags the same
 leak set as the full-budget run, stops early when every location is
 decisive, spends its alpha through the O'Brien–Fleming-style schedule,
 stays bit-identical across every parallel/per-event-fold/cohort knob, and
-resumes through the store's checkpoint path to the identical report.
+resumes through the store's run-range segments to the identical report.
 """
 
 import numpy as np
@@ -233,11 +233,12 @@ class TestAdaptiveDetect:
 
 
 # ----------------------------------------------------------------------
-# store integration: checkpoints, resume, degradation
+# store integration: segments, resume, degradation
 # ----------------------------------------------------------------------
 
 class TestAdaptiveStore:
-    def test_early_stop_checkpoints_but_never_saves_evidence(self, tmp_path):
+    def test_early_stop_keeps_segments_but_never_saves_evidence(
+            self, tmp_path):
         from repro.store import TraceStore
         from repro.store.campaign import Campaign
         store = TraceStore(tmp_path / "store")
@@ -249,9 +250,10 @@ class TestAdaptiveStore:
         campaign = Campaign(store, owl.name, config, owl.device_config)
         key = campaign.evidence_key("random")
         # the evidence key promises the full budget: an early-stopped
-        # side must stay a checkpoint, not a completed artifact
+        # side must stay segments, not a completed artifact
         assert store.get(key) is None
-        evidence, done = campaign.load_checkpoint(key)
+        _evidence, done = campaign.extend_from_segments(
+            key, None, 0, config.random_runs)
         assert done == result.adaptive.random_recorded
 
     def test_resume_after_mid_round_interrupt_matches_cold_run(
@@ -280,9 +282,42 @@ class TestAdaptiveStore:
         owl.pool.record_evidence = real_record
         resumed = owl.detect(inputs=[3, 9], random_input=random_secret,
                              store=store)
-        assert resumed.stats.cached_runs > 0  # the checkpoints were used
+        assert resumed.stats.cached_runs > 0  # the segments were used
         assert resumed.report.to_json() == cold.report.to_json()
         assert (summary_decisions(resumed.adaptive)
+                == summary_decisions(cold.adaptive))
+
+    def test_interrupted_classic_run_does_not_skip_adaptive_looks(
+            self, tmp_path):
+        """A classic campaign killed past 40 runs leaves partial evidence
+        beyond the adaptive schedule's 16- and 32-run looks: a default
+        adaptive run over that store must still analyse every look of its
+        own schedule and stop where a cold adaptive run stops."""
+        from repro.store import TraceStore
+        cold = detect(df_program, adaptive=True,
+                      store=TraceStore(tmp_path / "cold"))
+        assert cold.adaptive.stopped_early
+
+        store = TraceStore(tmp_path / "warm")
+        config = OwlConfig(fixed_runs=60, random_runs=60, adaptive=False,
+                           always_analyze=True, store_checkpoint_every=20)
+        owl = Owl(df_program, name="adaptive-prog", config=config)
+        real_record = owl.pool.record_evidence
+        calls = []
+
+        def dying_record(values, keep_per_run=False):
+            calls.append(len(values))
+            if len(calls) == 3:  # the fixed side holds runs [0, 40)
+                raise KeyboardInterrupt
+            return real_record(values, keep_per_run=keep_per_run)
+
+        owl.pool.record_evidence = dying_record
+        with pytest.raises(KeyboardInterrupt):
+            owl.detect(inputs=[3, 9], random_input=random_secret,
+                       store=store)
+        warm = detect(df_program, adaptive=True, store=store)
+        assert warm.report.to_json() == cold.report.to_json()
+        assert (summary_decisions(warm.adaptive)
                 == summary_decisions(cold.adaptive))
 
     def test_warm_adaptive_rerun_hits_the_report_cache(self, tmp_path):

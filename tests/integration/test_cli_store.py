@@ -249,3 +249,119 @@ class TestResumeSubcommand:
         out = capsys.readouterr().out
         assert "resumed dummy" in out
         assert out[out.index("{"):] == reference
+
+
+class TestUpgradeFromCheckpoints:
+    """Stores written while partial evidence was saved as whole-side
+    ``checkpoint/`` snapshots (and the service's per-campaign chunk
+    blobs, of the same ``checkpoint`` kind) still open: campaigns ignore
+    those entries, and ``owl verify`` deletes them."""
+
+    def plant_checkpoints(self, tmp_path, capsys):
+        """A store holding bogus ``checkpoint``-kind partial evidence under
+        the keys a dummy campaign's sides used to resume from."""
+        from repro.core.evidence import Evidence
+        from repro.store import TraceStore
+        assert run_store(tmp_path / "probe") == 1
+        capsys.readouterr()
+        probe = TraceStore(tmp_path / "probe" / "store")
+        store = TraceStore(tmp_path / "store")
+        bogus = Evidence()
+        bogus.num_runs = 2
+        for entry in probe.entries(kind="evidence"):
+            store.put_evidence(
+                "checkpoint/" + entry.key[len("evidence/"):], bogus,
+                kind="checkpoint",
+                meta={"side": entry.meta["side"], "runs_done": 2,
+                      "total_runs": 4})
+        store.put_evidence("servicechunk/c0001/random/random/0000", bogus,
+                           kind="checkpoint", meta={"start": 0, "stop": 2})
+        return len(probe.entries(kind="evidence")) + 1
+
+    def test_campaign_ignores_old_checkpoints(self, tmp_path, capsys):
+        from repro.store import TraceStore
+        assert main(["run", "dummy", *RUN_ARGS, "--json"]) == 1
+        reference = json.loads(capsys.readouterr().out)
+        planted = self.plant_checkpoints(tmp_path, capsys)
+
+        assert run_store(tmp_path, "--json") == 1
+        assert json.loads(capsys.readouterr().out) == reference
+        store = TraceStore(tmp_path / "store")
+        assert len(store.entries(kind="checkpoint")) == planted
+        assert store.keys_under("segment/") == []
+
+    def test_verify_deletes_old_checkpoints_and_counts_them(self, tmp_path,
+                                                            capsys):
+        from repro.store import TraceStore
+        planted = self.plant_checkpoints(tmp_path, capsys)
+        store_dir = str(tmp_path / "store")
+        assert main(["verify", "--store", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert f"deleted {planted} retired checkpoint entries" in out
+        assert "entries verified" in out
+        assert TraceStore(store_dir).entries(kind="checkpoint") == []
+        assert main(["verify", "--store", store_dir]) == 0
+        assert "retired" not in capsys.readouterr().out
+
+    def test_ls_kind_offers_segment_in_place_of_checkpoint(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.core.parallel import TraceRecordingPool
+        store_dir = str(tmp_path / "store")
+        original = TraceRecordingPool.record_evidence
+        calls = {"n": 0}
+
+        def crashing(self, values, keep_per_run=False):
+            calls["n"] += 1
+            if calls["n"] == 2:  # after the fixed side's first batch
+                raise KeyboardInterrupt("simulated crash")
+            return original(self, values, keep_per_run=keep_per_run)
+
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", crashing)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "dummy", "--store", store_dir, "--fixed-runs",
+                  "30", "--random-runs", "30", "--seed", "11"])
+        capsys.readouterr()
+        assert main(["ls", "--store", store_dir, "--kind", "segment"]) == 0
+        out = capsys.readouterr().out
+        assert "/fixed/" in out and out.count("segment/dummy/") == 1
+        assert "/0-25\n" in out
+        with pytest.raises(SystemExit):
+            main(["ls", "--store", store_dir, "--kind", "checkpoint"])
+
+    def test_units_queued_before_the_upgrade_still_execute(self, tmp_path):
+        """Evidence units that still carry a chunk ordinal and decide units
+        that still carry chunk counts run on their run ranges and look."""
+        from repro.apps.registry import resolve
+        from repro.core.pipeline import Owl, OwlConfig
+        from repro.service.execute import execute_unit
+        from repro.service.units import (
+            KIND_DECIDE, KIND_EVIDENCE, WorkUnit, report_unit)
+        from repro.store import TraceStore
+        overrides = dict(fixed_runs=4, random_runs=4, seed=11)
+        spec = {"workload": "dummy", "config": dict(overrides)}
+        store = TraceStore(tmp_path / "store")
+        units = [WorkUnit(uid=f"c0001.evidence.{side}.{rep}.{chunk:04d}",
+                          kind=KIND_EVIDENCE, campaign="c0001", spec=spec,
+                          params={"side": side, "rep_index": rep,
+                                  "chunk": chunk, "start": 2 * chunk,
+                                  "stop": 2 * chunk + 2})
+                 for side, rep in (("fixed", 0), ("random", -1))
+                 for chunk in (0, 1)]
+        units.append(WorkUnit(
+            uid="c0001.decide.00", kind=KIND_DECIDE, campaign="c0001",
+            spec=spec, params={"round": 0, "rep_indices": [0],
+                               "fixed_chunks": 2, "random_chunks": 2}))
+        for unit in units[:-1]:
+            assert execute_unit(unit, store)["runs"] == 2
+        assert execute_unit(units[-1], store)["final"]
+        assert len(store.entries(kind="evidence")) == 2
+        assert store.keys_under("segment/") == []
+
+        report = execute_unit(report_unit("c0001", spec), store)
+        assert report["cached_runs"] == 8
+        program, fixed_inputs, random_input = resolve("dummy")
+        direct = Owl(program, name="dummy",
+                     config=OwlConfig(**overrides)).detect(
+            fixed_inputs(), random_input=random_input)
+        assert store.get_report(report["report_key"]).to_json() == \
+            direct.report.to_json()

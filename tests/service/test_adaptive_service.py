@@ -13,9 +13,12 @@ import json
 import pytest
 
 from repro.apps.registry import resolve
+from repro.core.parallel import TraceRecordingPool
 from repro.core.pipeline import Owl, OwlConfig
 from repro.service import CampaignScheduler, ServiceConfig
-from repro.service.scheduler import STAGE_COMPLETE
+from repro.service.scheduler import STAGE_COMPLETE, STAGE_REPORTING
+from repro.store.campaign import Campaign
+from repro.store.store import TraceStore
 from tests.service.test_service_identity import run_service
 
 ADAPTIVE = dict(fixed_runs=60, random_runs=60, adaptive=True,
@@ -25,9 +28,26 @@ ADAPTIVE = dict(fixed_runs=60, random_runs=60, adaptive=True,
 def direct_adaptive(tmp_path, workload="dummy", overrides=ADAPTIVE):
     program, fixed_inputs, random_input = resolve(workload)
     owl = Owl(program, name=workload, config=OwlConfig(**overrides))
-    from repro.store.store import TraceStore
     return owl.detect(fixed_inputs(), random_input=random_input,
                       store=TraceStore(tmp_path / "direct"))
+
+
+def segment_ranges(store, workload="dummy", overrides=ADAPTIVE):
+    """Each evidence side's stored segment ranges, keyed by side."""
+    program, fixed_inputs, _random = resolve(workload)
+    owl = Owl(program, name=workload, config=OwlConfig(**overrides))
+    campaign = Campaign(store, workload, owl.config, owl.device_config)
+    keys = {"random": campaign.evidence_key("random")}
+    for value in fixed_inputs():
+        keys.setdefault("fixed", campaign.evidence_key(
+            "fixed", campaign.input_fingerprint(value)))
+    ranges = {}
+    for side, key in keys.items():
+        prefix = campaign.segment_prefix(key)
+        ranges[side] = sorted(
+            tuple(int(run) for run in name[len(prefix):].split("-"))
+            for name in store.keys_under(prefix))
+    return ranges
 
 
 def decide_events(scheduler):
@@ -61,16 +81,53 @@ class TestAdaptiveServiceIdentity:
         assert (scheduler.results(cid)["report_json"]
                 == direct.report.to_json())
 
-    def test_early_stop_collects_the_round_chunks(self, tmp_path):
+    def test_early_stop_keeps_exactly_the_segments_of_its_boundary(
+            self, tmp_path):
+        direct = direct_adaptive(tmp_path)
+        assert direct.adaptive.stopped_early
         scheduler, (cid,) = run_service(
             tmp_path, ServiceConfig(workers=0, unit_runs=7),
             overrides=ADAPTIVE)
         assert scheduler.results(cid)["stage"] == STAGE_COMPLETE
-        from repro.store.store import TraceStore
         store = TraceStore(tmp_path / "store")
-        leftovers = [entry.key for entry in store.entries()
-                     if entry.key.startswith("servicechunk/")]
-        assert leftovers == []
+        recorded = {"fixed": direct.adaptive.fixed_recorded,
+                    "random": direct.adaptive.random_recorded}
+        for side, ranges in segment_ranges(store).items():
+            # one unbroken chain of unit_runs-sized ranges, ending at
+            # the stopping boundary: nothing past it, nothing doubled
+            assert ranges[0][0] == 0 and ranges[-1][1] == recorded[side]
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(stop - start <= 7 for start, stop in ranges)
+        assert store.entries(kind="evidence") == []
+
+    def test_early_stopped_report_unit_records_no_run(self, tmp_path,
+                                                      monkeypatch):
+        """The report unit re-analyses every look from the segments the
+        evidence units wrote at ``unit_runs=7`` — a partition other than
+        its own ``store_checkpoint_every`` batches — and records
+        nothing."""
+        direct = direct_adaptive(tmp_path)
+        assert direct.adaptive.stopped_early
+        scheduler = CampaignScheduler(
+            tmp_path / "store", tmp_path / "queue",
+            ServiceConfig(workers=0, unit_runs=7))
+        cid = scheduler.submit("dummy", ADAPTIVE)
+        state = scheduler.campaigns[cid]
+        while state.stage != STAGE_REPORTING:
+            scheduler.tick()
+            assert not state.done
+
+        def no_recording(pool, values, keep_per_run=False):
+            raise AssertionError(f"report unit recorded {len(values)} runs")
+
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence",
+                            no_recording)
+        assert scheduler.wait([cid], timeout=240.0)
+        results = scheduler.results(cid)
+        assert results["stage"] == STAGE_COMPLETE, state.error
+        assert results["report_json"] == direct.report.to_json()
+        assert state.report["cached_runs"] == (
+            direct.adaptive.fixed_recorded + direct.adaptive.random_recorded)
 
     def test_fleet_adaptive_identical_across_worker_death(self, tmp_path):
         direct = direct_adaptive(tmp_path)
@@ -86,15 +143,13 @@ class TestAdaptiveServiceIdentity:
 
 
 class TestCompletedSides:
-    def test_decide_over_completed_side_collects_every_chunk(self,
-                                                             tmp_path):
+    def test_decide_over_completed_side_leaves_no_segment(self, tmp_path):
         """A classic campaign completes the rep-0 fixed side and the random
         side; a later adaptive campaign over every representative meets
-        them at its first look.  The decide unit must still fold the
-        remaining side, stop, and leave no chunk blob behind, and the
-        report must equal a direct adaptive run over a store the same
-        classic run warmed."""
-        from repro.store.store import TraceStore
+        them at its first look.  The decide unit must stop, the report
+        unit must complete the remaining sides from their segments and
+        leave no segment behind, and the report must equal a direct
+        adaptive run over a store the same classic run warmed."""
         classic = dict(ADAPTIVE, adaptive=False)
         everything = dict(ADAPTIVE, analyze_all_representatives=True)
         program, fixed_inputs, random_input = resolve("dummy")
@@ -116,5 +171,5 @@ class TestCompletedSides:
         assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct.report.to_json()
         store = TraceStore(tmp_path / "store")
-        assert [entry.key for entry in store.entries()
-                if entry.key.startswith("servicechunk/")] == []
+        assert store.keys_under("segment/") == []
+        assert TraceStore(tmp_path / "direct").keys_under("segment/") == []

@@ -3,9 +3,10 @@
 ``pending_units()`` is a snapshot, and a unit's claim is released once
 its result is written, so a worker still working through an old listing
 can win a fresh claim on a unit another worker already finished.
-Re-running a stopping decide unit is the worst case: its chunks are
-gone, so it would overwrite each side's checkpoint with empty evidence
-and the report unit would re-record the whole campaign.
+The stopping decide unit is the case checked here: a re-run would merge
+every side's segments up to the look and analyse it again, for a result
+the scheduler has already harvested.  The stale worker must execute the
+report unit only.
 """
 
 from repro.apps.registry import resolve

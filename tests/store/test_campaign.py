@@ -1,4 +1,4 @@
-"""Campaign engine: fingerprints, keys, checkpoints, regression diffs."""
+"""Campaign engine: fingerprints, keys, segments, regression diffs."""
 
 import dataclasses
 
@@ -110,12 +110,12 @@ class TestKeys:
         assert campaign.evidence_key("fixed", "rep-a") != \
             campaign.evidence_key("fixed", "rep-b")
 
-    def test_checkpoint_key_mirrors_evidence_key(self, campaign):
+    def test_segment_key_mirrors_evidence_key(self, campaign):
         evidence_key = campaign.evidence_key("fixed", "rep")
-        checkpoint = campaign.checkpoint_key(evidence_key)
-        assert checkpoint.startswith("checkpoint/")
-        assert checkpoint.split("/", 1)[1] == \
-            evidence_key.split("/", 1)[1]
+        segment = campaign.segment_key(evidence_key, 0, 25)
+        assert segment.startswith("segment/")
+        assert segment.split("/", 1)[1] == \
+            evidence_key.split("/", 1)[1] + "/0-25"
 
     def test_keys_embed_program_name(self, tmp_path):
         store = TraceStore(tmp_path / "s")
@@ -126,26 +126,83 @@ class TestKeys:
         assert a.report_key("fp") != b.report_key("fp")
 
 
-class TestCheckpoints:
-    def test_mismatched_checkpoint_meta_treated_as_absent(self, campaign):
-        from repro.core.evidence import Evidence
-        key = campaign.evidence_key("fixed", "rep")
-        evidence = Evidence()
-        evidence.num_runs = 2
-        campaign.save_checkpoint(key, evidence, runs_done=5, total_runs=8,
-                                 side="fixed")
-        assert campaign.load_checkpoint(key) is None
+def runs_evidence(runs):
+    from repro.core.evidence import Evidence
+    evidence = Evidence()
+    evidence.num_runs = runs
+    return evidence
 
-    def test_save_evidence_clears_checkpoint(self, campaign):
-        from repro.core.evidence import Evidence
+
+def save_segments(campaign, key, *ranges):
+    for start, stop in ranges:
+        campaign.save_segment(key, start, stop, runs_evidence(stop - start),
+                              side="fixed")
+
+
+def reach(campaign, key, done, stop):
+    """Runs held after extending a *done*-run side toward run *stop*."""
+    evidence, reached = campaign.extend_from_segments(
+        key, runs_evidence(done) if done else None, done, stop)
+    assert (evidence.num_runs if evidence is not None else 0) == reached
+    return reached
+
+
+class TestSegments:
+    def test_chain_follows_run_order_across_partitions(self, campaign):
         key = campaign.evidence_key("fixed", "rep")
-        evidence = Evidence()
-        evidence.num_runs = 3
-        campaign.save_checkpoint(key, evidence, runs_done=3, total_runs=8,
-                                 side="fixed")
-        assert campaign.load_checkpoint(key) is not None
-        campaign.save_evidence(key, evidence, side="fixed")
-        assert campaign.load_checkpoint(key) is None
+        save_segments(campaign, key, (2, 4), (0, 2), (0, 3))
+        assert reach(campaign, key, 0, 4) == 4
+        assert reach(campaign, key, 0, 3) == 3
+        assert reach(campaign, key, 2, 4) == 4
+        assert reach(campaign, key, 1, 4) == 1  # no segment starts at 1
+
+    def test_chain_reaches_furthest_not_greediest(self, campaign):
+        key = campaign.evidence_key("fixed", "rep")
+        save_segments(campaign, key, (0, 10), (0, 5), (5, 20))
+        assert reach(campaign, key, 0, 20) == 20  # via (0, 5), (5, 20)
+        assert reach(campaign, key, 0, 19) == 10
+
+    def test_chain_stays_within_its_side(self, campaign):
+        fixed = campaign.evidence_key("fixed", "rep")
+        other = campaign.evidence_key("fixed", "rep2")
+        save_segments(campaign, other, (0, 4))
+        assert reach(campaign, fixed, 0, 4) == 0
+
+    def test_corrupt_segment_ends_the_chain(self, campaign):
+        key = campaign.evidence_key("fixed", "rep")
+        # distinct run counts, distinct blobs: only (1, 3) is damaged
+        save_segments(campaign, key, (0, 1), (1, 3))
+        entry = campaign.store.get(campaign.segment_key(key, 1, 3))
+        path = campaign.store.blobs.path_for(entry.blob)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        assert reach(campaign, key, 0, 3) == 1
+        # quarantined: the runs it held are recorded again
+        assert campaign.store.keys_under("segment/") == [
+            campaign.segment_key(key, 0, 1)]
+
+    def test_save_evidence_deletes_only_its_sides_segments(self, campaign):
+        fixed = campaign.evidence_key("fixed", "rep")
+        random = campaign.evidence_key("random")
+        save_segments(campaign, fixed, (0, 2), (0, 3))
+        save_segments(campaign, random, (0, 2))
+        campaign.save_evidence(fixed, runs_evidence(4), side="fixed")
+        keys = campaign.store.keys_under("segment/")
+        assert keys == [campaign.segment_key(random, 0, 2)]
+        # deletions are durable: a fresh handle sees the same
+        assert TraceStore(campaign.store.root).keys_under("segment/") == keys
+
+    def test_retired_checkpoint_entries_are_dropped(self, campaign):
+        from repro.store.campaign import drop_retired_partials
+        store = campaign.store
+        store.put_bytes("checkpoint/prog/cfg/random", "checkpoint", b"old")
+        store.put_bytes("servicechunk/c0001/random/random/0000",
+                        "checkpoint", b"chunk")
+        save_segments(campaign, campaign.evidence_key("random"), (0, 2))
+        assert drop_retired_partials(store) == 2
+        assert [entry.kind for entry in store.entries()] == ["segment"]
+        assert drop_retired_partials(TraceStore(store.root)) == 0
 
 
 class TestDiffReports:

@@ -5,6 +5,7 @@ interrupted campaign resumes to the same report."""
 import pytest
 
 from repro.cli import _workloads
+from repro.core import pipeline
 from repro.core.pipeline import Owl, OwlConfig
 from repro.store import TraceStore
 
@@ -108,50 +109,88 @@ class TestWarmEqualsCold:
         assert changed.stats.cached_traces > 0  # trace scope unchanged
 
 
+#: phase-3 batches of a TINY campaign: each side's 4 runs in batches of 2
+TINY_BATCHES = 4
+
+
 class TestCrashResume:
-    def crash_after(self, owl, batches):
-        """Make the owl's pool die after *batches* record_evidence calls."""
+    def crash_after(self, owl, batches, monkeypatch):
+        """Kill the campaign right after its *batches*-th phase-3 batch:
+        at the next batch, or at the analysis after the last one.
+        Returns the batch counter."""
         calls = {"n": 0}
         real = owl.pool.record_evidence
 
         def bomb(values, keep_per_run=False):
-            calls["n"] += 1
-            if calls["n"] > batches:
+            if calls["n"] == batches:
                 raise KeyboardInterrupt("simulated crash")
+            calls["n"] += 1
             return real(values, keep_per_run=keep_per_run)
 
-        owl.pool.record_evidence = bomb
+        def analysis(*args, **kwargs):
+            raise KeyboardInterrupt("simulated crash")
 
-    @pytest.mark.parametrize("crash_batches", [1, 2, 3])
-    def test_resume_matches_uninterrupted_run(self, crash_batches, tmp_path):
-        program, fixed_inputs, random_input = _workloads()["dummy"]
+        owl.pool.record_evidence = bomb
+        monkeypatch.setattr(pipeline, "run_analyzers", analysis)
+        return calls
+
+    @pytest.mark.parametrize("workload", ["dummy", "aes"])
+    @pytest.mark.parametrize("crash_batches", range(1, TINY_BATCHES + 1))
+    def test_resume_matches_uninterrupted_run(self, workload, crash_batches,
+                                              tmp_path, monkeypatch):
+        program, fixed_inputs, random_input = _workloads()[workload]
         config = OwlConfig(**TINY)
 
-        reference = run_detection("dummy",
+        reference = run_detection(workload,
                                   store=TraceStore(tmp_path / "ref"))
 
-        crashed = Owl(program, name="dummy", config=config)
-        self.crash_after(crashed, crash_batches)
-        with pytest.raises(KeyboardInterrupt):
-            crashed.detect(inputs=fixed_inputs(),
-                           random_input=random_input,
-                           store=TraceStore(tmp_path / "s"))
+        crashed = Owl(program, name=workload, config=config)
+        with monkeypatch.context() as patch:
+            calls = self.crash_after(crashed, crash_batches, patch)
+            with pytest.raises(KeyboardInterrupt):
+                crashed.detect(inputs=fixed_inputs(),
+                               random_input=random_input,
+                               store=TraceStore(tmp_path / "s"))
+        assert calls["n"] == crash_batches
 
-        resumed = run_detection("dummy", store=TraceStore(tmp_path / "s"))
+        resumed = run_detection(workload, store=TraceStore(tmp_path / "s"))
         assert not resumed.stats.report_cache_hit
-        assert resumed.stats.cached_runs > 0  # checkpointed work survived
+        assert resumed.stats.cached_runs > 0  # stored work survived
         assert resumed.report.to_json() == reference.report.to_json()
 
-    def test_interrupted_campaign_visible_until_finished(self, tmp_path):
+    def test_segment_stored_after_its_side_completed_is_dropped(
+            self, tmp_path):
+        """A writer racing a side's completion (another campaign's evidence
+        unit) can store a segment after ``save_evidence`` deleted the
+        side's segments; the next run that loads the completed side
+        deletes it."""
+        from repro.store.campaign import Campaign
+        from repro.store.serialize import deserialize_evidence
+        store = TraceStore(tmp_path / "s")
+        cold = run_detection("dummy", store=store)
+        assert store.keys_under("segment/") == []
+        (entry, *_rest) = store.entries(kind="evidence")
+        campaign = Campaign(store, "dummy", OwlConfig(**TINY))
+        stray = deserialize_evidence(store.get_bytes(entry.key))
+        campaign.save_segment(entry.key, 0, 4, stray, entry.meta["side"])
+
+        rerun = run_detection("dummy", store=TraceStore(tmp_path / "s"),
+                              reuse_report=False)
+        assert rerun.report.to_json() == cold.report.to_json()
+        assert TraceStore(tmp_path / "s").keys_under("segment/") == []
+
+    def test_interrupted_campaign_visible_until_finished(self, tmp_path,
+                                                         monkeypatch):
         from repro.store import incomplete_campaigns
         program, fixed_inputs, random_input = _workloads()["dummy"]
         config = OwlConfig(**TINY)
         crashed = Owl(program, name="dummy", config=config)
-        self.crash_after(crashed, 1)
-        with pytest.raises(KeyboardInterrupt):
-            crashed.detect(inputs=fixed_inputs(),
-                           random_input=random_input,
-                           store=TraceStore(tmp_path / "s"))
+        with monkeypatch.context() as patch:
+            self.crash_after(crashed, 1, patch)
+            with pytest.raises(KeyboardInterrupt):
+                crashed.detect(inputs=fixed_inputs(),
+                               random_input=random_input,
+                               store=TraceStore(tmp_path / "s"))
         store = TraceStore(tmp_path / "s")
         assert len(incomplete_campaigns(store)) == 1
         run_detection("dummy", store=store)
