@@ -20,6 +20,7 @@ Format (little-endian, versioned):
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.adcfg.graph import ADCFG, Edge, MemoryRecord, Node
@@ -123,9 +124,28 @@ def _collect_strings(graph: ADCFG) -> List[str]:
         strings.update(edge.prev_counts.keys())
     for node in graph.nodes.values():
         for _visit, _instr, record in node.iter_instructions():
-            for label, _offset in record.counts:
-                strings.add(label)
+            strings.update(map(itemgetter(0), record.counts))
     return sorted(strings)
+
+
+def _pack_record(record: MemoryRecord, index: Dict[str, int]) -> bytes:
+    """One memory record in one ``struct`` call: ``(space, is_store,
+    pairs)``, then its ``(label, offset, count)`` pairs in key order.
+
+    The format is built per record, never per graph: ``struct`` caches
+    up to 100 compiled formats, and a record holds a few hundred pairs,
+    where one graph-wide format would compile tens of thousands.
+    """
+    counts = record.counts
+    keys = sorted(counts)
+    values = [0] * (3 * len(keys))
+    if keys:
+        labels, offsets = zip(*keys)
+        values[0::3] = map(index.__getitem__, labels)
+        values[1::3] = offsets
+        values[2::3] = map(counts.__getitem__, keys)
+    return struct.pack("<BBI" + "IqQ" * len(keys), record.space,
+                       int(record.is_store), len(keys), *values)
 
 
 def serialize_adcfg(graph: ADCFG) -> bytes:
@@ -152,11 +172,7 @@ def serialize_adcfg(graph: ADCFG) -> bytes:
         for slots in node.visits:
             w.pack("I", len(slots))
             for record in slots:
-                w.pack("BBI", record.space, int(record.is_store),
-                       len(record.counts))
-                for (alloc_label, offset) in sorted(record.counts):
-                    w.pack("IqQ", index[alloc_label], offset,
-                           record.counts[(alloc_label, offset)])
+                w.raw(_pack_record(record, index))
 
     w.pack("I", len(graph.edges))
     for (src, dst) in sorted(graph.edges):
@@ -199,6 +215,21 @@ def deserialize_adcfg(data: bytes) -> ADCFG:
             f"malformed A-DCFG payload: {error}") from error
 
 
+def _read_record(r: Reader, table: List[str]) -> MemoryRecord:
+    """Inverse of :func:`_pack_record`: the header, then every pair in
+    one ``struct`` call, keeping the payload's pair order."""
+    space, is_store, num_pairs = r.unpack("BBI")
+    r.ensure_capacity(num_pairs, 20, "access-count pairs")
+    values = r.unpack("IqQ" * num_pairs)
+    labels = values[0::3]
+    if labels:
+        # label indices are unsigned: only the largest can be out of range
+        _lookup(table, max(labels))
+    return MemoryRecord(space=space, is_store=bool(is_store),
+                        counts=dict(zip(zip(map(table.__getitem__, labels),
+                                            values[1::3]), values[2::3])))
+
+
 def _deserialize_adcfg_unchecked(data: bytes) -> ADCFG:
     r = Reader(data)
     if r.raw(4) != _MAGIC:
@@ -232,16 +263,8 @@ def _deserialize_adcfg_unchecked(data: bytes) -> ADCFG:
         for _v in range(num_visits):
             (num_instrs,) = r.unpack("I")
             r.ensure_capacity(num_instrs, 6, "memory instructions")
-            slots = []
-            for _i in range(num_instrs):
-                space, is_store, num_pairs = r.unpack("BBI")
-                r.ensure_capacity(num_pairs, 20, "access-count pairs")
-                record = MemoryRecord(space=space, is_store=bool(is_store))
-                for _p in range(num_pairs):
-                    alloc_idx, offset, count = r.unpack("IqQ")
-                    record.counts[(_lookup(table, alloc_idx), offset)] = count
-                slots.append(record)
-            node.visits.append(slots)
+            node.visits.append([_read_record(r, table)
+                                for _i in range(num_instrs)])
         graph.nodes[node.label] = node
 
     (num_edges,) = r.unpack("I")

@@ -515,6 +515,12 @@ def _profile_payload(profiler, result, workload: str) -> dict:
             "analysis_fold": profiler.get("analysis_fold"),
             "analysis_ks": profiler.get("analysis_ks"),
             "analysis_mi": profiler.get("analysis_mi"),
+            # store layer (0 without --store): trace/evidence codecs and
+            # the blob reads and writes under them
+            "store_encode": profiler.get("store_encode"),
+            "store_decode": profiler.get("store_decode"),
+            "blob_write": profiler.get("blob_write"),
+            "blob_read": profiler.get("blob_read"),
         },
         "phase_counts": dict(profiler.counts),
         "replica_batching": {

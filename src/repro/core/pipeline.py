@@ -663,8 +663,9 @@ class Owl:
         if campaign is None:
             return
         if final:
-            side.evidence = campaign.save_evidence(side.key, side.evidence,
-                                                   side.side)
+            from repro.store.serialize import deserialize_evidence
+            side.evidence = deserialize_evidence(campaign.save_evidence(
+                side.key, side.evidence, side.side))
             side.complete = True
         elif side.done > held:
             side.evidence = canonical_evidence(side.evidence)

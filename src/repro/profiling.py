@@ -15,6 +15,11 @@ record into it only while one is active, so the default path pays a single
   those folds — per member in phase 1, per segment when a phase-3 batch
   ends (:func:`repro.tracing.replica.fold_grouped`); these are charged to
   ``event_emit`` as well so they stay out of ``kernel_execute``;
+* ``store_encode`` / ``store_decode`` — the trace and evidence codecs of
+  :mod:`repro.store.serialize`;
+* ``blob_write`` / ``blob_read`` — :class:`repro.store.blobs.BlobStore`'s
+  ``put`` (compress, write, fsync, rename) and ``get`` (read, decompress,
+  re-hash);
 * the analysis phases (``analysis``, ``evidence_fold``) come from the
   pipeline's existing :class:`PhaseStats` rather than from hooks.
 
@@ -25,7 +30,9 @@ package's import graph.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import functools
+import time
+from typing import Callable, Dict, Optional
 
 
 class PhaseProfiler:
@@ -64,3 +71,21 @@ def disable() -> Optional[PhaseProfiler]:
     previous = _active
     _active = None
     return previous
+
+
+def timed(phase: str) -> Callable[[Callable], Callable]:
+    """Decorator: charge each call's wall-clock time to *phase* while a
+    profiler is active (otherwise one ``None`` check per call)."""
+    def decorate(function: Callable) -> Callable:
+        @functools.wraps(function)
+        def call(*args, **kwargs):
+            prof = _active
+            if prof is None:
+                return function(*args, **kwargs)
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                prof.add(phase, time.perf_counter() - started)
+        return call
+    return decorate

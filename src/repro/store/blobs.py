@@ -11,6 +11,9 @@ address being a content digest gives three properties for free:
   rot or partial write fails closed with :class:`StoreCorruptionError`;
 * **idempotent writes** — re-putting an existing payload is a no-op.
 
+Puts compress at zlib level 1, the fastest; reads take any level, and
+neither the address nor the dedup depends on the compressed bytes.
+
 Writes are atomic: payloads land in ``tmp/`` and are published with
 ``os.replace``, so a crash mid-write can leave garbage in ``tmp/`` (swept
 opportunistically) but never a half-written object at a valid address.
@@ -35,6 +38,7 @@ import zlib
 from pathlib import Path
 from typing import Iterator, List, Union
 
+from repro import profiling
 # historical home of these classes; canonical definitions live in
 # repro.errors so every layer shares one hierarchy
 from repro.errors import StoreCorruptionError, StoreError
@@ -47,6 +51,10 @@ __all__ = ["BlobStore", "StoreCorruptionError", "StoreError",
 #: the identical payload at once — they would share a tmp path and one
 #: ``os.replace`` would steal the other's file out from under it.
 _TMP_SERIAL = itertools.count()
+
+#: Level 1 compresses store payloads (A-DCFG histograms) about 5x faster
+#: than zlib's default 6, for about 10% more bytes on disk.
+_ZLIB_LEVEL = 1
 
 
 def sha256_hex(payload: bytes) -> str:
@@ -118,6 +126,7 @@ class BlobStore:
     # read / write
     # ------------------------------------------------------------------
 
+    @profiling.timed("blob_write")
     def put(self, payload: bytes) -> str:
         """Store *payload*, returning its content address (idempotent)."""
         digest = sha256_hex(payload)
@@ -125,7 +134,7 @@ class BlobStore:
         if path.exists():
             return digest
         path.parent.mkdir(parents=True, exist_ok=True)
-        compressed = zlib.compress(payload, level=6)
+        compressed = zlib.compress(payload, level=_ZLIB_LEVEL)
         tmp_path = self.tmp_dir / (
             f"{digest}.{os.getpid()}.{threading.get_ident()}."
             f"{next(_TMP_SERIAL)}.tmp")
@@ -140,6 +149,7 @@ class BlobStore:
                 tmp_path.unlink()
         return digest
 
+    @profiling.timed("blob_read")
     def get(self, digest: str) -> bytes:
         """Load and verify the payload stored at *digest*."""
         try:

@@ -48,7 +48,7 @@ from repro.store.fingerprint import (
     fingerprint_value,
     trace_fingerprint,
 )
-from repro.store.serialize import deserialize_evidence, serialize_evidence
+from repro.store.serialize import serialize_evidence
 from repro.store.store import TraceStore
 from repro.tracing.recorder import ProgramTrace
 
@@ -155,9 +155,10 @@ class Campaign:
         return self._healing_load(self.store.get_evidence, key)
 
     def save_evidence(self, key: str, evidence: Evidence,
-                      side: str) -> Evidence:
-        """Persist a completed side, delete its segments, and return the
-        side's canonical form."""
+                      side: str) -> bytes:
+        """Persist a completed side and delete its segments; returns the
+        stored payload, which ``deserialize_evidence`` turns into the
+        side's canonical form for a caller that analyses on."""
         payload = serialize_evidence(evidence)
         with self.store.batch():
             self.store.put_bytes(
@@ -166,7 +167,7 @@ class Campaign:
                       "side": side, "seed": self.config.seed,
                       "runs": evidence.num_runs})
             self.drop_segments(key)
-        return deserialize_evidence(payload)
+        return payload
 
     def drop_segments(self, evidence_key: str) -> None:
         """Delete a completed side's segments: its own, and any a writer

@@ -23,13 +23,19 @@ All malformed inputs raise
 :class:`~repro.adcfg.serialize.SerializationError`, never a bare parsing
 exception: the store loads these bytes from disk, where they are
 untrusted.
+
+A loaded trace carries its :meth:`ProgramTrace.signature` already: by
+the canonical-form contract, each invocation's identity and the A-DCFG
+bytes just read are what the signature would re-encode and hash.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import List, Optional
 
+from repro import profiling
 from repro.adcfg.serialize import (
     Reader,
     SerializationError,
@@ -51,6 +57,7 @@ _VERSION = 1
 # ProgramTrace
 # ----------------------------------------------------------------------
 
+@profiling.timed("store_encode")
 def serialize_trace(trace: ProgramTrace) -> bytes:
     """Serialise a full :class:`ProgramTrace` to bytes."""
     w = Writer()
@@ -90,6 +97,7 @@ def serialize_trace(trace: ProgramTrace) -> bytes:
     return w.getvalue()
 
 
+@profiling.timed("store_decode")
 def deserialize_trace(data: bytes) -> ProgramTrace:
     """Inverse of :func:`serialize_trace` (raises ``SerializationError``)."""
     try:
@@ -112,6 +120,7 @@ def _deserialize_trace_unchecked(data: bytes) -> ProgramTrace:
     (num_invocations,) = r.unpack("I")
     r.ensure_capacity(num_invocations, 40, "kernel invocations")
     invocations: List[KernelInvocation] = []
+    signature = hashlib.sha256()
     for _ in range(num_invocations):
         identity = r.string()
         kernel_name = r.string()
@@ -119,7 +128,10 @@ def _deserialize_trace_unchecked(data: bytes) -> ProgramTrace:
         grid = r.unpack("III")
         block = r.unpack("III")
         (adcfg_len,) = r.unpack("I")
-        adcfg = deserialize_adcfg(r.raw(adcfg_len))
+        payload = r.raw(adcfg_len)
+        adcfg = deserialize_adcfg(payload)
+        signature.update(identity.encode())
+        signature.update(payload)
         invocations.append(KernelInvocation(
             identity=identity, kernel_name=kernel_name, seq=seq,
             grid=grid, block=block, adcfg=adcfg))
@@ -160,7 +172,8 @@ def _deserialize_trace_unchecked(data: bytes) -> ProgramTrace:
     if not r.exhausted:
         raise SerializationError("trailing bytes after trace payload")
     return ProgramTrace(invocations=invocations, malloc_records=mallocs,
-                        launch_records=launches)
+                        launch_records=launches,
+                        signature=signature.hexdigest())
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +202,7 @@ def _unpack_presence(packed: bytes, num_runs: int) -> List[bool]:
     return present
 
 
+@profiling.timed("store_encode")
 def serialize_evidence(evidence: Evidence) -> bytes:
     """Serialise an :class:`Evidence` (slot order is content: preserved)."""
     w = Writer()
@@ -225,6 +239,7 @@ def serialize_evidence(evidence: Evidence) -> bytes:
     return w.getvalue()
 
 
+@profiling.timed("store_decode")
 def deserialize_evidence(data: bytes) -> Evidence:
     """Inverse of :func:`serialize_evidence`."""
     try:

@@ -62,11 +62,13 @@ class ProgramTrace:
 
     def __init__(self, invocations: List[KernelInvocation],
                  malloc_records: List[MallocRecord],
-                 launch_records: List[LaunchRecord]) -> None:
+                 launch_records: List[LaunchRecord],
+                 signature: Optional[str] = None) -> None:
         self.invocations = invocations
         self.malloc_records = malloc_records
         self.launch_records = launch_records
-        self._signature: Optional[str] = None
+        #: :meth:`signature`'s digest, when the creator already knows it
+        self._signature = signature
         self._size_bytes: Optional[int] = None
 
     @property

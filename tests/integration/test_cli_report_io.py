@@ -88,6 +88,30 @@ class TestProfile:
         assert (phases["kernel_execute"] + phases["event_emit"]
                 + phases["adcfg_fold"]) <= payload["total_seconds"]
 
+    def test_store_phases_reported_only_with_a_store(self, tmp_path,
+                                                     capsys):
+        """A cold store-backed run encodes, writes and decodes (its
+        canonical evidence); a warm re-analysis reads and decodes; a
+        storeless run reports every store phase at 0."""
+        def phases(*args):
+            path = tmp_path / "profile.json"
+            main(["run", "dummy", "--fixed-runs", "4", "--random-runs", "4",
+                  "--profile", str(path), *args])
+            capsys.readouterr()
+            return json.loads(path.read_text())["phases_seconds"]
+
+        store = str(tmp_path / "store")
+        cold = phases("--store", store)
+        for phase in ("store_encode", "store_decode", "blob_write"):
+            assert cold[phase] > 0, phase
+        warm = phases("--store", store, "--no-reuse-report")
+        for phase in ("store_decode", "blob_read"):
+            assert warm[phase] > 0, phase
+        storeless = phases()
+        for phase in ("store_encode", "store_decode", "blob_write",
+                      "blob_read"):
+            assert storeless[phase] == 0, phase
+
     def test_profile_composes_with_save_report(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         report = tmp_path / "report.json"

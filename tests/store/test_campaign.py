@@ -193,6 +193,13 @@ class TestSegments:
         # deletions are durable: a fresh handle sees the same
         assert TraceStore(campaign.store.root).keys_under("segment/") == keys
 
+    def test_save_evidence_returns_the_stored_payload(self, campaign):
+        """Decoding is the caller's: the service's final look drops it."""
+        key = campaign.evidence_key("random")
+        payload = campaign.save_evidence(key, runs_evidence(4),
+                                         side="random")
+        assert payload == campaign.store.get_bytes(key)
+
     def test_retired_checkpoint_entries_are_dropped(self, campaign):
         from repro.store.campaign import drop_retired_partials
         store = campaign.store
