@@ -409,8 +409,9 @@ class _EvidenceSide:
 
     One per representative's fixed side plus one for the shared random
     side; ``done`` is the replica prefix already folded into
-    ``evidence``, and ``complete`` marks a side whose full-budget
-    evidence is persisted in the store.
+    ``evidence``.  ``complete`` marks a side whose full-budget evidence
+    the store held when phase 3 began, and ``stored`` is that evidence
+    once loaded: it stands in for recording at the final look only.
     """
 
     side: str
@@ -419,6 +420,7 @@ class _EvidenceSide:
     evidence: Optional[Evidence] = None
     done: int = 0
     complete: bool = False
+    stored: Optional[Evidence] = None
 
     @property
     def total(self) -> int:
@@ -533,12 +535,17 @@ class Owl:
         here, in the parent, from one seeded generator — the same draw
         order regardless of worker count or batching.
 
-        With a campaign attached, a completed side is loaded: it carries
-        more information than any interim look, so its presence switches
-        the campaign to the one-look schedule (outcome
-        ``cached-evidence``).  Other sides reach each look through their
-        stored segments, so a resumed run re-analyses every look of its
-        own schedule, whatever schedule left the segments.
+        With a campaign attached, a store holding every side complete
+        switches the campaign to the one-look schedule (outcome
+        ``cached-evidence``): the replicas are already paid for.
+        Otherwise a completed side stands in for recording only at the
+        final look; every interim look reaches its boundaries through
+        stored segments and recording, exactly as a cold run does, so a
+        shared fixed side never changes where an adaptive campaign
+        stops.  A resumed run likewise re-analyses every look of its own
+        schedule, whatever schedule left the segments.  The segments
+        interim looks wrote for a completed side go when the campaign
+        ends.
 
         Returns ``(rep_reports, summary)`` with ``rep_reports[i]`` the
         per-analyzer reports of representative ``i`` at the last look,
@@ -558,8 +565,7 @@ class Owl:
             key=(campaign.evidence_key("random")
                  if campaign is not None else None))
         sides.append(random_side)
-        cached = (campaign is not None
-                  and self._resume_sides(sides, campaign, stats))
+        cached = campaign is not None and self._resume_sides(sides, campaign)
         schedule = sequential.look_schedule(config, full_budget=cached)
 
         rep_reports = []
@@ -584,6 +590,10 @@ class Owl:
             stats.test_seconds += time.perf_counter() - test_started
             if decisions and decisions[-1].stop:
                 break
+        if campaign is not None:
+            for side in sides:
+                if side.complete:
+                    campaign.drop_segments(side.key)
         if not config.adaptive:
             return rep_reports, None
         summary = AdaptiveSummary(
@@ -597,31 +607,36 @@ class Owl:
             summary.outcome = sequential.OUTCOME_EARLY_STOP
         return rep_reports, summary
 
-    def _resume_sides(self, sides: Sequence[_EvidenceSide], campaign,
-                      stats: PhaseStats) -> bool:
-        """Load each side's completed evidence, where the store holds it.
+    def _resume_sides(self, sides: Sequence[_EvidenceSide],
+                      campaign) -> bool:
+        """Mark the sides the store holds complete; True when every side
+        loads complete, which gives the campaign the one-look schedule.
 
-        Returns True when the store holds any completed side.  Loaded
-        evidence is the store's canonical round-tripped form, which is
-        what makes warm re-runs bit-identical to cold ones.
+        Only then does the schedule depend on the loads, so only then are
+        they made here; otherwise a completed side loads at the final
+        look.  A load that fails its integrity check quarantines the blob
+        and leaves the side to be recorded like a cold run's.
         """
-        cached = False
         for side in sides:
-            cached = cached or campaign.store.get(side.key) is not None
-            evidence = campaign.load_evidence(side.key)
-            if evidence is None:
-                continue
-            if evidence.num_runs != side.total:
-                raise CampaignError(
-                    f"store evidence {side.key!r} holds "
-                    f"{evidence.num_runs} runs but the configuration "
-                    f"asks for {side.total} — fingerprint collision "
-                    f"or tampered manifest")
-            side.evidence, side.done = evidence, side.total
-            side.complete = True
-            stats.cached_runs += side.total
-            campaign.drop_segments(side.key)
-        return cached
+            side.complete = side.key in campaign.store
+        if not all(side.complete for side in sides):
+            return False
+        for side in sides:
+            self._load_side(side, campaign)
+        return all(side.complete for side in sides)
+
+    def _load_side(self, side: _EvidenceSide, campaign) -> None:
+        """Load a completed side's evidence into ``side.stored`` (the
+        store's canonical form, which makes warm runs bit-identical to
+        cold ones), or clear ``side.complete`` if it did not load."""
+        evidence = campaign.load_evidence(side.key)
+        if evidence is not None and evidence.num_runs != side.total:
+            raise CampaignError(
+                f"store evidence {side.key!r} holds {evidence.num_runs} "
+                f"runs but the configuration asks for {side.total} — "
+                f"fingerprint collision or tampered manifest")
+        side.stored = evidence
+        side.complete = evidence is not None
 
     def _record_side(self, side: _EvidenceSide, target: int,
                      stats: PhaseStats, campaign, final: bool) -> None:
@@ -634,11 +649,17 @@ class Owl:
         segment (a crash anywhere resumes mid-look), and leaves
         ``side.evidence`` in the store's canonical round-tripped form, so
         cold and resumed looks analyse identical evidence.  Only the
-        final look completes a side (``save_evidence``); an early stop
+        final look completes a side (``save_evidence``), or puts a
+        completed side's stored evidence in its place; an early stop
         leaves the side as segments up to its stopping boundary.
         """
-        if side.complete:
-            return
+        if final and side.complete:
+            if side.stored is None:
+                self._load_side(side, campaign)
+            if side.complete:
+                stats.cached_runs += side.total - side.done
+                side.evidence, side.done = side.stored, side.total
+                return
         keep_per_run = self.config.sampling == "per_run"
         held, batch_size = side.done, target
         if campaign is not None:
@@ -666,7 +687,6 @@ class Owl:
             from repro.store.serialize import deserialize_evidence
             side.evidence = deserialize_evidence(campaign.save_evidence(
                 side.key, side.evidence, side.side))
-            side.complete = True
         elif side.done > held:
             side.evidence = canonical_evidence(side.evidence)
 

@@ -8,13 +8,15 @@ the same campaign key builders and phase decisions ``Owl.detect`` uses:
 
 * ``plan``     — record + store the traces the store lacks (one
   ``Owl.record_traces`` call, as in ``Owl.detect``), filter them, decide
-  early-exit vs. which representatives need evidence;
+  early-exit vs. which representatives need evidence, and name the
+  sides the store already holds complete;
 * ``evidence`` — record runs ``[start, stop)`` of one side into one
   segment (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
 * ``decide``   — one look of the campaign's schedule: merge each side's
   segments up to the look, as ``Owl.detect`` does, and decide whether
-  the campaign stops; at the final look, complete each side instead;
+  the campaign stops; at the final look, complete each side the store
+  does not already hold instead;
 * ``report``   — run ``Owl.detect`` against the now-warm store.  Bit
   identity with a direct in-process detection is inherited from the
   store's warm ≡ cold contract rather than re-proven here.
@@ -27,7 +29,7 @@ units (after a worker death) and coalesced campaigns cost nothing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.apps.registry import resolve
 from repro.core import adaptive as sequential
@@ -56,6 +58,12 @@ def _evidence_key(campaign: Campaign, inputs: List[object],
     return campaign.evidence_key(
         side, None if side == "random"
         else campaign.input_fingerprint(inputs[rep_index]))
+
+
+def _sides(rep_indices) -> List[Tuple[str, int]]:
+    """A campaign's evidence sides as ``(side, rep_index)``: one fixed
+    side per representative, then the shared random side as ``-1``."""
+    return [("fixed", int(index)) for index in rep_indices] + [("random", -1)]
 
 
 def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
@@ -93,80 +101,87 @@ def _run_plan(unit: WorkUnit, store: TraceStore) -> Dict:
     rep_indices = owl.representative_indices(filter_result)
     return {"early_exit": rep_indices is None,
             "rep_indices": rep_indices or [],
+            # sides the store holds complete: they stand in at the final
+            # look, so that look records nothing for them
+            "complete_sides": [
+                rep_index for side, rep_index in _sides(rep_indices or [])
+                if _evidence_key(campaign, inputs, side, rep_index) in store],
             "num_classes": filter_result.num_classes,
             "recorded": stats.trace_count,
             "cached_traces": stats.cached_traces}
 
 
+def _record_segment(owl: Owl, campaign: Campaign, evidence_key: str,
+                    side: str, representative, random_input, start: int,
+                    stop: int) -> Tuple[Evidence, float]:
+    """Record runs ``[start, stop)`` of one side and store them as one
+    segment; returns the partial evidence and its recording seconds."""
+    values = side_inputs(owl.config, side, representative,
+                         random_input)[start:stop]
+    partial, chunk_stats = owl.pool.record_evidence(
+        values, keep_per_run=owl.config.sampling == "per_run")
+    campaign.save_segment(evidence_key, start, stop, partial, side)
+    return partial, chunk_stats.trace_seconds_total
+
+
 def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
-    """Record one side's runs ``[start, stop)`` into one segment."""
+    """Record one side's runs ``[start, stop)`` into one segment.
+
+    A completed side stands in at the final look only, so a range of
+    an interim look is recorded for it all the same (the scheduler
+    enqueues no final-look range of a side the plan found complete).
+    """
     owl, campaign, inputs, random_input = materialize(unit.spec, store)
     side = str(unit.params["side"])
     rep_index = int(unit.params["rep_index"])
     start, stop = int(unit.params["start"]), int(unit.params["stop"])
     evidence_key = _evidence_key(campaign, inputs, side, rep_index)
-    if evidence_key in store \
-            or campaign.segment_key(evidence_key, start, stop) in store:
+    if campaign.segment_key(evidence_key, start, stop) in store:
         return {"runs": 0, "cached": True}  # by any campaign
-    representative = inputs[rep_index] if side == "fixed" else None
-    values = side_inputs(owl.config, side, representative,
-                         random_input)[start:stop]
-    keep_per_run = owl.config.sampling == "per_run"
-    partial, chunk_stats = owl.pool.record_evidence(
-        values, keep_per_run=keep_per_run)
-    campaign.save_segment(evidence_key, start, stop, partial, side)
-    return {"runs": len(values),
-            "trace_seconds": chunk_stats.trace_seconds_total}
-
-
-def _merge_to_boundary(campaign: Campaign, evidence_key: str,
-                       boundary: int) -> Optional[Evidence]:
-    """A side's runs ``[0, boundary)`` merged from its segments, or None
-    once it is complete (maybe by another campaign, since the snapshot)."""
-    if campaign.store.get(evidence_key) is None:
-        evidence, done = campaign.extend_from_segments(evidence_key, None,
-                                                       0, boundary)
-        if done == boundary:
-            return evidence
-        campaign.store.refresh()
-        if campaign.store.get(evidence_key) is None:
-            raise CampaignError(
-                f"no segment of {evidence_key!r} holds run {done} "
-                f"(the look needs runs [0, {boundary}))")
-    return None
+    _partial, seconds = _record_segment(
+        owl, campaign, evidence_key, side,
+        inputs[rep_index] if side == "fixed" else None, random_input,
+        start, stop)
+    return {"runs": stop - start, "trace_seconds": seconds}
 
 
 def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
     """One look: merge each side's segments to the round boundary, decide.
 
-    At an interim look the merges, in the canonical form the in-process
-    look loop analyses, go to :func:`repro.core.adaptive.evaluate_round`
-    and nothing is written: the stop-vs-continue decision is a pure
-    function of the evidence prefix, so a re-queued decide unit
-    recomputes it bit-identically.  At the final look each merge
-    persists as completed evidence (deleting the side's segments) and
-    the unit stops without analysing: the report unit analyses.  A side
-    the store already holds complete (a full-budget run got there
-    first) stops the campaign too — the report unit then takes the
-    one-look schedule over the stored evidence and the segments.
+    At an interim look every side, a completed one too, reaches the
+    boundary as a cold run's look does: its segment chain merged in run
+    order, plus, recorded as one more segment, any runs the chain lacks
+    (a campaign that completed the side, or finished with it, deleted
+    its segments; a damaged one was quarantined).  The merges, in the
+    canonical form the in-process look loop analyses, go to
+    :func:`repro.core.adaptive.evaluate_round`: the stop-vs-continue
+    decision is a pure function of the evidence prefix, so a re-queued
+    decide unit recomputes it bit-identically.  At the final look each
+    side the store does not hold complete persists as completed
+    evidence (deleting its segments) and the unit stops without
+    analysing: the report unit analyses, with the completed sides
+    standing in.
     """
-    owl, campaign, inputs, _random = materialize(unit.spec, store)
+    owl, campaign, inputs, random_input = materialize(unit.spec, store)
     schedule = sequential.look_schedule(owl.config)
     round_index = int(unit.params["round"])
     final = round_index == schedule.num_rounds - 1
-    sides = [("fixed", int(index)) for index in unit.params["rep_indices"]
-             ] + [("random", -1)]
     payload = {"stop": True, "final": final, "round": round_index}
     evidences = []
-    for side, rep_index in sides:
+    for side, rep_index in _sides(unit.params["rep_indices"]):
         evidence_key = _evidence_key(campaign, inputs, side, rep_index)
-        evidence = _merge_to_boundary(campaign, evidence_key,
-                                      schedule.boundary(side, round_index))
-        if evidence is None:
-            payload["cached_side"] = True
-            if not final:
-                return payload
-        elif final:
+        if final and evidence_key in store:
+            continue  # complete: it stands in at the final look
+        boundary = schedule.boundary(side, round_index)
+        evidence, done = campaign.extend_from_segments(evidence_key, None,
+                                                       0, boundary)
+        if done < boundary:
+            partial, _seconds = _record_segment(
+                owl, campaign, evidence_key, side,
+                inputs[rep_index] if side == "fixed" else None,
+                random_input, done, boundary)
+            evidence = partial if evidence is None else evidence.merge(partial)
+        if final:
             campaign.save_evidence(evidence_key, evidence, side)
         else:
             evidences.append(canonical_evidence(evidence))

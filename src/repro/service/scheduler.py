@@ -38,9 +38,10 @@ Multi-tenant amortisation: with ``coalesce=True`` (default), submissions
 that resolve to the same (workload, analysis fingerprint, inputs) attach
 to the in-flight execution instead of scheduling a duplicate; every
 tenant still gets their own campaign id, status and results.  Distinct
-campaigns additionally share phase-1 traces and the random evidence side
-through the store's content-addressed reuse, so a fleet serving many
-tenants does strictly less work than the tenants running alone.
+campaigns additionally share phase-1 traces and evidence sides through
+the store's content-addressed reuse — the fixed side across seeds, the
+random side across analyzers — so a fleet serving many tenants does
+strictly less work than the tenants running alone.
 
 Tenancy and fair admission: every submission carries a tenant identity
 (resolved by the front end's bearer token, or ``anonymous``).  A
@@ -450,7 +451,9 @@ class CampaignScheduler:
         if state.stage == STAGE_PLANNING:
             plan = payloads[f"{state.cid}.plan"]
             state.plan = plan
-            if plan["early_exit"]:
+            # every side complete: the report unit's one look loads them
+            if plan["early_exit"] or set(plan["rep_indices"]) | {-1} <= set(
+                    plan.get("complete_sides", [])):
                 state.stage = STAGE_REPORTING
                 self._enqueue(state, [report_unit(state.cid, spec)])
                 return
@@ -497,14 +500,21 @@ class CampaignScheduler:
         Each unit is named by its run range, so the decide unit finds
         every segment recorded so far by range alone; a round whose
         slice is empty on one side (boundaries can coincide for tiny
-        budgets) simply contributes no units for that side.
+        budgets) simply contributes no units for that side.  A side the
+        plan found complete stands in at the final look, so only its
+        interim slices get units.
         """
         schedule = look_schedule(config)
+        final = round_index == schedule.num_rounds - 1
+        plan = state.plan or {}
+        complete = set(plan.get("complete_sides", []))
         sides = [("fixed", rep_index, schedule.fixed)
-                 for rep_index in (state.plan or {}).get("rep_indices", [])]
+                 for rep_index in plan.get("rep_indices", [])]
         sides.append(("random", -1, schedule.random))
         units = []
         for side, rep_index, boundaries in sides:
+            if final and rep_index in complete:
+                continue
             units.extend(round_evidence_units(
                 state.cid, state.spec(), side, rep_index,
                 boundaries[round_index - 1] if round_index else 0,

@@ -6,8 +6,10 @@ three layers of reuse, coarse to fine:
 
 * **report cache** — the exact (program, config, inputs) campaign already
   completed: return its stored report;
-* **evidence cache** — the fixed/random evidence sets for this
-  configuration exist: skip all phase-3 recording and re-analyse;
+* **evidence cache** — a side's completed evidence, keyed by what
+  shapes its bytes (the fixed side ignores the seed, so every seed
+  shares it), stands in for the side at the final look; when every side
+  is complete, phase 3 records nothing and re-analyses;
 * **trace cache + segments** — phase-1 traces are reused per input, and
   phase-3 partial evidence is saved only as *segments*, the evidence of
   runs ``[start, stop)`` of one side under
@@ -75,7 +77,11 @@ class Campaign:
         self.config = config
         self.device_config = device_config
         self.trace_fp = trace_fingerprint(config, device_config)
-        self.evidence_fp = evidence_fingerprint(config, device_config)
+        #: per side: the fixed side's ignores the seed and the random
+        #: budget, so campaigns of any seed share it
+        self.evidence_fps = {
+            side: evidence_fingerprint(config, device_config, side=side)
+            for side in (SIDE_FIXED, SIDE_RANDOM)}
         self.analysis_fp = analysis_fingerprint(config, device_config)
 
     # ------------------------------------------------------------------
@@ -95,8 +101,9 @@ class Campaign:
         if side == SIDE_RANDOM:
             # the random side depends only on (seed, runs), never on which
             # representative is being analysed: all representatives share it
-            return f"evidence/{self.name}/{self.evidence_fp}/random"
-        return f"evidence/{self.name}/{self.evidence_fp}/fixed/{rep_fp}"
+            return f"evidence/{self.name}/{self.evidence_fps[side]}/random"
+        return (f"evidence/{self.name}/{self.evidence_fps[side]}/fixed/"
+                f"{rep_fp}")
 
     def segment_prefix(self, evidence_key: str) -> str:
         return "segment/" + evidence_key[len("evidence/"):] + "/"
@@ -144,8 +151,7 @@ class Campaign:
         self.store.put_trace(
             self.trace_key(input_fp), trace,
             meta={"workload": self.name, "config": self.trace_fp,
-                  "input": input_fp, "seed": self.config.seed,
-                  "signature": trace.signature()})
+                  "input": input_fp, "signature": trace.signature()})
 
     # ------------------------------------------------------------------
     # phase 3: evidence cache + segments
@@ -163,14 +169,13 @@ class Campaign:
         with self.store.batch():
             self.store.put_bytes(
                 key, "evidence", payload,
-                meta={"workload": self.name, "config": self.evidence_fp,
-                      "side": side, "seed": self.config.seed,
-                      "runs": evidence.num_runs})
+                meta=dict(self._side_meta(side), runs=evidence.num_runs))
             self.drop_segments(key)
         return payload
 
     def drop_segments(self, evidence_key: str) -> None:
-        """Delete a completed side's segments: its own, and any a writer
+        """Delete a completed side's segments: its own, those the interim
+        looks of a campaign sharing the side recorded, and any a writer
         racing the completion stored afterwards."""
         with self.store.batch():
             for key in self.store.keys_under(self.segment_prefix(evidence_key)):
@@ -183,9 +188,16 @@ class Campaign:
         self.store.put_evidence(
             self.segment_key(evidence_key, start, stop), partial,
             kind="segment",
-            meta={"workload": self.name, "config": self.evidence_fp,
-                  "side": side, "seed": self.config.seed,
-                  "start": start, "stop": stop})
+            meta=dict(self._side_meta(side), start=start, stop=stop))
+
+    def _side_meta(self, side: str) -> Dict:
+        """Meta of a side's entries: its own fingerprint, and the seed
+        only where the side's bytes depend on it."""
+        meta = {"workload": self.name, "config": self.evidence_fps[side],
+                "side": side}
+        if side == SIDE_RANDOM:
+            meta["seed"] = self.config.seed
+        return meta
 
     def extend_from_segments(self, evidence_key: str,
                              evidence: Optional[Evidence], done: int,

@@ -1,8 +1,11 @@
 """Deterministic content fingerprints for store keys.
 
 The store addresses artifacts by *what produced them*: a trace is keyed by
-(program name, device configuration, input value); an evidence set adds the
-run counts, seed and sampling mode; a report adds the analysis knobs.  All
+(program name, device configuration, input value); an evidence side adds
+what shapes its own bytes — the fixed side its run count and sampling
+mode, the random side its run count, seed and sampling mode — so every
+campaign with the fixed budget shares one fixed side whatever its seed; a
+report adds the analysis knobs on top of both sides' fields.  All
 of those must hash identically across processes and Python versions, so
 ``hash()`` (randomised per process) and ``repr`` of objects with memory
 addresses are off the table — values are folded into SHA-256 through an
@@ -121,9 +124,15 @@ def fingerprint_inputs(input_fingerprints: Sequence[str]) -> str:
 #: device model and the program input.)
 _TRACE_FIELDS: Tuple[str, ...] = ()
 
-#: OwlConfig fields that change the *content of an evidence set* on top of
-#: the trace-level ones: how many runs, which random draws, and whether
-#: per-run graphs are retained.
+#: OwlConfig fields that change the *content of one evidence side* on top
+#: of the trace-level ones: how many runs, which random draws (the random
+#: side only: the fixed side repeats the representative, whatever the
+#: seed), and whether per-run graphs are retained.
+_SIDE_FIELDS = {"fixed": ("fixed_runs", "sampling"),
+                "random": ("random_runs", "seed", "sampling")}
+
+#: Both sides' fields, in the order the analysis scope has always hashed
+#: them (report keys stay put).
 _EVIDENCE_FIELDS = ("fixed_runs", "random_runs", "seed", "sampling")
 
 #: OwlConfig fields that change the *analysis verdicts* on top of the
@@ -169,12 +178,14 @@ def trace_fingerprint(config, device_config=None) -> str:
     })
 
 
-def evidence_fingerprint(config, device_config=None) -> str:
-    """Fingerprint of everything (besides program + rep) shaping evidence."""
+def evidence_fingerprint(config, device_config=None, *, side: str) -> str:
+    """Fingerprint of everything (besides program + rep) shaping the
+    evidence of *side* (``"fixed"`` or ``"random"``)."""
     return fingerprint_value({
         "scope": "evidence",
+        "side": side,
         "device": _device_dict(device_config),
-        "config": _config_scope(config, _TRACE_FIELDS + _EVIDENCE_FIELDS),
+        "config": _config_scope(config, _TRACE_FIELDS + _SIDE_FIELDS[side]),
     })
 
 

@@ -173,8 +173,9 @@ class TestAdaptiveConfig:
             analysis_fingerprint, evidence_fingerprint)
         classic = OwlConfig(fixed_runs=60, random_runs=60)
         adaptive = OwlConfig(fixed_runs=60, random_runs=60, adaptive=True)
-        assert (evidence_fingerprint(classic)
-                == evidence_fingerprint(adaptive))
+        for side in ("fixed", "random"):
+            assert (evidence_fingerprint(classic, side=side)
+                    == evidence_fingerprint(adaptive, side=side))
         assert (analysis_fingerprint(classic)
                 != analysis_fingerprint(adaptive))
 
@@ -339,3 +340,65 @@ class TestAdaptiveStore:
         assert adaptive.adaptive.outcome == sequential.OUTCOME_CACHED
         assert adaptive.adaptive.replicas_saved == 0
         assert leak_set(adaptive.report) == leak_set(classic.report)
+
+    def test_damaged_completed_sides_record_like_a_cold_run(self, tmp_path):
+        """Both completed sides fail their integrity check, so no side
+        loads: the campaign keeps its adaptive schedule and stops where a
+        cold run stops, instead of reporting the full budget as
+        ``cached-evidence`` over sides it recorded afresh."""
+        from repro.resilience import FaultPlan
+        from repro.resilience.events import STORE_QUARANTINE
+        from repro.resilience.faults import inject_blob_corruption
+        from repro.store import TraceStore
+        cold = detect(df_program, adaptive=True,
+                      store=TraceStore(tmp_path / "cold"))
+        assert cold.adaptive.stopped_early
+        store = TraceStore(tmp_path / "store")
+        detect(df_program, adaptive=False, store=store)
+        for index in (0, 1):
+            assert inject_blob_corruption(store, FaultPlan.parse(
+                f"blob_corruption:kind=evidence:index={index}"))
+        warm = detect(df_program, adaptive=True, store=store)
+        assert warm.report.to_json() == cold.report.to_json()
+        assert (summary_decisions(warm.adaptive)
+                == summary_decisions(cold.adaptive))
+        assert [event.kind for event in warm.degradations] == [
+            STORE_QUARANTINE, STORE_QUARANTINE]
+
+    @pytest.mark.parametrize("overrides, outcome", [
+        ({}, sequential.OUTCOME_EARLY_STOP),
+        # stopping waits for the second look, here the final one
+        ({"adaptive_rounds": 2}, sequential.OUTCOME_BUDGET),
+    ])
+    def test_new_seed_over_a_shared_fixed_side_matches_storeless(
+            self, tmp_path, overrides, outcome):
+        """A classic seed-1 campaign completes the fixed side, which a
+        seed-2 campaign shares.  It stands in at the final look only, so
+        the seed-2 adaptive campaign analyses every look a storeless run
+        does and reports its bytes; the segments its interim looks wrote
+        for the shared side are gone when it ends."""
+        from repro.store import TraceStore
+        from repro.store.campaign import Campaign
+        store = TraceStore(tmp_path / "store")
+        detect(df_program, adaptive=False, store=store, seed=1)
+        storeless = detect(df_program, adaptive=True, seed=2, **overrides)
+        assert storeless.adaptive.outcome == outcome
+        warm = detect(df_program, adaptive=True, store=store, seed=2,
+                      **overrides)
+        assert warm.report.to_json() == storeless.report.to_json()
+        assert (summary_decisions(warm.adaptive)
+                == summary_decisions(storeless.adaptive))
+        config = OwlConfig(fixed_runs=60, random_runs=60, adaptive=True,
+                           always_analyze=True, seed=2, **overrides)
+        owl = Owl(df_program, name="adaptive-prog", config=config)
+        campaign = Campaign(store, owl.name, config, owl.device_config)
+        fixed_key = campaign.evidence_key("fixed",
+                                          campaign.input_fingerprint(3))
+        assert fixed_key in store
+        assert store.keys_under(campaign.segment_prefix(fixed_key)) == []
+        # the stand-in spares the fixed side's runs past the last interim
+        # look; an early stop never reaches it, and no run of the new
+        # seed's random side was stored
+        assert warm.stats.cached_runs == (
+            60 - warm.adaptive.rounds[-2].fixed_boundary
+            if outcome == sequential.OUTCOME_BUDGET else 0)

@@ -96,7 +96,8 @@ class TestFingerprintInvariance:
         config = OwlConfig(**overrides)
         assert trace_fingerprint(config, device) == \
             trace_fingerprint(reference, device)
-        assert evidence_fingerprint(config, device) == \
-            evidence_fingerprint(reference, device)
+        for side in ("fixed", "random"):
+            assert evidence_fingerprint(config, device, side=side) == \
+                evidence_fingerprint(reference, device, side=side)
         assert analysis_fingerprint(config, device) == \
             analysis_fingerprint(reference, device)

@@ -2,6 +2,7 @@
 and fingerprint neutrality of resilience knobs."""
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -100,7 +101,9 @@ class TestFingerprintNeutrality:
             cohort_step_budget=77)
         base_device = DeviceConfig()
         variant_device = DeviceConfig(cohort_step_budget=77)
-        for fingerprint in (trace_fingerprint, evidence_fingerprint,
-                            analysis_fingerprint):
+        for fingerprint in (
+                trace_fingerprint, analysis_fingerprint,
+                functools.partial(evidence_fingerprint, side="fixed"),
+                functools.partial(evidence_fingerprint, side="random")):
             assert fingerprint(base, base_device) == \
                 fingerprint(variant, variant_device)

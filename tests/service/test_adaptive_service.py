@@ -19,7 +19,7 @@ from repro.service import CampaignScheduler, ServiceConfig
 from repro.service.scheduler import STAGE_COMPLETE, STAGE_REPORTING
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
-from tests.service.test_service_identity import run_service
+from tests.service.test_service_identity import enqueued_units, run_service
 
 ADAPTIVE = dict(fixed_runs=60, random_runs=60, adaptive=True,
                 always_analyze=True, seed=13)
@@ -146,20 +146,20 @@ class TestCompletedSides:
     def test_decide_over_completed_side_leaves_no_segment(self, tmp_path):
         """A classic campaign completes the rep-0 fixed side and the random
         side; a later adaptive campaign over every representative meets
-        them at its first look.  The decide unit must stop, the report
-        unit must complete the remaining sides from their segments and
-        leave no segment behind, and the report must equal a direct
-        adaptive run over a store the same classic run warmed."""
+        them at its first look.  A completed side stands in at the final
+        look only, so every interim look's decide unit merges the
+        completed sides' interim segments as a cold run's look would,
+        the campaign decides after as many looks as a storeless run and
+        reports its bytes.  The segments recorded for the completed
+        sides go when the campaign ends; the early-stopped rep-1 side
+        keeps its own, up to the stopping boundary."""
         classic = dict(ADAPTIVE, adaptive=False)
         everything = dict(ADAPTIVE, analyze_all_representatives=True)
         program, fixed_inputs, random_input = resolve("dummy")
-        direct_store = TraceStore(tmp_path / "direct")
-        Owl(program, name="dummy", config=OwlConfig(**classic)).detect(
-            fixed_inputs(), random_input=random_input, store=direct_store)
-        direct = Owl(program, name="dummy",
-                     config=OwlConfig(**everything)).detect(
-            fixed_inputs(), random_input=random_input, store=direct_store)
+        owl = Owl(program, name="dummy", config=OwlConfig(**everything))
+        direct = owl.detect(fixed_inputs(), random_input=random_input)
         assert len(direct.per_representative) > 1
+        assert direct.adaptive.stopped_early
 
         scheduler = CampaignScheduler(
             tmp_path / "store", tmp_path / "queue",
@@ -170,6 +170,55 @@ class TestCompletedSides:
         results = scheduler.results(cid)
         assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct.report.to_json()
+        looks = [event for event in decide_events(scheduler)
+                 if event["campaign"] == cid]
+        assert len(looks) == direct.adaptive.rounds_executed
+
         store = TraceStore(tmp_path / "store")
-        assert store.keys_under("segment/") == []
-        assert TraceStore(tmp_path / "direct").keys_under("segment/") == []
+        campaign = Campaign(store, "dummy", owl.config, owl.device_config)
+        inputs = fixed_inputs()
+        first, second = (campaign.evidence_key(
+            "fixed", campaign.input_fingerprint(inputs[index]))
+            for index in scheduler.campaigns[cid].plan["rep_indices"])
+        for key in (first, campaign.evidence_key("random")):
+            assert key in store
+            assert store.keys_under(campaign.segment_prefix(key)) == []
+        assert second not in store
+        _evidence, done = campaign.extend_from_segments(
+            second, None, 0, owl.config.fixed_runs)
+        assert done == direct.adaptive.fixed_recorded
+
+    @pytest.mark.parametrize("rounds", [None, 2])
+    def test_new_seed_records_the_shared_side_at_interim_looks_only(
+            self, tmp_path, rounds):
+        """A classic campaign completes the fixed side; an adaptive one
+        with another seed shares it.  Its interim looks still get fixed
+        evidence units, its final look none, and it reports a storeless
+        adaptive run's bytes after as many looks (two rounds: stopping
+        waits for the final look)."""
+        adaptive = dict(ADAPTIVE, seed=14, adaptive_rounds=rounds)
+        program, fixed_inputs, random_input = resolve("dummy")
+        direct = Owl(program, name="dummy",
+                     config=OwlConfig(**adaptive)).detect(
+            fixed_inputs(), random_input=random_input)
+        assert direct.adaptive.stopped_early == (rounds is None)
+
+        scheduler = CampaignScheduler(
+            tmp_path / "store", tmp_path / "queue",
+            ServiceConfig(workers=0, unit_runs=7))
+        for overrides in (dict(ADAPTIVE, adaptive=False), adaptive):
+            cid = scheduler.submit("dummy", overrides)
+            assert scheduler.wait([cid], timeout=240.0)
+        assert scheduler.results(cid)["report_json"] == \
+            direct.report.to_json()
+        looks = [event for event in decide_events(scheduler)
+                 if event["campaign"] == cid]
+        assert len(looks) == direct.adaptive.rounds_executed
+        last_interim = [look.fixed_boundary for look in direct.adaptive.rounds
+                        if not look.final][-1]
+        fixed_stops = [int(uid.rsplit("-", 1)[1])
+                       for uid in enqueued_units(scheduler, cid)
+                       if ".evidence.fixed." in uid]
+        assert fixed_stops and max(fixed_stops) == last_interim
+        store = TraceStore(tmp_path / "store")
+        assert segment_ranges(store, overrides=adaptive)["fixed"] == []

@@ -126,6 +126,49 @@ class TestCoalescing:
         assert len(reports) == 1  # second run is a report cache hit
 
 
+def enqueued_units(scheduler, cid):
+    journal = scheduler.queue.root / "journal.jsonl"
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    return [event["unit"] for event in events
+            if event["event"] == "enqueued" and event["campaign"] == cid]
+
+
+class TestCompletedSides:
+    """Sides the store already holds complete cost no unit dispatch."""
+
+    def run_two(self, tmp_path, second):
+        scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
+                                      ServiceConfig(workers=0, unit_runs=2))
+        cids = []
+        for overrides in (TINY, second):
+            cids.append(scheduler.submit("dummy", overrides))
+            assert scheduler.wait(cids[-1:], timeout=240.0)
+        results = scheduler.results(cids[-1])
+        assert results["stage"] == STAGE_COMPLETE
+        assert results["report_json"] == direct_report_json(
+            overrides=second)
+        return scheduler, cids[-1]
+
+    def test_new_seed_enqueues_no_fixed_side_unit(self, tmp_path):
+        """The fixed side does not depend on the seed: the plan unit finds
+        it complete, the campaign's units record only its random side,
+        and the report unit loads both sides."""
+        scheduler, cid = self.run_two(tmp_path, dict(TINY, seed=14))
+        units = enqueued_units(scheduler, cid)
+        assert not [uid for uid in units if ".evidence.fixed." in uid]
+        assert [uid for uid in units if ".evidence.random." in uid]
+        assert scheduler.campaigns[cid].report["cached_runs"] == \
+            TINY["fixed_runs"] + TINY["random_runs"]
+
+    def test_every_side_complete_goes_straight_to_the_report(self,
+                                                              tmp_path):
+        """Another analyzer shares both sides (evidence scope excludes
+        it): plan, then report, and nothing in between."""
+        scheduler, cid = self.run_two(tmp_path, dict(TINY, analyzer="mi"))
+        assert enqueued_units(scheduler, cid) == [f"{cid}.plan",
+                                                  f"{cid}.report"]
+
+
 class TestFleetIdentity:
     def test_fleet_report_identical_and_survives_worker_death(
             self, tmp_path):

@@ -1,6 +1,7 @@
 """Campaign engine: fingerprints, keys, segments, regression diffs."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -49,20 +50,40 @@ class TestFingerprints:
     def test_scopes_are_distinct(self):
         config = OwlConfig()
         fps = {trace_fingerprint(config, None),
-               evidence_fingerprint(config, None),
+               evidence_fingerprint(config, None, side="fixed"),
+               evidence_fingerprint(config, None, side="random"),
                analysis_fingerprint(config, None)}
-        assert len(fps) == 3
+        assert len(fps) == 4
 
     def test_trace_fingerprint_ignores_run_counts(self):
         device = DeviceConfig()
         assert trace_fingerprint(OwlConfig(fixed_runs=10), device) == \
             trace_fingerprint(OwlConfig(fixed_runs=99), device)
 
-    def test_evidence_fingerprint_tracks_runs_and_seed(self):
+    def test_fixed_side_fingerprint_ignores_seed_and_random_runs(self):
+        """The fixed side repeats the representative: its bytes never
+        depend on the random draws, so every seed shares it."""
         device = DeviceConfig()
-        base = evidence_fingerprint(OwlConfig(), device)
-        assert evidence_fingerprint(OwlConfig(fixed_runs=7), device) != base
-        assert evidence_fingerprint(OwlConfig(seed=1), device) != base
+        fixed = functools.partial(evidence_fingerprint, side="fixed")
+        base = fixed(OwlConfig(), device)
+        assert fixed(OwlConfig(seed=1, random_runs=7), device) == base
+        assert fixed(OwlConfig(fixed_runs=7), device) != base
+
+    def test_random_side_fingerprint_ignores_fixed_runs(self):
+        device = DeviceConfig()
+        random = functools.partial(evidence_fingerprint, side="random")
+        base = random(OwlConfig(), device)
+        assert random(OwlConfig(fixed_runs=7), device) == base
+        assert random(OwlConfig(random_runs=7), device) != base
+        assert random(OwlConfig(seed=1), device) != base
+
+    @pytest.mark.parametrize("side", ["fixed", "random"])
+    def test_both_sides_track_sampling_and_device(self, side):
+        fingerprint = functools.partial(evidence_fingerprint, side=side)
+        base = fingerprint(OwlConfig(), DeviceConfig())
+        assert fingerprint(OwlConfig(sampling="per_run"),
+                           DeviceConfig()) != base
+        assert fingerprint(OwlConfig(), DeviceConfig(seed=123)) != base
 
     def test_analysis_fingerprint_tracks_confidence(self):
         device = DeviceConfig()
@@ -78,8 +99,10 @@ class TestFingerprints:
         variant = dataclasses.replace(base, workers=4, cohort=False,
                                       replica_dedup=True,
                                       store_checkpoint_every=3)
-        for fingerprint in (trace_fingerprint, evidence_fingerprint,
-                            analysis_fingerprint):
+        for fingerprint in (
+                trace_fingerprint, analysis_fingerprint,
+                functools.partial(evidence_fingerprint, side="fixed"),
+                functools.partial(evidence_fingerprint, side="random")):
             assert fingerprint(base, device) == fingerprint(variant, device)
 
     def test_device_config_changes_trace_fingerprint(self):

@@ -82,6 +82,47 @@ class TestWarmEqualsCold:
         assert rerun.stats.cached_traces > 0
         assert rerun.report.to_json() == cold.report.to_json()
 
+    @pytest.mark.parametrize("workload", ["dummy", "aes"])
+    def test_new_seed_loads_the_fixed_side_another_seed_stored(
+            self, workload, tmp_path):
+        """The fixed side's bytes never depend on the seed: a campaign
+        with a new seed loads it from a store another seed filled,
+        records only its random side, and reports its storeless bytes."""
+        store_dir = tmp_path / "s"
+        run_detection(workload, store=TraceStore(store_dir))
+        plain = run_detection(workload, seed=12)
+        warm = run_detection(workload, store=TraceStore(store_dir), seed=12)
+        assert not warm.stats.report_cache_hit
+        assert warm.report.to_json() == plain.report.to_json()
+        assert warm.stats.cached_runs == TINY["fixed_runs"]
+
+    def test_entry_meta_names_each_sides_own_scope(self, tmp_path):
+        """Traces and the fixed side do not depend on the seed, so their
+        entries do not record one; every evidence entry and segment
+        names its own side's fingerprint."""
+        from repro.store.campaign import Campaign
+        program, _fixed_inputs, _random_input = _workloads()["dummy"]
+        owl = Owl(program, name="dummy", config=OwlConfig(**TINY))
+        campaign = Campaign(TraceStore(tmp_path / "s"), "dummy", owl.config,
+                            owl.device_config)
+        run_detection("dummy", store=campaign.store)
+        assert campaign.store.entries(kind="trace")
+        for entry in campaign.store.entries(kind="trace"):
+            assert "seed" not in entry.meta
+        for entry in campaign.store.entries(kind="evidence"):
+            campaign.save_segment(entry.key, 0, 4,
+                                  campaign.load_evidence(entry.key),
+                                  entry.meta["side"])
+        entries = (campaign.store.entries(kind="evidence")
+                   + campaign.store.entries(kind="segment"))
+        assert sorted(entry.meta["side"] for entry in entries) == [
+            "fixed", "fixed", "random", "random"]
+        for entry in entries:
+            side = entry.meta["side"]
+            assert entry.meta["config"] == campaign.evidence_fps[side]
+            assert entry.meta.get("seed") == (
+                TINY["seed"] if side == "random" else None)
+
     def test_store_attached_cold_run_matches_storeless_run(self, tmp_path):
         plain = run_detection("dummy")
         stored = run_detection("dummy", store=TraceStore(tmp_path / "s"))
