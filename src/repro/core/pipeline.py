@@ -286,13 +286,6 @@ def side_inputs(config: OwlConfig, side: str, representative: object = None,
     return [random_input(rng) for _ in range(config.random_runs)]
 
 
-def canonical_evidence(evidence: Evidence) -> Evidence:
-    """The store's round-tripped form of *evidence*: the exact bytes a
-    resumed look loads back, so cold and resumed looks analyse alike."""
-    from repro.store.serialize import deserialize_evidence, serialize_evidence
-    return deserialize_evidence(serialize_evidence(evidence))
-
-
 @dataclass
 class PhaseStats:
     """Cost accounting for one detection run (Table IV columns).
@@ -494,34 +487,53 @@ class Owl:
             stats.cached_traces += len(inputs) - len(missing)
         return traces  # type: ignore[return-value]
 
-    def filter_inputs(self, inputs: Sequence[object],
-                      traces: Sequence[ProgramTrace]) -> FilterResult:
-        """Phase 2: group inputs into trace-equality classes."""
-        return filter_traces(inputs, traces)
+    def _plan(self, inputs: Sequence[object], stats: PhaseStats, campaign,
+              reuse_report: bool, started: float):
+        """Phases 1 and 2, and the decisions that can end a campaign there.
 
-    def representative_indices(self, filter_result: FilterResult
-                               ) -> Optional[List[int]]:
-        """Phase 2's verdict: the input indices phase 3 analyses (one per
-        class, or the first only), or None for the early exit."""
-        if (not filter_result.shows_potential_leakage
-                and not self.config.always_analyze):
-            return None
-        indices = [cls.representative_index for cls in filter_result.classes]
-        return (indices if self.config.analyze_all_representatives
+        Records the traces (a store's cached ones load instead), filters
+        them and, with a store, marks the campaign started.  Returns
+        ``(result, inputs_fp, rep_indices)``: ``result.report`` is set
+        when the campaign ended here — on a stored report (with
+        ``reuse_report``), or on one input class without
+        ``always_analyze``, whose empty report is saved — and otherwise
+        ``rep_indices`` name phase 3's representatives, one per class or
+        the first only.  ``inputs_fp`` keys the campaign in a store.
+        """
+        traces = self.record_traces(inputs, stats=stats, campaign=campaign)
+        filter_started = time.perf_counter()
+        result = OwlResult(program_name=self.name, report=None, stats=stats,
+                           filter_result=filter_traces(inputs, traces))
+        prof = profiling.profiler()
+        if prof is not None:
+            prof.add("analysis_filter", time.perf_counter() - filter_started)
+        inputs_fp = None
+        if campaign is not None:
+            inputs_fp = campaign.inputs_fingerprint(
+                [campaign.input_fingerprint(value) for value in inputs])
+            campaign.mark_started(inputs_fp)
+            if reuse_report:
+                result.report = campaign.load_report(inputs_fp)
+                if result.report is not None:
+                    stats.report_cache_hit = True
+                    stats.total_seconds = time.perf_counter() - started
+                    campaign.mark_complete(inputs_fp)
+                    return result, inputs_fp, []
+        filtered = result.filter_result
+        if filtered.shows_potential_leakage or self.config.always_analyze:
+            indices = [cls.representative_index for cls in filtered.classes]
+            return result, inputs_fp, (
+                indices if self.config.analyze_all_representatives
                 else indices[:1])
-
-    def evaluate_look(self, fixed_evidences: Sequence[Evidence],
-                      random_evidence: Evidence,
-                      schedule: sequential.RoundSchedule, round_index: int):
-        """Analyse an interim look and decide whether to stop."""
-        return sequential.evaluate_round(
-            self.analyzers, fixed_evidences, random_evidence,
-            program_name=self.name, alpha=1.0 - self.config.confidence,
-            rho=self.config.adaptive_alpha_spend, schedule=schedule,
-            round_index=round_index)
+        result.report = LeakageReport(program_name=self.name,
+                                      confidence=self.config.confidence,
+                                      analyzer=self.config.analyzer)
+        self._complete(result.report, stats, campaign, inputs_fp, started)
+        return result, inputs_fp, []
 
     def _phase3(self, representatives: Sequence[object],
-                random_input: RandomInputFn, stats: PhaseStats, campaign):
+                random_input: RandomInputFn, stats: PhaseStats, campaign,
+                look: Optional[int] = None):
         """Phase 3: record the evidence sides look by look, analyse each look.
 
         One engine runs every campaign.  All representatives' fixed sides
@@ -547,10 +559,16 @@ class Owl:
         interim looks wrote for a completed side go when the campaign
         ends.
 
+        ``look`` runs only that look of the schedule, every side reaching
+        it from the store's segments: one service decide unit.  A look
+        past a one-look ``cached-evidence`` schedule is that schedule's
+        final look.
+
         Returns ``(rep_reports, summary)`` with ``rep_reports[i]`` the
-        per-analyzer reports of representative ``i`` at the last look,
-        and ``summary`` the stopping story of an adaptive campaign (None
-        for a classic one).
+        per-analyzer reports of representative ``i`` at the last look
+        (None when a single ``look`` ran and the campaign goes on), and
+        ``summary`` the stopping story of an adaptive campaign (None for
+        a classic one).
         """
         config = self.config
         sides = [_EvidenceSide(
@@ -567,10 +585,12 @@ class Owl:
         sides.append(random_side)
         cached = campaign is not None and self._resume_sides(sides, campaign)
         schedule = sequential.look_schedule(config, full_budget=cached)
+        looks = (range(schedule.num_rounds) if look is None
+                 else [min(look, schedule.num_rounds - 1)])
 
         rep_reports = []
         decisions = []
-        for round_index in range(schedule.num_rounds):
+        for round_index in looks:
             final = round_index == schedule.num_rounds - 1
             for side in sides:
                 self._record_side(side, schedule.boundary(side.side,
@@ -582,15 +602,20 @@ class Owl:
                     self.analyzers, side.evidence, random_side.evidence,
                     program_name=self.name) for side in sides[:-1]]
             else:
-                rep_reports, decision = self.evaluate_look(
-                    [side.evidence for side in sides[:-1]],
-                    random_side.evidence, schedule, round_index)
+                rep_reports, decision = sequential.evaluate_round(
+                    self.analyzers, [side.evidence for side in sides[:-1]],
+                    random_side.evidence, program_name=self.name,
+                    alpha=1.0 - config.confidence,
+                    rho=config.adaptive_alpha_spend, schedule=schedule,
+                    round_index=round_index)
                 decision.analysis_seconds = time.perf_counter() - test_started
                 decisions.append(decision)
             stats.test_seconds += time.perf_counter() - test_started
             if decisions and decisions[-1].stop:
                 break
-        if campaign is not None:
+        if decisions and not decisions[-1].stop:
+            rep_reports = None  # one interim look ran: the campaign goes on
+        elif campaign is not None:
             for side in sides:
                 if side.complete:
                     campaign.drop_segments(side.key)
@@ -683,12 +708,71 @@ class Owl:
                              else side.evidence.merge(partial))
         if campaign is None:
             return
+        from repro.store.serialize import (
+            deserialize_evidence, serialize_evidence)
         if final:
-            from repro.store.serialize import deserialize_evidence
-            side.evidence = deserialize_evidence(campaign.save_evidence(
-                side.key, side.evidence, side.side))
+            payload = campaign.save_evidence(side.key, side.evidence,
+                                             side.side)
         elif side.done > held:
-            side.evidence = canonical_evidence(side.evidence)
+            payload = serialize_evidence(side.evidence)
+        else:
+            return
+        side.evidence = deserialize_evidence(payload)
+
+    def _finish(self, rep_reports, adaptive_summary: Optional[AdaptiveSummary],
+                stats: PhaseStats, campaign, inputs_fp: Optional[str],
+                started: float):
+        """Merge the last look's reports into the campaign's report, then
+        complete the campaign; returns ``(report, per_representative)``.
+
+        Each detector mode merges (and dedups) its representatives'
+        reports exactly as a single-analyzer run would, so the KS
+        component of a "both" run stays byte-identical to an
+        ``analyzer="ks"`` run by construction.  An adaptive run's counts
+        are the replicas it actually analysed, so an early-stopped report
+        says what it tested.
+        """
+        per_rep: List[LeakageReport] = []
+        per_mode: List[List[LeakageReport]] = [[] for _ in self.analyzers]
+        for reports in rep_reports:
+            for mode_reports, report in zip(per_mode, reports):
+                mode_reports.append(report)
+            per_rep.append(reports[0] if len(reports) == 1
+                           else cross_validate(*reports))
+        num_fixed_runs = (adaptive_summary.fixed_recorded
+                          if adaptive_summary is not None
+                          else self.config.fixed_runs)
+        num_random_runs = (adaptive_summary.random_recorded
+                           if adaptive_summary is not None
+                           else self.config.random_runs)
+        merged_by_mode: List[LeakageReport] = []
+        for detector, mode_reports in zip(self.analyzers, per_mode):
+            merged = LeakageReport(program_name=self.name,
+                                   num_fixed_runs=num_fixed_runs,
+                                   num_random_runs=num_random_runs,
+                                   confidence=self.config.confidence,
+                                   analyzer=detector.mode)
+            for report in mode_reports:
+                merged.extend(report.leaks)
+            if self.config.dedup_by_location:
+                merged = merged.dedup_by_location()
+                merged.num_fixed_runs = num_fixed_runs
+                merged.num_random_runs = num_random_runs
+            merged_by_mode.append(merged)
+        merged = (merged_by_mode[0] if len(merged_by_mode) == 1
+                  else cross_validate(*merged_by_mode))
+        self._complete(merged, stats, campaign, inputs_fp, started)
+        return merged, per_rep
+
+    def _complete(self, report: LeakageReport, stats: PhaseStats, campaign,
+                  inputs_fp: Optional[str], started: float) -> None:
+        """Time the detection and, with a store, save its report and mark
+        the campaign complete in one manifest batch."""
+        stats.total_seconds = time.perf_counter() - started
+        if campaign is not None:
+            with campaign.store.batch():
+                campaign.save_report(inputs_fp, report, stats=stats)
+                campaign.mark_complete(inputs_fp)
 
     # ------------------------------------------------------------------
     # full pipeline
@@ -723,91 +807,16 @@ class Owl:
         degradation_log = collector.__enter__()
         started = time.perf_counter()
         try:
-            traces = self.record_traces(inputs, stats=stats,
-                                        campaign=campaign)
-            filter_started = time.perf_counter()
-            filter_result = self.filter_inputs(inputs, traces)
-            prof = profiling.profiler()
-            if prof is not None:
-                prof.add("analysis_filter",
-                         time.perf_counter() - filter_started)
-
-            inputs_fp = None
-            if campaign is not None:
-                inputs_fp = campaign.inputs_fingerprint(
-                    [campaign.input_fingerprint(value) for value in inputs])
-                campaign.mark_started(inputs_fp)
-                if reuse_report:
-                    cached = campaign.load_report(inputs_fp)
-                    if cached is not None:
-                        stats.report_cache_hit = True
-                        stats.total_seconds = time.perf_counter() - started
-                        campaign.mark_complete(inputs_fp)
-                        return OwlResult(program_name=self.name,
-                                         filter_result=filter_result,
-                                         report=cached, stats=stats)
-
-            rep_indices = self.representative_indices(filter_result)
-            if rep_indices is None:
-                empty = LeakageReport(program_name=self.name,
-                                      confidence=self.config.confidence,
-                                      analyzer=self.config.analyzer)
-                stats.total_seconds = time.perf_counter() - started
-                if campaign is not None:
-                    with campaign.store.batch():
-                        campaign.save_report(inputs_fp, empty, stats=stats)
-                        campaign.mark_complete(inputs_fp)
-                return OwlResult(program_name=self.name,
-                                 filter_result=filter_result, report=empty,
-                                 stats=stats)
-
-            rep_reports, adaptive_summary = self._phase3(
-                [inputs[index] for index in rep_indices], random_input,
-                stats, campaign)
-            per_rep: List[LeakageReport] = []
-            per_mode: List[List[LeakageReport]] = [[] for _ in self.analyzers]
-            for reports in rep_reports:
-                for mode_reports, report in zip(per_mode, reports):
-                    mode_reports.append(report)
-                per_rep.append(reports[0] if len(reports) == 1
-                               else cross_validate(*reports))
-
-            # merge (and dedup) per detector mode, exactly as a
-            # single-analyzer run would — the KS component of a "both" run
-            # stays byte-identical to an analyzer="ks" run by construction.
-            # An adaptive run's counts are the replicas it actually
-            # analysed, so an early-stopped report says what it tested.
-            num_fixed_runs = (adaptive_summary.fixed_recorded
-                              if adaptive_summary is not None
-                              else self.config.fixed_runs)
-            num_random_runs = (adaptive_summary.random_recorded
-                               if adaptive_summary is not None
-                               else self.config.random_runs)
-            merged_by_mode: List[LeakageReport] = []
-            for detector, mode_reports in zip(self.analyzers, per_mode):
-                merged = LeakageReport(program_name=self.name,
-                                       num_fixed_runs=num_fixed_runs,
-                                       num_random_runs=num_random_runs,
-                                       confidence=self.config.confidence,
-                                       analyzer=detector.mode)
-                for report in mode_reports:
-                    merged.extend(report.leaks)
-                if self.config.dedup_by_location:
-                    merged = merged.dedup_by_location()
-                    merged.num_fixed_runs = num_fixed_runs
-                    merged.num_random_runs = num_random_runs
-                merged_by_mode.append(merged)
-            merged = (merged_by_mode[0] if len(merged_by_mode) == 1
-                      else cross_validate(*merged_by_mode))
-            stats.total_seconds = time.perf_counter() - started
-            if campaign is not None:
-                with campaign.store.batch():
-                    campaign.save_report(inputs_fp, merged, stats=stats)
-                    campaign.mark_complete(inputs_fp)
-            return OwlResult(program_name=self.name,
-                             filter_result=filter_result, report=merged,
-                             per_representative=per_rep, stats=stats,
-                             adaptive=adaptive_summary)
+            result, inputs_fp, rep_indices = self._plan(
+                inputs, stats, campaign, reuse_report, started)
+            if result.report is None:
+                rep_reports, result.adaptive = self._phase3(
+                    [inputs[index] for index in rep_indices], random_input,
+                    stats, campaign)
+                result.report, result.per_representative = self._finish(
+                    rep_reports, result.adaptive, stats, campaign, inputs_fp,
+                    started)
+            return result
         finally:
             collector.__exit__(None, None, None)
             stats.degradations[:] = degradation_log.events

@@ -3,45 +3,43 @@
 Every unit kind re-materialises its campaign from the JSON spec — the
 workload registry provides the program and input factories, the config
 dict round-trips through :class:`~repro.core.pipeline.OwlConfig` — and
-then runs a *slice* of the normal pipeline, persisting its output through
-the same campaign key builders and phase decisions ``Owl.detect`` uses:
+then runs its step of ``Owl.detect`` itself, never a copy of it:
 
-* ``plan``     — record + store the traces the store lacks (one
-  ``Owl.record_traces`` call, as in ``Owl.detect``), filter them, decide
-  early-exit vs. which representatives need evidence, and name the
-  sides the store already holds complete;
+* ``plan``     — ``Owl._plan``: record + store the traces the store
+  lacks, filter them, mark the campaign started, and either end the
+  campaign (a stored report, or the one-class early exit) or name the
+  representatives and the sides the store already holds complete;
 * ``evidence`` — record runs ``[start, stop)`` of one side into one
   segment (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
-* ``decide``   — one look of the campaign's schedule: merge each side's
-  segments up to the look, as ``Owl.detect`` does, and decide whether
-  the campaign stops; at the final look, complete each side the store
-  does not already hold instead;
-* ``report``   — run ``Owl.detect`` against the now-warm store.  Bit
-  identity with a direct in-process detection is inherited from the
-  store's warm ≡ cold contract rather than re-proven here.
+* ``decide``   — one look of ``Owl._phase3``, each side reaching it
+  from the stored segments; a look that stops the campaign, or is its
+  final look, then runs ``Owl._finish``, which saves the report and
+  completes the campaign.
 
-Units are idempotent: each kind first checks the store for its own
-output (for an evidence unit, any campaign's segment of its exact run
-range) and returns a cache note instead of re-doing work, so re-queued
-units (after a worker death) and coalesced campaigns cost nothing.
+A unit that ends its campaign names the stored report in its payload's
+``report``.  Units are idempotent: a plan unit re-run finds the stored
+traces (and report), an evidence unit first checks for any campaign's
+segment of its exact run range, and a decide unit re-run merges the
+same segments to the same verdict, so re-queued units (after a worker
+death) and coalesced campaigns cost little.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Tuple
 
 from repro.apps.registry import resolve
-from repro.core import adaptive as sequential
-from repro.core.evidence import Evidence
-from repro.core.pipeline import (
-    Owl, OwlConfig, PhaseStats, canonical_evidence, side_inputs)
+from repro.core.pipeline import Owl, OwlConfig, PhaseStats, side_inputs
+from repro.core.report import LeakageReport
 from repro.errors import CampaignError
 from repro.resilience.events import collecting_degradations
 from repro.service.units import (
-    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, WorkUnit)
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, WorkUnit)
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
+
 
 def materialize(spec: Dict, store: TraceStore
                 ) -> Tuple[Owl, Campaign, List[object], object]:
@@ -58,12 +56,6 @@ def _evidence_key(campaign: Campaign, inputs: List[object],
     return campaign.evidence_key(
         side, None if side == "random"
         else campaign.input_fingerprint(inputs[rep_index]))
-
-
-def _sides(rep_indices) -> List[Tuple[str, int]]:
-    """A campaign's evidence sides as ``(side, rep_index)``: one fixed
-    side per representative, then the shared random side as ``-1``."""
-    return [("fixed", int(index)) for index in rep_indices] + [("random", -1)]
 
 
 def execute_unit(unit: WorkUnit, store: TraceStore) -> Dict:
@@ -87,41 +79,45 @@ def _dispatch(unit: WorkUnit, store: TraceStore) -> Dict:
         return _run_evidence(unit, store)
     if unit.kind == KIND_DECIDE:
         return _run_decide(unit, store)
-    if unit.kind == KIND_REPORT:
-        return _run_report(unit, store)
     raise CampaignError(f"unknown work unit kind {unit.kind!r}")
 
 
+def _report_payload(campaign: Campaign, inputs_fp: str,
+                    report: LeakageReport, stats: PhaseStats) -> Dict:
+    """What the scheduler keeps of a campaign's end: the stored report's
+    key and verdict, and the ending unit's store reuse."""
+    return {"report_key": campaign.report_key(inputs_fp),
+            "has_leaks": report.has_leaks,
+            "num_leaks": len(report.leaks),
+            "cached_traces": stats.cached_traces,
+            "cached_runs": stats.cached_runs,
+            "report_cache_hit": stats.report_cache_hit,
+            "total_seconds": stats.total_seconds}
+
+
 def _run_plan(unit: WorkUnit, store: TraceStore) -> Dict:
-    """Phases 1 and 2: record missing traces, filter into the run plan."""
+    """Phases 1 and 2 (``Owl._plan``): the campaign ends here, or the
+    payload names its representatives and the complete sides."""
     owl, campaign, inputs, _random = materialize(unit.spec, store)
     stats = PhaseStats()
-    traces = owl.record_traces(inputs, stats=stats, campaign=campaign)
-    filter_result = owl.filter_inputs(inputs, traces)
-    rep_indices = owl.representative_indices(filter_result)
-    return {"early_exit": rep_indices is None,
-            "rep_indices": rep_indices or [],
-            # sides the store holds complete: they stand in at the final
-            # look, so that look records nothing for them
-            "complete_sides": [
-                rep_index for side, rep_index in _sides(rep_indices or [])
-                if _evidence_key(campaign, inputs, side, rep_index) in store],
-            "num_classes": filter_result.num_classes,
-            "recorded": stats.trace_count,
-            "cached_traces": stats.cached_traces}
-
-
-def _record_segment(owl: Owl, campaign: Campaign, evidence_key: str,
-                    side: str, representative, random_input, start: int,
-                    stop: int) -> Tuple[Evidence, float]:
-    """Record runs ``[start, stop)`` of one side and store them as one
-    segment; returns the partial evidence and its recording seconds."""
-    values = side_inputs(owl.config, side, representative,
-                         random_input)[start:stop]
-    partial, chunk_stats = owl.pool.record_evidence(
-        values, keep_per_run=owl.config.sampling == "per_run")
-    campaign.save_segment(evidence_key, start, stop, partial, side)
-    return partial, chunk_stats.trace_seconds_total
+    result, inputs_fp, rep_indices = owl._plan(
+        inputs, stats, campaign, reuse_report=True,
+        started=time.perf_counter())
+    payload = {"rep_indices": rep_indices, "report": None,
+               "num_classes": result.filter_result.num_classes,
+               "recorded": stats.trace_count,
+               "cached_traces": stats.cached_traces}
+    if result.report is not None:
+        payload["report"] = _report_payload(campaign, inputs_fp,
+                                            result.report, stats)
+    else:
+        # they stand in at the final look, so that look records nothing
+        # for them
+        payload["complete_sides"] = [
+            rep_index for side, rep_index in
+            [("fixed", index) for index in rep_indices] + [("random", -1)]
+            if _evidence_key(campaign, inputs, side, rep_index) in store]
+    return payload
 
 
 def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
@@ -138,76 +134,48 @@ def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
     evidence_key = _evidence_key(campaign, inputs, side, rep_index)
     if campaign.segment_key(evidence_key, start, stop) in store:
         return {"runs": 0, "cached": True}  # by any campaign
-    _partial, seconds = _record_segment(
-        owl, campaign, evidence_key, side,
-        inputs[rep_index] if side == "fixed" else None, random_input,
-        start, stop)
-    return {"runs": stop - start, "trace_seconds": seconds}
+    values = side_inputs(owl.config, side,
+                         inputs[rep_index] if side == "fixed" else None,
+                         random_input)[start:stop]
+    partial, chunk_stats = owl.pool.record_evidence(
+        values, keep_per_run=owl.config.sampling == "per_run")
+    campaign.save_segment(evidence_key, start, stop, partial, side)
+    return {"runs": stop - start,
+            "trace_seconds": chunk_stats.trace_seconds_total}
 
 
 def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
-    """One look: merge each side's segments to the round boundary, decide.
+    """One look of ``Owl._phase3``; ``Owl._finish`` when it ends the
+    campaign.
 
-    At an interim look every side, a completed one too, reaches the
-    boundary as a cold run's look does: its segment chain merged in run
-    order, plus, recorded as one more segment, any runs the chain lacks
+    Every side reaches the look's boundaries as a resumed direct run's
+    look does: its segment chain merged in run order, whatever partition
+    wrote it, plus, recorded as more segments, any runs the chain lacks
     (a campaign that completed the side, or finished with it, deleted
-    its segments; a damaged one was quarantined).  The merges, in the
-    canonical form the in-process look loop analyses, go to
-    :func:`repro.core.adaptive.evaluate_round`: the stop-vs-continue
-    decision is a pure function of the evidence prefix, so a re-queued
-    decide unit recomputes it bit-identically.  At the final look each
-    side the store does not hold complete persists as completed
-    evidence (deleting its segments) and the unit stops without
-    analysing: the report unit analyses, with the completed sides
-    standing in.
+    its segments; a damaged one was quarantined).  At the final look a
+    completed side stands in, and every other side is completed.  The
+    stop-vs-continue decision is a pure function of the evidence
+    prefixes, so a re-queued decide unit recomputes it bit-identically.
+    When the store holds every side complete, the campaign's schedule is
+    the one look at the full budget, whichever look this unit was
+    enqueued for.
     """
     owl, campaign, inputs, random_input = materialize(unit.spec, store)
-    schedule = sequential.look_schedule(owl.config)
-    round_index = int(unit.params["round"])
-    final = round_index == schedule.num_rounds - 1
-    payload = {"stop": True, "final": final, "round": round_index}
-    evidences = []
-    for side, rep_index in _sides(unit.params["rep_indices"]):
-        evidence_key = _evidence_key(campaign, inputs, side, rep_index)
-        if final and evidence_key in store:
-            continue  # complete: it stands in at the final look
-        boundary = schedule.boundary(side, round_index)
-        evidence, done = campaign.extend_from_segments(evidence_key, None,
-                                                       0, boundary)
-        if done < boundary:
-            partial, _seconds = _record_segment(
-                owl, campaign, evidence_key, side,
-                inputs[rep_index] if side == "fixed" else None,
-                random_input, done, boundary)
-            evidence = partial if evidence is None else evidence.merge(partial)
-        if final:
-            campaign.save_evidence(evidence_key, evidence, side)
-        else:
-            evidences.append(canonical_evidence(evidence))
-    if not final:
-        _reports, decision = owl.evaluate_look(
-            evidences[:-1], evidences[-1], schedule, round_index)
-        payload.update(
-            stop=decision.stop, tested=decision.tested,
-            flagged=decision.flagged, clean=decision.clean,
-            undecided=decision.undecided,
-            fixed_boundary=decision.fixed_boundary,
-            random_boundary=decision.random_boundary)
+    started = time.perf_counter()
+    stats = PhaseStats()
+    look = int(unit.params["round"])
+    rep_reports, summary = owl._phase3(
+        [inputs[index] for index in unit.params["rep_indices"]],
+        random_input, stats, campaign, look=look)
+    payload = {"round": look, "stop": rep_reports is not None,
+               "report": None}
+    if summary is not None and summary.rounds:
+        payload.update(summary.rounds[-1].to_dict())
+    if rep_reports is not None:
+        inputs_fp = campaign.inputs_fingerprint(
+            [campaign.input_fingerprint(value) for value in inputs])
+        report, _per_rep = owl._finish(rep_reports, summary, stats,
+                                       campaign, inputs_fp, started)
+        payload["report"] = _report_payload(campaign, inputs_fp, report,
+                                            stats)
     return payload
-
-
-def _run_report(unit: WorkUnit, store: TraceStore) -> Dict:
-    """The terminal unit: a normal detection against the warm store."""
-    owl, campaign, inputs, random_input = materialize(unit.spec, store)
-    result = owl.detect(inputs, random_input=random_input, store=store)
-    inputs_fp = campaign.inputs_fingerprint(
-        [campaign.input_fingerprint(value) for value in inputs])
-    return {"report_key": campaign.report_key(inputs_fp),
-            "has_leaks": result.report.has_leaks,
-            "num_leaks": len(result.report.leaks),
-            "leak_free_by_filtering": result.leak_free_by_filtering,
-            "cached_traces": result.stats.cached_traces,
-            "cached_runs": result.stats.cached_runs,
-            "report_cache_hit": result.stats.report_cache_hit,
-            "total_seconds": result.stats.total_seconds}

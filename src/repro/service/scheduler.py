@@ -3,21 +3,25 @@
 One :class:`CampaignScheduler` owns a :class:`~repro.service.queue.JobQueue`
 and drives every submitted campaign through one stage machine
 
-    planning → [evidence → deciding]+ → reporting → complete
+    planning → [evidence → deciding]* → complete
 
 The ``planning`` stage's one unit is Owl's phases 1 and 2 (record the
-traces the store lacks, filter them, decide the early exit or the
-representatives).  Then comes one ``evidence → deciding`` pass per look
-of the campaign's schedule
+traces the store lacks, filter them, mark the campaign started), and it
+completes the campaign when the campaign ends there: a report already
+stored, or the one-class early exit.  Otherwise comes one
+``evidence → deciding`` pass per look of the campaign's schedule
 (:func:`repro.core.adaptive.look_schedule`): a single look at the full
 budget for the paper's protocol, one per round for
 ``OwlConfig(adaptive=True)``.  Each ``evidence`` stage records one
 round's replica slice as run-range segments (``unit_runs`` partitioning
 always respects the round boundaries) and the ``deciding`` stage's unit
-merges each side's segments up to the look — at the final look into
-completed evidence — and either stops the campaign or schedules the
-next round, enqueuing the next stage's durable units the moment the
-previous stage's results are all on disk.  The actual work happens
+runs that look of ``Owl._phase3`` over them.  A look that stops the
+campaign, or is its final look, also runs ``Owl._finish``, which writes
+the report; otherwise the scheduler schedules the next round.  A
+campaign whose every side the store holds complete goes from its plan
+unit straight to ``decide.00``, whose one look loads them.  Each
+stage's durable units are enqueued the moment the previous stage's
+results are all on disk.  The actual work happens
 wherever a unit is claimed — fleet worker processes, or the scheduler process itself when
 ``workers == 0`` or the fleet is spent (same units, same results).
 
@@ -57,10 +61,11 @@ delay but never starve a light one.  Admission order shapes only *when*
 units run; reports stay bit-identical because unit results are
 order-independent by construction.
 
-Bit-identity: the terminal report unit is a plain ``Owl.detect`` against
-the store the earlier units warmed, so "service report ≡ direct report"
-reduces to the store layer's proven warm ≡ cold contract — at any worker
-count, any ``unit_runs`` partition, and across injected worker deaths.
+Bit-identity: the plan and decide units run ``Owl``'s own plan, look
+and finish steps, over evidence that is the same segments folded in run
+order through the associative ``Evidence.merge``, so "service report ≡
+direct report" holds by construction — at any worker count, any
+``unit_runs`` partition, and across injected worker deaths.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ from typing import Dict, List, Optional
 
 from repro.core.adaptive import look_schedule
 from repro.core.pipeline import OwlConfig
-from repro.errors import CampaignError, QuotaError
+from repro.errors import QuotaError
 from repro.resilience.events import (
     FLEET_TO_LOCAL, UNIT_REQUEUED, WORKER_LOST, DegradationEvent)
 from repro.service.config import ServiceConfig
@@ -79,8 +84,7 @@ from repro.service.execute import execute_unit
 from repro.service.fleet import WorkerFleet
 from repro.service.queue import SCHEDULER_BELL, WORKER_BELL, JobQueue
 from repro.service.units import (
-    STAGES, WorkUnit, decide_unit, plan_unit, report_unit,
-    round_evidence_units)
+    STAGES, WorkUnit, decide_unit, plan_unit, round_evidence_units)
 from repro.store.fingerprint import (
     analysis_fingerprint, fingerprint_inputs, fingerprint_value)
 from repro.store.store import TraceStore
@@ -89,7 +93,6 @@ from repro.store.store import TraceStore
 STAGE_PLANNING = "planning"
 STAGE_EVIDENCE = "evidence"
 STAGE_DECIDING = "deciding"
-STAGE_REPORTING = "reporting"
 STAGE_COMPLETE = "complete"
 STAGE_FAILED = "failed"
 
@@ -446,54 +449,49 @@ class CampaignScheduler:
         self._advance(state, payloads)
 
     def _advance(self, state: CampaignState, payloads: Dict) -> None:
-        spec = state.spec()
-        config = OwlConfig(**state.config_dict)
-        if state.stage == STAGE_PLANNING:
-            plan = payloads[f"{state.cid}.plan"]
-            state.plan = plan
-            # every side complete: the report unit's one look loads them
-            if plan["early_exit"] or set(plan["rep_indices"]) | {-1} <= set(
-                    plan.get("complete_sides", [])):
-                state.stage = STAGE_REPORTING
-                self._enqueue(state, [report_unit(state.cid, spec)])
-                return
-            state.look = 0
-            state.stage = STAGE_EVIDENCE
-            self._enqueue(state, self._round_units(state, config, 0))
-            return
         if state.stage == STAGE_EVIDENCE:
-            state.stage = STAGE_DECIDING
-            self._enqueue(state, [decide_unit(
-                state.cid, spec, state.look,
-                (state.plan or {}).get("rep_indices", []))])
+            self._decide(state)
             return
-        if state.stage == STAGE_DECIDING:
-            verdict = payloads[f"{state.cid}.decide.{state.look:02d}"]
+        (uid, payload), = payloads.items()  # the plan or decide unit's
+        if "report" not in payload:
+            # written before plan and decide units ended campaigns (a
+            # queue recovered across that change): run the unit again
+            self.queue.clear_result(uid)
+            (self._start if state.stage == STAGE_PLANNING
+             else self._decide)(state)
+            return
+        if state.stage == STAGE_PLANNING:
+            state.plan = payload
+        else:
             self.queue.journal(
                 "decided", campaign=state.cid, round=state.look,
-                stop=verdict.get("stop"), undecided=verdict.get("undecided"))
-            if verdict.get("stop"):
-                state.stage = STAGE_REPORTING
-                self._enqueue(state, [report_unit(state.cid, spec)])
-                return
-            state.look += 1
-            state.stage = STAGE_EVIDENCE
-            self._enqueue(state, self._round_units(state, config,
-                                                   state.look))
-            return
-        if state.stage == STAGE_REPORTING:
-            state.report = payloads[f"{state.cid}.report"]
+                stop=payload.get("stop"), undecided=payload.get("undecided"))
+        if payload["report"] is not None:
+            state.report = payload["report"]
             state.stage = STAGE_COMPLETE
             state.pending = []
             self.queue.journal("complete", campaign=state.cid,
                                report_key=state.report.get("report_key"),
                                has_leaks=state.report.get("has_leaks"))
             return
-        raise CampaignError(
-            f"campaign {state.cid} advanced from unexpected stage "
-            f"{state.stage!r}")
+        if state.stage == STAGE_DECIDING:
+            state.look += 1
+        elif set(payload["rep_indices"]) | {-1} <= set(
+                payload["complete_sides"]):
+            # every side complete: the decide unit's one look loads them
+            self._decide(state)
+            return
+        state.stage = STAGE_EVIDENCE
+        self._enqueue(state, self._round_units(state, state.look))
 
-    def _round_units(self, state: CampaignState, config: OwlConfig,
+    def _decide(self, state: CampaignState) -> None:
+        """Enqueue the decide unit of the campaign's current look."""
+        state.stage = STAGE_DECIDING
+        self._enqueue(state, [decide_unit(state.cid, state.spec(),
+                                          state.look,
+                                          state.plan["rep_indices"])])
+
+    def _round_units(self, state: CampaignState,
                      round_index: int) -> List:
         """Evidence units for one look's replica slice.
 
@@ -504,12 +502,11 @@ class CampaignScheduler:
         plan found complete stands in at the final look, so only its
         interim slices get units.
         """
-        schedule = look_schedule(config)
+        schedule = look_schedule(OwlConfig(**state.config_dict))
         final = round_index == schedule.num_rounds - 1
-        plan = state.plan or {}
-        complete = set(plan.get("complete_sides", []))
+        complete = set(state.plan["complete_sides"])
         sides = [("fixed", rep_index, schedule.fixed)
-                 for rep_index in plan.get("rep_indices", [])]
+                 for rep_index in state.plan["rep_indices"]]
         sides.append(("random", -1, schedule.random))
         units = []
         for side, rep_index, boundaries in sides:
@@ -606,7 +603,9 @@ class CampaignScheduler:
         Re-walks each persisted campaign from the first stage; enqueue is
         a no-op for units whose results survived, so completed stages
         fast-forward on the next ticks instead of re-running.  Queued
-        units of retired kinds finish as no-ops: the re-walk redoes them.
+        units of retired kinds finish as no-ops: the re-walk redoes
+        their work (a ``report`` unit's is the plan or last decide
+        unit's, which runs again if its result predates that).
         """
         for uid in self.queue.pending_units():
             unit = self.queue.load_unit(uid)

@@ -2,9 +2,9 @@
 
 One submitted campaign decomposes into a DAG of small, restartable JSON
 specs — one plan job (phase 1's trace recording and phase 2's filter),
-evidence jobs over ``unit_runs``-sized run ranges and one decide job for
-each look of the campaign's schedule, one report job — that any worker
-process can execute given only the shared
+then evidence jobs over ``unit_runs``-sized run ranges and one decide job
+for each look of the campaign's schedule, the last of which writes the
+report — that any worker process can execute given only the shared
 :class:`~repro.store.store.TraceStore`.
 Units reference programs *by name* through :mod:`repro.apps.registry`,
 so a spec is re-materialisable anywhere; all heavy payloads (traces,
@@ -29,12 +29,11 @@ from typing import Dict, List
 KIND_PLAN = "plan"
 KIND_EVIDENCE = "evidence"
 KIND_DECIDE = "decide"
-KIND_REPORT = "report"
 
 #: Stage machine: which kinds a campaign schedules, in which order
-#: (``evidence`` and ``decide`` repeat once per look; ``trace`` and
-#: ``fold`` are retired kinds).
-STAGES = (KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_REPORT)
+#: (``evidence`` and ``decide`` repeat once per look; ``trace``,
+#: ``fold`` and ``report`` are retired kinds).
+STAGES = (KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE)
 
 
 @dataclass
@@ -75,7 +74,8 @@ class WorkUnit:
 
 
 def plan_unit(cid: str, spec: Dict) -> WorkUnit:
-    """Phases 1 and 2: record missing traces, filter, plan phase 3."""
+    """Phases 1 and 2: record missing traces, filter, then end the
+    campaign or plan phase 3."""
     return WorkUnit(uid=f"{cid}.plan", kind=KIND_PLAN, campaign=cid,
                     spec=spec)
 
@@ -104,14 +104,10 @@ def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
 def decide_unit(cid: str, spec: Dict, round_index: int,
                 rep_indices: List[int]) -> WorkUnit:
     """One look: merge every side's segments to the round boundary and
-    decide stop-vs-continue (at the final look, complete the sides)."""
+    decide stop-vs-continue; a look that ends the campaign writes its
+    report."""
     return WorkUnit(uid=f"{cid}.decide.{round_index:02d}",
                     kind=KIND_DECIDE, campaign=cid, spec=spec,
                     params={"round": round_index,
                             "rep_indices": list(rep_indices)})
 
-
-def report_unit(cid: str, spec: Dict) -> WorkUnit:
-    """The terminal unit: ``Owl.detect`` against the pre-warmed store."""
-    return WorkUnit(uid=f"{cid}.report", kind=KIND_REPORT, campaign=cid,
-                    spec=spec)

@@ -20,7 +20,10 @@ mid-execution; a worker *death* stops the heartbeat, which the
 scheduler notices — dead process or silent lease — and re-queues.
 Worker-code exceptions become ``error`` results (the scheduler treats
 those as real bugs and fails the campaign, mirroring
-:class:`~repro.resilience.supervisor.ChunkSupervisor`).
+:class:`~repro.resilience.supervisor.ChunkSupervisor`).  An interrupt
+(Ctrl-C, ``SystemExit``) is no unit's fault: it propagates with the
+claim held and no result written, so the unit is re-queued like a dead
+worker's once its lease expires.
 
 ``--die-after N`` is the fleet-level fault injection: exit hard right
 after winning the Nth claim, before executing it.  That is the worst
@@ -128,7 +131,7 @@ def worker_loop(queue_root, store_root, worker_id: Optional[str] = None,
                 with _Heartbeat(queue, uid, lease_seconds):
                     try:
                         payload = execute_unit(unit, store)
-                    except BaseException as error:  # noqa: BLE001
+                    except Exception as error:  # noqa: BLE001
                         queue.fail(uid, f"{type(error).__name__}: {error}",
                                    worker_id)
                     else:

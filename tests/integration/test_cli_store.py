@@ -330,12 +330,13 @@ class TestUpgradeFromCheckpoints:
 
     def test_units_queued_before_the_upgrade_still_execute(self, tmp_path):
         """Evidence units that still carry a chunk ordinal and decide units
-        that still carry chunk counts run on their run ranges and look."""
+        that still carry chunk counts run on their run ranges and look;
+        the final-look decide unit completes the sides and writes the
+        direct report."""
         from repro.apps.registry import resolve
         from repro.core.pipeline import Owl, OwlConfig
         from repro.service.execute import execute_unit
-        from repro.service.units import (
-            KIND_DECIDE, KIND_EVIDENCE, WorkUnit, report_unit)
+        from repro.service.units import KIND_DECIDE, KIND_EVIDENCE, WorkUnit
         from repro.store import TraceStore
         overrides = dict(fixed_runs=4, random_runs=4, seed=11)
         spec = {"workload": "dummy", "config": dict(overrides)}
@@ -353,11 +354,12 @@ class TestUpgradeFromCheckpoints:
                                "fixed_chunks": 2, "random_chunks": 2}))
         for unit in units[:-1]:
             assert execute_unit(unit, store)["runs"] == 2
-        assert execute_unit(units[-1], store)["final"]
+        decided = execute_unit(units[-1], store)
+        assert decided["stop"]
         assert len(store.entries(kind="evidence")) == 2
         assert store.keys_under("segment/") == []
 
-        report = execute_unit(report_unit("c0001", spec), store)
+        report = decided["report"]
         assert report["cached_runs"] == 8
         program, fixed_inputs, random_input = resolve("dummy")
         direct = Owl(program, name="dummy",

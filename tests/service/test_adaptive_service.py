@@ -1,11 +1,12 @@
 """The service's adaptive stage machine: evidence → deciding loops.
 
 An ``adaptive=True`` campaign replaces the single evidence + fold pass
-with round-sliced evidence units and one decide unit per look; the
-terminal report unit is still a plain ``Owl.detect`` against the warm
-store, so the contract stays the strongest one available — reports
-bit-identical to a direct in-process adaptive run — at any worker count
-and any ``unit_runs`` partition, across injected worker deaths.
+with round-sliced evidence units and one decide unit per look, each of
+which runs that look of ``Owl._phase3``; the stopping look also runs
+``Owl._finish``, so the contract stays the strongest one available —
+reports bit-identical to a direct in-process adaptive run — at any
+worker count and any ``unit_runs`` partition, across injected worker
+deaths.
 """
 
 import json
@@ -16,7 +17,8 @@ from repro.apps.registry import resolve
 from repro.core.parallel import TraceRecordingPool
 from repro.core.pipeline import Owl, OwlConfig
 from repro.service import CampaignScheduler, ServiceConfig
-from repro.service.scheduler import STAGE_COMPLETE, STAGE_REPORTING
+from repro.service import scheduler as scheduler_module
+from repro.service.scheduler import STAGE_COMPLETE
 from repro.store.campaign import Campaign
 from repro.store.store import TraceStore
 from tests.service.test_service_identity import enqueued_units, run_service
@@ -100,34 +102,40 @@ class TestAdaptiveServiceIdentity:
             assert all(stop - start <= 7 for start, stop in ranges)
         assert store.entries(kind="evidence") == []
 
-    def test_early_stopped_report_unit_records_no_run(self, tmp_path,
+    def test_early_stopped_decide_units_record_no_run(self, tmp_path,
                                                       monkeypatch):
-        """The report unit re-analyses every look from the segments the
-        evidence units wrote at ``unit_runs=7`` — a partition other than
-        its own ``store_checkpoint_every`` batches — and records
-        nothing."""
+        """Each look's decide unit merges the segments the evidence
+        units wrote at ``unit_runs=7`` — a partition other than its own
+        ``store_checkpoint_every`` batches — and records nothing; the
+        evidence units record each analysed run once."""
         direct = direct_adaptive(tmp_path)
         assert direct.adaptive.stopped_early
-        scheduler = CampaignScheduler(
-            tmp_path / "store", tmp_path / "queue",
-            ServiceConfig(workers=0, unit_runs=7))
-        cid = scheduler.submit("dummy", ADAPTIVE)
-        state = scheduler.campaigns[cid]
-        while state.stage != STAGE_REPORTING:
-            scheduler.tick()
-            assert not state.done
+        analysed = (direct.adaptive.fixed_recorded
+                    + direct.adaptive.random_recorded)
+        recorded = []
+        running = []
+        execute = scheduler_module.execute_unit
+        record = TraceRecordingPool.record_evidence
 
-        def no_recording(pool, values, keep_per_run=False):
-            raise AssertionError(f"report unit recorded {len(values)} runs")
+        def tracking(unit, store):
+            running[:] = [unit.kind]
+            return execute(unit, store)
 
-        monkeypatch.setattr(TraceRecordingPool, "record_evidence",
-                            no_recording)
-        assert scheduler.wait([cid], timeout=240.0)
+        def counting(pool, values, keep_per_run=False):
+            recorded.append((running[0], len(values)))
+            return record(pool, values, keep_per_run=keep_per_run)
+
+        monkeypatch.setattr(scheduler_module, "execute_unit", tracking)
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", counting)
+        scheduler, (cid,) = run_service(
+            tmp_path, ServiceConfig(workers=0, unit_runs=7),
+            overrides=ADAPTIVE)
         results = scheduler.results(cid)
-        assert results["stage"] == STAGE_COMPLETE, state.error
+        assert results["stage"] == STAGE_COMPLETE
         assert results["report_json"] == direct.report.to_json()
-        assert state.report["cached_runs"] == (
-            direct.adaptive.fixed_recorded + direct.adaptive.random_recorded)
+        assert {kind for kind, _runs in recorded} == {"evidence"}
+        assert sum(runs for _kind, runs in recorded) == analysed
+        assert scheduler.campaigns[cid].report["cached_runs"] == analysed
 
     def test_fleet_adaptive_identical_across_worker_death(self, tmp_path):
         direct = direct_adaptive(tmp_path)

@@ -72,7 +72,7 @@ def test_cold_campaign_records_phase_one_in_the_plan_unit(
     kinds = enqueued_kinds(scheduler)
     assert kinds[0] == "plan" and kinds.count("plan") == 1
     assert "trace" not in kinds
-    # both fixed inputs in one pool call (the report unit hits the cache)
+    # both fixed inputs in one pool call, and no other unit records one
     _program, fixed_inputs, _random = resolve("aes")
     assert calls == [len(fixed_inputs())] == [2]
     plan = scheduler.queue.result(f"{cid}.plan")["payload"]

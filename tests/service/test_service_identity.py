@@ -1,10 +1,11 @@
 """The service's core contract: reports bit-identical to direct detection.
 
 The scheduler decomposes a campaign into units whose outputs flow through
-the store; the terminal unit is a plain ``Owl.detect`` against that warm
-store, so these tests assert strict JSON equality against a fresh
-single-process run — at ``workers=0``, across ``unit_runs`` partitions,
-through a real worker fleet, and across injected worker deaths.
+the store; the plan and decide units run ``Owl.detect``'s own plan, look
+and finish steps over it, so these tests assert strict JSON equality
+against a fresh single-process run — at ``workers=0``, across
+``unit_runs`` partitions, through a real worker fleet, and across
+injected worker deaths.
 """
 
 import dataclasses
@@ -81,9 +82,10 @@ class TestInProcessIdentity:
         assert results["report_json"] == direct_report_json(
             workload="aes-ct", overrides=overrides,
             store=tmp_path / "direct")
-        # constant-time AES filters to one class: no evidence stage ran
-        state = scheduler.campaigns[cid]
-        assert state.plan["early_exit"]
+        # constant-time AES filters to one class: the plan unit ended
+        # the campaign, and no other unit ran
+        assert scheduler.campaigns[cid].plan["num_classes"] == 1
+        assert enqueued_units(scheduler, cid) == [f"{cid}.plan"]
 
     def test_unknown_workload_fails_at_submit(self, tmp_path):
         scheduler = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
@@ -152,7 +154,8 @@ class TestCompletedSides:
     def test_new_seed_enqueues_no_fixed_side_unit(self, tmp_path):
         """The fixed side does not depend on the seed: the plan unit finds
         it complete, the campaign's units record only its random side,
-        and the report unit loads both sides."""
+        and the decide unit loads the fixed side and merges the random
+        side's segments."""
         scheduler, cid = self.run_two(tmp_path, dict(TINY, seed=14))
         units = enqueued_units(scheduler, cid)
         assert not [uid for uid in units if ".evidence.fixed." in uid]
@@ -160,13 +163,15 @@ class TestCompletedSides:
         assert scheduler.campaigns[cid].report["cached_runs"] == \
             TINY["fixed_runs"] + TINY["random_runs"]
 
-    def test_every_side_complete_goes_straight_to_the_report(self,
-                                                              tmp_path):
+    def test_every_side_complete_goes_straight_to_the_decide_unit(
+            self, tmp_path):
         """Another analyzer shares both sides (evidence scope excludes
-        it): plan, then report, and nothing in between."""
+        it): plan, then the decide unit whose one look loads them."""
         scheduler, cid = self.run_two(tmp_path, dict(TINY, analyzer="mi"))
         assert enqueued_units(scheduler, cid) == [f"{cid}.plan",
-                                                  f"{cid}.report"]
+                                                  f"{cid}.decide.00"]
+        assert scheduler.campaigns[cid].report["cached_runs"] == \
+            TINY["fixed_runs"] + TINY["random_runs"]
 
 
 class TestFleetIdentity:
@@ -252,7 +257,7 @@ class TestRecovery:
         first = CampaignScheduler(tmp_path / "store", tmp_path / "queue",
                                   config)
         cid = first.submit("dummy", TINY)
-        for _ in range(3):
+        for _ in range(2):  # plan, then evidence: the decide unit waits
             first.tick()
         del first
         queue = tmp_path / "queue"

@@ -4,9 +4,9 @@
 its result is written, so a worker still working through an old listing
 can win a fresh claim on a unit another worker already finished.
 The stopping decide unit is the case checked here: a re-run would merge
-every side's segments up to the look and analyse it again, for a result
-the scheduler has already harvested.  The stale worker must execute the
-report unit only.
+every side's segments up to the look, analyse it and write the report
+again, for a result the scheduler has already harvested.  The stale
+worker must execute nothing.
 """
 
 from repro.apps.registry import resolve
@@ -14,7 +14,7 @@ from repro.core.pipeline import Owl, OwlConfig
 from repro.service import CampaignScheduler, ServiceConfig
 from repro.service import scheduler as scheduler_module
 from repro.service.queue import JobQueue
-from repro.service.scheduler import STAGE_COMPLETE, STAGE_REPORTING
+from repro.service.scheduler import STAGE_COMPLETE
 from repro.service.worker import worker_loop
 
 ADAPTIVE = dict(fixed_runs=64, random_runs=64, adaptive=True)
@@ -36,11 +36,14 @@ def test_stale_worker_does_not_rerun_the_stopping_decide(tmp_path,
     cid = scheduler.submit("aes", ADAPTIVE)
     state = scheduler.campaigns[cid]
     scheduler.tick()
-    while state.stage != STAGE_REPORTING:  # stop before the report runs
+    while not state.done:
         worker_loop(queue_root, store_root, "w0", max_loops=1)
         scheduler.tick()
+    assert state.stage == STAGE_COMPLETE
     stopping_decide = f"{cid}.decide.{state.look:02d}"
-    assert scheduler.queue.result(stopping_decide)["payload"]["stop"]
+    finished = scheduler.queue.result(stopping_decide)
+    assert finished["payload"]["stop"]
+    assert finished["payload"]["report"] == state.report
 
     # a second worker still holds a listing from before the decide ran
     listing = JobQueue.pending_units
@@ -55,11 +58,12 @@ def test_stale_worker_does_not_rerun_the_stopping_decide(tmp_path,
 
     monkeypatch.setattr(JobQueue, "pending_units", stale_listing)
     executed = worker_loop(queue_root, store_root, "w1", max_loops=1)
-    assert executed == 1  # the report unit only
+    assert executed == 0
+    assert not stale  # the stale listing was served
+    assert scheduler.queue.claimed_units() == []
+    assert scheduler.queue.result(stopping_decide) == finished
 
-    scheduler.tick()
-    assert state.stage == STAGE_COMPLETE
-    assert state.report["cached_runs"] > 0  # every replica reused
+    assert state.report["cached_runs"] > 0  # the evidence units' segments
     assert scheduler.results(cid)["report_json"] == \
         _direct_report(ADAPTIVE)
 

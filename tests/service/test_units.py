@@ -1,8 +1,8 @@
 """WorkUnit model: round-trip, builders, run-range arithmetic."""
 
 from repro.service.units import (
-    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, KIND_REPORT, WorkUnit,
-    decide_unit, plan_unit, report_unit, round_evidence_units)
+    KIND_DECIDE, KIND_EVIDENCE, KIND_PLAN, STAGES, WorkUnit, decide_unit,
+    plan_unit, round_evidence_units)
 
 SPEC = {"workload": "dummy", "config": {"fixed_runs": 10}}
 
@@ -23,11 +23,11 @@ class TestRoundTrip:
 
 
 class TestBuilders:
-    def test_plan_and_report_units(self):
+    def test_plan_unit_and_the_retired_report_kind(self):
         plan = plan_unit("c1", SPEC)
         assert plan.uid == "c1.plan" and plan.kind == KIND_PLAN
-        report = report_unit("c1", SPEC)
-        assert report.uid == "c1.report" and report.kind == KIND_REPORT
+        # the plan or last decide unit writes the report: no report kind
+        assert STAGES == (KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE)
 
     def test_evidence_units_cover_all_runs_exactly(self):
         units = round_evidence_units("c1", SPEC, "fixed", 0, start=0,
